@@ -46,10 +46,7 @@ from .spectra import (
 from .window_sums import (
     SmoothingPlan,
     WindowSpec,
-    prefix_sums,
-    window_sums_1d,
     window_sums_2d,
-    window_sums_2d_fn,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +80,6 @@ __all__ = [
     "reference_window",
     "parallel_estimate",
     "partition_domain",
-    "prefix_sums",
     "principal_domain",
     "raw_bispectrum_value",
     "raw_trispectrum_value",
@@ -92,8 +88,6 @@ __all__ = [
     "run_benchmarks",
     "save_series",
     "segment_and_demean",
-    "window_sums_1d",
     "window_sums_2d",
-    "window_sums_2d_fn",
     "write_grid_csv",
 ]

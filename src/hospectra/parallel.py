@@ -27,10 +27,9 @@ from .series import SegmentConfig, TimeSeries, segment_and_demean
 from .spectra import (
     EstimationConfig,
     SpectrumGrid,
-    _compute_values,
-    domain_slice,
     estimate_from_spectra,
     principal_domain,
+    smoothed_values,
 )
 from .window_sums import MATERIALIZED_PLANS, SmoothingPlan
 
@@ -94,8 +93,7 @@ def partition_domain(domain, workers: WorkerConfig) -> list:
 def _worker_run(payload: dict) -> int:
     """Compute one partition's values into the shared output buffer and
     report this process's smoothing working-set peak. The partition
-    travels as two offsets; the worker rebuilds its domain slice locally
-    (cheaper than pickling index arrays)."""
+    travels as two domain offsets, not as index arrays."""
     WORKSPACE.reset()
     spec_set = SegmentSpectrumSet(spectra=payload["spectra"])
     cfg = EstimationConfig(
@@ -106,8 +104,7 @@ def _worker_run(payload: dict) -> int:
         conjugate_last=payload["conjugate_last"],
     )
     start, stop = payload["start"], payload["stop"]
-    part = domain_slice(cfg.order, spec_set.m, start, stop)
-    values = _compute_values(spec_set, cfg, part)
+    values = smoothed_values(spec_set, cfg, start, stop)
     shm = shared_memory.SharedMemory(name=payload["shm_name"])
     try:
         buf = np.ndarray(payload["total"], dtype=np.complex128, buffer=shm.buf)

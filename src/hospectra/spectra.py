@@ -10,11 +10,19 @@ Smoothing is centered: a window of side ``m3`` covers offsets
 longer on the trailing side for even ``m3``), with periodic index wrapping
 so every window is full and the normalization is exactly ``m3**(order-1)``.
 
+Order 3 and order 4 run one pipeline; only the number of frequency axes,
+``order - 1``, differs. The principal domain is kept as a run table: a run
+is the set of points sharing their leading ``order - 2`` indices, and its
+last index takes consecutive values. Both the index arrays and the spans
+handed to the smoothing engines are read from that table, for the whole
+domain or for any contiguous slice of it.
+
 The materialized plans (NAIVE, WS, PREFIX) smooth each segment's grid and
 then average, in that order. The source-on-demand plans average the raw
-products inside the value function and smooth once; box sums and segment
+products inside the fetch function and smooth once; box sums and segment
 averages are both linear, so the two orderings agree within rounding (the
-test suite pins this).
+test suite pins this). PREFIX and the EFFICIENT engine share one box-sum
+kernel, :func:`hospectra.tiled.box_sums`.
 """
 
 from __future__ import annotations
@@ -29,12 +37,7 @@ from .errors import ParameterError
 from .meter import WORKSPACE
 from .series import SegmentConfig, TimeSeries, segment_and_demean
 from .tiled import smoothed_cells_2d, smoothed_cells_3d
-from .window_sums import (
-    MATERIALIZED_PLANS,
-    SmoothingPlan,
-    WindowSpec,
-    window_sums_2d,
-)
+from .window_sums import MATERIALIZED_PLANS, SmoothingPlan, smooth_periodic
 
 __all__ = [
     "EstimationConfig",
@@ -43,6 +46,7 @@ __all__ = [
     "raw_bispectrum_value",
     "raw_trispectrum_value",
     "principal_domain",
+    "smoothed_values",
     "estimate_spectrum",
     "estimate_from_spectra",
     "compare_grids",
@@ -68,8 +72,7 @@ class EstimationConfig:
     conjugate_last: bool = True
 
     def __post_init__(self):
-        if self.order not in (3, 4):
-            raise ParameterError(f"order must be 3 or 4, got {self.order}")
+        _check_order(self.order)
         if self.m3 < 1:
             raise ParameterError(f"smoothing window must be >= 1, got {self.m3}")
         if 2 * self.m3 >= self.segment.m:
@@ -84,9 +87,7 @@ class SpectrumGrid:
     """Smoothed estimate over the principal domain.
 
     Points are stored as parallel arrays in lexicographic index order:
-    ``indices[t]`` is the bin tuple of ``values[t]``. ``point_dict`` gives
-    the mapping view when that is more convenient (small grids only; the
-    arrays are the primary representation).
+    ``indices[t]`` is the bin tuple of ``values[t]``.
     """
 
     order: int
@@ -95,13 +96,6 @@ class SpectrumGrid:
     plan: SmoothingPlan
     indices: np.ndarray  # (npoints, order-1) int32, lexicographic
     values: np.ndarray  # (npoints,) complex128
-
-    def point_dict(self) -> dict:
-        return {tuple(int(v) for v in idx): val for idx, val in zip(self.indices, self.values)}
-
-    def points(self):
-        for idx, val in zip(self.indices, self.values):
-            yield SpectrumPoint(tuple(int(v) for v in idx), complex(val))
 
     def peak_point(self) -> SpectrumPoint:
         t = int(np.argmax(np.abs(self.values)))
@@ -130,6 +124,71 @@ def raw_trispectrum_value(f, k1: int, k2: int, k3: int, conjugate_last: bool = T
     return complex(f[int(k1)] * f[int(k2)] * f[int(k3)] * last / m)
 
 
+def _check_order(order: int) -> None:
+    if order not in (3, 4):
+        raise ParameterError(f"order must be 3 or 4, got {order}")
+
+
+class _Runs(NamedTuple):
+    """Run table of a contiguous principal-domain slice. A run is the set
+    of points sharing their leading ``order-2`` indices; its last index
+    takes the consecutive values ``first .. first + length - 1``."""
+
+    lead: np.ndarray  # (nruns, order-2) leading indices
+    first: np.ndarray  # (nruns,) last index of the run's first point
+    lens: np.ndarray  # (nruns,) points in the run
+    offsets: np.ndarray  # (nruns,) flat position of the run's first point
+
+
+def _domain_runs(order: int, m: int, start: int = 0, stop: int | None = None) -> _Runs:
+    """Runs of ``principal_domain(order, m)[start:stop]``.
+
+    Built one index level at a time: below indices summing to ``s`` with
+    last index ``k``, the next index takes ``min(k, (m - 1 - 2 s) // 2) + 1``
+    values, so a level expands by ``np.repeat`` and the table holds
+    O(m^(order-2)) runs while the domain holds O(m^(order-1)) points.
+    """
+    _check_order(order)
+    if m < 2:
+        raise ParameterError(f"segment length must be >= 2, got {m}")
+    lead = np.empty((1, 0), dtype=np.int64)
+    prev = np.array([m])  # no bound on k1 beyond the sum condition
+    total = np.zeros(1, dtype=np.int64)
+    for _ in range(order - 2):
+        lens = np.minimum(prev, (m - 1 - 2 * total) // 2) + 1
+        parent = np.repeat(np.arange(len(lens)), lens)
+        prev = np.arange(len(parent)) - (np.cumsum(lens) - lens)[parent]
+        lead = np.column_stack([lead[parent], prev])
+        total = total[parent] + prev
+    lens = np.minimum(prev, (m - 1 - 2 * total) // 2) + 1
+    ends = np.cumsum(lens)
+    size = int(ends[-1])
+    stop = size if stop is None else stop
+    if stop <= start:
+        empty = np.empty(0, dtype=np.int64)
+        return _Runs(lead[:0], empty, empty, empty)
+    if not (0 <= start < stop <= size):
+        raise ParameterError(f"slice [{start}, {stop}) outside domain of size {size}")
+    r0 = int(np.searchsorted(ends, start, side="right"))
+    r1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+    offs = ends[r0:r1] - lens[r0:r1]
+    first = np.maximum(start - offs, 0)
+    cut = np.minimum(stop - offs, lens[r0:r1])
+    return _Runs(lead[r0:r1], first, cut - first, offs + first - start)
+
+
+def _expand(runs: _Runs) -> np.ndarray:
+    """Index tuples of a run table, written column by column into one
+    ``int32`` array with no temporary larger than one column."""
+    n = int(runs.lens.sum())
+    out = np.empty((n, runs.lead.shape[1] + 1), dtype=np.int32)
+    for j in range(runs.lead.shape[1]):
+        out[:, j] = np.repeat(runs.lead[:, j].astype(np.int32), runs.lens)
+    out[:, -1] = np.arange(n, dtype=np.int32)
+    out[:, -1] -= np.repeat((runs.offsets - runs.first).astype(np.int32), runs.lens)
+    return out
+
+
 def principal_domain(order: int, m: int) -> np.ndarray:
     """Lexicographically ordered principal-domain index tuples.
 
@@ -137,215 +196,70 @@ def principal_domain(order: int, m: int) -> np.ndarray:
     Order 4: all ``(k1, k2, k3)`` with ``0 <= k3 <= k2 <= k1`` and
     ``k1 + k2 + k3 < m/2`` (the ordered-simplex generalization).
     """
-    if order not in (3, 4):
-        raise ParameterError(f"order must be 3 or 4, got {order}")
-    if m < 2:
-        raise ParameterError(f"segment length must be >= 2, got {m}")
-    rows = []
-    if order == 3:
-        for k1 in range((m - 1) // 2 + 1):
-            stop = min(k1, (m - 2 * k1 - 1) // 2) + 1
-            if stop <= 0:
-                continue
-            block = np.empty((stop, 2), dtype=np.int32)
-            block[:, 0] = k1
-            block[:, 1] = np.arange(stop)
-            rows.append(block)
-    else:
-        for k1 in range((m - 1) // 2 + 1):
-            k2_stop = min(k1, (m - 2 * k1 - 1) // 2) + 1
-            for k2 in range(k2_stop):
-                k3_stop = min(k2, (m - 2 * k1 - 2 * k2 - 1) // 2) + 1
-                if k3_stop <= 0:
-                    continue
-                block = np.empty((k3_stop, 3), dtype=np.int32)
-                block[:, 0] = k1
-                block[:, 1] = k2
-                block[:, 2] = np.arange(k3_stop)
-                rows.append(block)
-    if not rows:
-        return np.empty((0, order - 1), dtype=np.int32)
-    return np.concatenate(rows, axis=0)
+    return _expand(_domain_runs(order, m))
 
 
 def domain_slice(order: int, m: int, start: int, stop: int) -> np.ndarray:
-    """``principal_domain(order, m)[start:stop]`` without materializing the
-    whole domain (order 3); used by parallel workers to rebuild their
-    partition from two offsets instead of shipping index arrays."""
-    if order != 3:
-        return principal_domain(order, m)[start:stop]
-    if stop <= start:
-        return np.empty((0, 2), dtype=np.int32)
-    k1_vals = np.arange((m - 1) // 2 + 1)
-    lens = np.minimum(k1_vals, (m - 2 * k1_vals - 1) // 2) + 1
-    cum = np.concatenate([[0], np.cumsum(lens)])
-    total = int(cum[-1])
-    if not (0 <= start < stop <= total):
-        raise ParameterError(f"slice [{start}, {stop}) outside domain of size {total}")
-    r0 = int(np.searchsorted(cum, start, side="right")) - 1
-    r1 = int(np.searchsorted(cum, stop - 1, side="right")) - 1
-    out = np.empty((stop - start, 2), dtype=np.int32)
-    pos = 0
-    for r in range(r0, r1 + 1):
-        c_lo = start - int(cum[r]) if r == r0 else 0
-        c_hi = stop - int(cum[r]) if r == r1 else int(lens[r])
-        span = c_hi - c_lo
-        out[pos : pos + span, 0] = r
-        out[pos : pos + span, 1] = np.arange(c_lo, c_hi)
-        pos += span
-    return out
+    """``principal_domain(order, m)[start:stop]``, expanding only the runs
+    inside the slice."""
+    return _expand(_domain_runs(order, m, start, stop))
 
 
-# -- raw grids and value functions -----------------------------------------
+# -- raw products ------------------------------------------------------------
 
 
-def _third_factor(f: np.ndarray, copies: int, conjugate_last: bool) -> np.ndarray:
+def _last_factor(f: np.ndarray, copies: int, conjugate_last: bool) -> np.ndarray:
+    """``f`` repeated so that any sum of ``copies`` bins indexes it unwrapped."""
     ext = np.concatenate([f] * copies)
     return np.conj(ext) if conjugate_last else ext
 
 
-def _raw_grid_order3(f: np.ndarray, conjugate_last: bool) -> np.ndarray:
+def _raw_grid(f: np.ndarray, order: int, conjugate_last: bool) -> np.ndarray:
+    """Raw products ``f[k1]...f[k_{order-1}] * last[k1+...] / m`` over the
+    full periodic grid; the last factor is a Hankel view, not a copy."""
     m = f.size
-    third = _third_factor(f, 2, conjugate_last)
-    step = third.strides[0]
-    hank = np.lib.stride_tricks.as_strided(
-        third, shape=(m, m), strides=(step, step), writeable=False
-    )
-    return f[:, None] * f[None, :] * hank / m
-
-
-def _raw_grid_order4(f: np.ndarray, conjugate_last: bool) -> np.ndarray:
-    m = f.size
-    last = _third_factor(f, 3, conjugate_last)
+    axes = order - 1
+    last = _last_factor(f, axes, conjugate_last)
     step = last.strides[0]
     hank = np.lib.stride_tricks.as_strided(
-        last, shape=(m, m, m), strides=(step, step, step), writeable=False
+        last, shape=(m,) * axes, strides=(step,) * axes, writeable=False
     )
-    return f[:, None, None] * f[None, :, None] * f[None, None, :] * hank / m
+    prod = f.reshape((m,) + (1,) * (axes - 1))
+    for axis in range(1, axes):
+        prod = prod * f.reshape((1,) * axis + (m,) + (1,) * (axes - 1 - axis))
+    return prod * hank / m
 
 
-def _make_fetch_order3(spectra: np.ndarray, h: int, conjugate_last: bool):
-    """Segment-averaged raw bispectrum values, indices shifted by the
-    window offset ``h`` and wrapped mod ``m``."""
+def _make_fetch(spectra: np.ndarray, order: int, h: int, conjugate_last: bool):
+    """Segment-averaged raw products at ``fetch(rows, cols, *rest)``:
+    broadcastable index arrays on the first two axes, one scalar per further
+    axis; indices are shifted by the window offset ``h`` and wrapped mod
+    ``m``. Each segment contributes ``(f[r]*f[c]) * (f[d]*...*last[s])``."""
     k, m = spectra.shape
-    parts = [(spectra[i], _third_factor(spectra[i], 2, conjugate_last)) for i in range(k)]
+    parts = [(spectra[i], _last_factor(spectra[i], order - 1, conjugate_last)) for i in range(k)]
     scale = 1.0 / (m * k)
 
-    def fetch(rows, cols):
+    def fetch(rows, cols, *rest):
         r = (np.asarray(rows) - h) % m
         c = (np.asarray(cols) - h) % m
-        rc = r + c
-        f0, e0 = parts[0]
-        acc = f0[r] * f0[c] * e0[rc]
-        for f, e in parts[1:]:
-            acc = acc + f[r] * f[c] * e[rc]
+        s = r + c
+        ds = [(int(x) - h) % m for x in rest]
+        for d in ds:
+            s = s + d
+        acc = None
+        for f, e in parts:
+            term = e[s]
+            for d in ds:
+                term = f[d] * term
+            term = (f[r] * f[c]) * term
+            acc = term if acc is None else acc + term
+        del term  # only the sum stays alive while it is scaled
         return acc * scale
 
     return fetch
 
 
-def _make_fetch_order4(spectra: np.ndarray, h: int, conjugate_last: bool):
-    k, m = spectra.shape
-    parts = [(spectra[i], _third_factor(spectra[i], 3, conjugate_last)) for i in range(k)]
-    scale = 1.0 / (m * k)
-
-    def fetch3(rows, cols, k3):
-        r = (np.asarray(rows) - h) % m
-        c = (np.asarray(cols) - h) % m
-        d = (int(k3) - h) % m
-        rcd = r + c + d
-        f0, e0 = parts[0]
-        acc = (f0[r] * f0[c]) * (f0[d] * e0[rcd])
-        for f, e in parts[1:]:
-            acc = acc + (f[r] * f[c]) * (f[d] * e[rcd])
-        return acc * scale
-
-    return fetch3
-
-
-# -- domain bookkeeping ------------------------------------------------------
-
-
-def _row_spans_with_offsets(dom: np.ndarray):
-    """Split a lex-ordered (npoints, 2) domain slice into per-row spans.
-
-    Within the principal domain (and any contiguous slice of it) the k2
-    values of one row are consecutive, so a run is fully described by its
-    row, first and last k2, and its offset into the flat output."""
-    k1 = dom[:, 0]
-    change = np.flatnonzero(np.diff(k1)) + 1
-    run_starts = np.concatenate([[0], change])
-    run_ends = np.concatenate([change, [len(k1)]])
-    spans = []
-    offsets = {}
-    for a, b in zip(run_starts, run_ends):
-        row = int(k1[a])
-        spans.append((row, int(dom[a, 1]), int(dom[b - 1, 1]) + 1))
-        offsets[row] = (int(a), int(dom[a, 1]))
-    return spans, offsets
-
-
-def _cell_ranges(dom: np.ndarray):
-    """Split a lex-ordered (npoints, 3) domain slice into per-(k1,k2) cells
-    with contiguous k3 ranges and flat output bases."""
-    change = np.flatnonzero(
-        (np.diff(dom[:, 0]) != 0) | (np.diff(dom[:, 1]) != 0)
-    ) + 1
-    run_starts = np.concatenate([[0], change])
-    run_ends = np.concatenate([change, [len(dom)]])
-    k1s = dom[run_starts, 0].astype(np.int64)
-    k2s = dom[run_starts, 1].astype(np.int64)
-    starts = dom[run_starts, 2].astype(np.int64)
-    stops = dom[run_ends - 1, 2].astype(np.int64) + 1
-    bases = run_starts.astype(np.int64)
-    return k1s, k2s, starts, stops, bases
-
-
 # -- smoothing paths ---------------------------------------------------------
-
-
-def _smooth_cube(cube: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
-    """Periodic w^3 box sums of a materialized cube: the 2-D plan on every
-    third-axis slice, then one 1-D pass along the third axis."""
-    m = cube.shape[0]
-    if plan is SmoothingPlan.NAIVE:
-        padded = np.pad(cube, ((0, w - 1),) * 3, mode="wrap")
-        out = np.zeros_like(cube)
-        with WORKSPACE.held(padded, out):
-            for u in range(w):
-                for v in range(w):
-                    for s in range(w):
-                        out += padded[u : u + m, v : v + m, s : s + m]
-        return out
-    from .window_sums import _MATERIALIZED_FNS
-
-    plane_fn = _MATERIALIZED_FNS[plan]
-    tmp = np.empty_like(cube)
-    nb_tmp = WORKSPACE.note(tmp)
-    try:
-        for c in range(m):
-            ext2 = np.pad(cube[:, :, c], ((0, w - 1), (0, w - 1)), mode="wrap")
-            tmp[:, :, c] = plane_fn(ext2, w)
-        ext3 = np.concatenate([tmp, tmp[:, :, : w - 1]], axis=2)
-        nb_ext = WORKSPACE.note(ext3)
-    finally:
-        WORKSPACE.drop(nb_tmp)
-    del tmp
-    try:
-        out = np.empty_like(cube)
-        nb_out = WORKSPACE.note(out)
-        if plan is SmoothingPlan.PREFIX:
-            cs = np.cumsum(ext3, axis=2)
-            out[:, :, :] = cs[:, :, w - 1 :]
-            out[:, :, 1:] -= cs[:, :, : m - 1]
-        else:  # WS: rolling update along the third axis
-            out[:, :, 0] = ext3[:, :, :w].sum(axis=2)
-            for j in range(1, m):
-                out[:, :, j] = out[:, :, j - 1] - ext3[:, :, j - 1] + ext3[:, :, j + w - 1]
-        WORKSPACE.drop(nb_out)
-        return out
-    finally:
-        WORKSPACE.drop(nb_ext)
 
 
 def _materialized_grid(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> np.ndarray:
@@ -354,27 +268,21 @@ def _materialized_grid(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> n
     m = spec_set.m
     w = cfg.m3
     h = w // 2
-    shape = (m, m) if cfg.order == 3 else (m, m, m)
-    acc = np.zeros(shape, dtype=np.complex128)
+    axes = cfg.order - 1
+    acc = np.zeros((m,) * axes, dtype=np.complex128)
     nb_acc = WORKSPACE.note(acc)
     try:
         for i in range(spec_set.k):
-            if cfg.order == 3:
-                raw = _raw_grid_order3(spec_set.spectra[i], cfg.conjugate_last)
-            else:
-                raw = _raw_grid_order4(spec_set.spectra[i], cfg.conjugate_last)
+            raw = _raw_grid(spec_set.spectra[i], cfg.order, cfg.conjugate_last)
             nb_raw = WORKSPACE.note(raw)
             try:
-                shifted = np.roll(raw, (h,) * raw.ndim, axis=tuple(range(raw.ndim)))
+                shifted = np.roll(raw, (h,) * axes, axis=tuple(range(axes)))
                 nb_shift = WORKSPACE.note(shifted)
             finally:
                 WORKSPACE.drop(nb_raw)
             del raw
             try:
-                if cfg.order == 3:
-                    sm = window_sums_2d(shifted, WindowSpec(w, "periodic"), cfg.plan)
-                else:
-                    sm = _smooth_cube(shifted, w, cfg.plan)
+                sm = smooth_periodic(shifted, w, cfg.plan)
                 nb_sm = WORKSPACE.note(sm)
             finally:
                 WORKSPACE.drop(nb_shift)
@@ -382,36 +290,38 @@ def _materialized_grid(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> n
             acc += sm
             WORKSPACE.drop(nb_sm)
             del sm
-        acc /= spec_set.k * float(w) ** (cfg.order - 1)
+        acc /= spec_set.k * float(w) ** axes
         return acc
     finally:
         WORKSPACE.drop(nb_acc)
 
 
-def _compute_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, dom: np.ndarray) -> np.ndarray:
-    """Smoothed, segment-averaged values at the given domain points."""
+def smoothed_values(
+    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int
+) -> np.ndarray:
+    """Smoothed, segment-averaged values at principal-domain positions
+    ``[start, stop)``. Any split of the domain into slices reproduces the
+    whole-domain values bit for bit, which the parallel workers rely on."""
     m = spec_set.m
     w = cfg.m3
-    h = w // 2
-    if len(dom) == 0:
+    runs = _domain_runs(cfg.order, m, start, stop)
+    if len(runs.lens) == 0:
         return np.empty(0, dtype=np.complex128)
     if cfg.plan in MATERIALIZED_PLANS:
-        grid = _materialized_grid(spec_set, cfg)
-        if cfg.order == 3:
-            return grid[dom[:, 0], dom[:, 1]]
-        return grid[dom[:, 0], dom[:, 1], dom[:, 2]]
-    out = np.empty(len(dom), dtype=np.complex128)
+        return _materialized_grid(spec_set, cfg)[tuple(_expand(runs).T)]
+    out = np.empty(int(runs.lens.sum()), dtype=np.complex128)
+    fetch = _make_fetch(spec_set.spectra, cfg.order, w // 2, cfg.conjugate_last)
+    stops = runs.first + runs.lens
     if cfg.order == 3:
-        fetch = _make_fetch_order3(spec_set.spectra, h, cfg.conjugate_last)
-        spans, offsets = _row_spans_with_offsets(dom)
+        rows = runs.lead[:, 0].tolist()
+        base = (runs.offsets - runs.first).tolist()
+        spans = zip(rows, runs.first.tolist(), stops.tolist())
         for row, c0, vals in smoothed_cells_2d(fetch, m, m, w, cfg.plan.name, spans):
-            off, start = offsets[row]
-            pos = off + (c0 - start)
+            pos = base[row - rows[0]] + c0  # a slice's runs are consecutive k1 rows
             out[pos : pos + vals.size] = vals
     else:
-        fetch3 = _make_fetch_order4(spec_set.spectra, h, cfg.conjugate_last)
-        k1s, k2s, starts, stops, bases = _cell_ranges(dom)
-        smoothed_cells_3d(fetch3, m, w, cfg.plan.name, k1s, k2s, starts, stops, bases, out)
+        k1s, k2s = runs.lead.T
+        smoothed_cells_3d(fetch, m, w, cfg.plan.name, k1s, k2s, runs.first, stops, runs.offsets, out)
     out /= float(w) ** (cfg.order - 1)
     return out
 
@@ -424,7 +334,7 @@ def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -
             f"spectra ({spec_set.k}x{spec_set.m})"
         )
     dom = principal_domain(cfg.order, spec_set.m)
-    values = _compute_values(spec_set, cfg, dom)
+    values = smoothed_values(spec_set, cfg, 0, len(dom))
     return SpectrumGrid(
         order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
         indices=dom, values=values,
@@ -456,7 +366,7 @@ def compare_grids(a: SpectrumGrid, b: SpectrumGrid) -> float:
 def write_grid_csv(grid: SpectrumGrid, path) -> None:
     """Grid interchange format: header ``k1,k2[,k3],re,im``, one principal-
     domain point per row in lexicographic order, 17 significant digits."""
-    names = ["k1", "k2"] if grid.order == 3 else ["k1", "k2", "k3"]
+    names = [f"k{i + 1}" for i in range(grid.order - 1)]
     with open(str(path), "w", encoding="utf-8") as fh:
         fh.write(",".join(names + ["re", "im"]) + "\n")
         for idx, val in zip(grid.indices, grid.values):

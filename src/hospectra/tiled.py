@@ -19,6 +19,10 @@ coordinates:
               one column strip at a time (O(w) memory, each source cell
               fetched O(w) times).
 
+EFFICIENT tiles and the 3-D plane blocks reduce their patches with
+:func:`box_sums`, the shared cumsum-difference (summed-area-table)
+kernel, which the materialized PREFIX plan also calls.
+
 Every unit's arithmetic depends only on (fetch, w, unit origin). Any
 partition of the output across workers therefore reproduces a serial sweep
 bit for bit, which is what the parallel layer relies on.
@@ -30,21 +34,31 @@ import numpy as np
 
 from .meter import WORKSPACE
 
-__all__ = ["smoothed_cells_2d", "smoothed_cells_3d"]
+__all__ = ["box_sums", "smoothed_cells_2d", "smoothed_cells_3d"]
 
 
-def _tile_from_patch(patch, w, bh, bw):
-    """Box sums of a source patch: output cell (i, j) sums the w*w window
-    anchored at patch cell (i, j). patch has shape (bh+w-1, bw+w-1)."""
+def box_sums(a, w, axes=(0, 1)):
+    """Valid-mode box sums of side ``w`` along ``axes``: output cell ``i``
+    sums the window anchored at input cell ``i``, so each listed axis
+    shrinks by ``w - 1``.
+
+    Per axis, one cumulative sum and one shifted difference (the
+    summed-area table, Crow 1984). NumPy's cumsum adds in sequence along its
+    axis, so a cell's value depends only on the input along its own line,
+    never on the array's extent across it. A window of 1 is an exact copy.
+    """
     if w == 1:
-        return patch.copy()
-    cs0 = np.cumsum(patch, axis=0)
-    strips = cs0[w - 1 :, :].copy()
-    strips[1:, :] -= cs0[: bh - 1, :]
-    cs1 = np.cumsum(strips, axis=1)
-    tile = cs1[:, w - 1 :].copy()
-    tile[:, 1:] -= cs1[:, : bw - 1]
-    return tile
+        return a.copy()
+    nbytes = 0
+    for axis in axes:
+        lead = (slice(None),) * axis
+        cs = np.cumsum(a, axis=axis)
+        a = cs[lead + (slice(w - 1, None),)].copy()
+        a[lead + (slice(1, None),)] -= cs[lead + (slice(None, a.shape[axis] - 1),)]
+        nbytes += cs.nbytes + a.nbytes
+        del cs
+    WORKSPACE.drop(WORKSPACE.note_bytes(nbytes))
+    return a
 
 
 def _clip_spans(spans_in_band, c0, bw):
@@ -83,6 +97,8 @@ def _fast_2d(fetch, n_rows_out, n_cols_out, w, spans):
             if w == 1:
                 row_vals = strips
             else:
+                # box_sums would allocate a second band-sized buffer; the
+                # strips are this band's own, so the cumsum runs in place
                 np.cumsum(strips, axis=1, out=strips)
                 row_vals = strips[:, w - 1 :].copy()
                 row_vals[:, 1:] -= strips[:, : n_cols_out - 1]
@@ -109,9 +125,8 @@ def _efficient_2d(fetch, n_rows_out, n_cols_out, w, spans):
                 np.arange(c0, c0 + bw + w - 1)[None, :],
             )
             nbytes = WORKSPACE.note(patch)
-            nbytes += WORKSPACE.note_bytes(4 * patch.nbytes)  # cumsum/strip stages
             try:
-                tile = _tile_from_patch(patch, w, bh, bw)
+                tile = box_sums(patch, w)
                 for row, s, e in _clip_spans(band_spans, c0, bw):
                     yield row, s, tile[row - b0, s - c0 : e - c0]
             finally:
@@ -181,7 +196,8 @@ def _plane_block(fetch3, c, b0, c0, bh, bw, w):
         np.arange(c0, c0 + bw + w - 1)[None, :],
         c,
     )
-    return _tile_from_patch(patch, w, bh, bw), patch.nbytes
+    with WORKSPACE.held(patch):
+        return box_sums(patch, w)
 
 
 def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
@@ -214,21 +230,14 @@ def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, o
         bb = bases[idx]
         a0 = w * (int(st.min()) // w)
         kmax = int(sp.max())
-        ring = None
-        nbytes = 0
+        ring = None  # free the previous block's ring before building this one
+        ring = np.stack([_plane_block(fetch3, a0 + t, b0, c0, bh, bw, w) for t in range(w)])
+        acc = ring.sum(axis=0)
+        nbytes = WORKSPACE.note(ring, acc)
         try:
-            planes = []
-            patch_nbytes = 0
-            for t in range(w):
-                plane, patch_nbytes = _plane_block(fetch3, a0 + t, b0, c0, bh, bw, w)
-                planes.append(plane)
-            ring = np.stack(planes)
-            acc = ring.sum(axis=0)
-            nbytes = WORKSPACE.note(ring, acc)
-            nbytes += WORKSPACE.note_bytes(5 * patch_nbytes)
             for k3 in range(a0, kmax):
                 if k3 > a0:
-                    new, _ = _plane_block(fetch3, k3 + w - 1, b0, c0, bh, bw, w)
+                    new = _plane_block(fetch3, k3 + w - 1, b0, c0, bh, bw, w)
                     slot = (k3 - 1) % w
                     if k3 % w == 0:
                         ring[slot] = new

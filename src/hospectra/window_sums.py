@@ -1,4 +1,4 @@
-"""1-D and 2-D sliding-window sum engines, selectable by plan.
+"""The six window-sum plans and the materialized smoothing entry point.
 
 Six plans compute identical box sums with different work/memory trade-offs:
 
@@ -14,10 +14,16 @@ STREAMING    n^2 w       O(w)
 ============ =========== ==============
 
 NAIVE re-sums every window. WS carries the sums with horizontal and
-vertical strip recurrences. PREFIX builds per-column 1-D window sums, then
-per-row prefix sums and differences them. FAST, EFFICIENT and STREAMING
-are source-on-demand engines (see :mod:`hospectra.tiled`) and also accept
-a value function instead of a materialized matrix.
+vertical strip recurrences. PREFIX differences cumulative sums along each
+axis through :func:`hospectra.tiled.box_sums`, the shared summed-area-table
+kernel, which the EFFICIENT tiles and the 3-D plane blocks also call.
+FAST, EFFICIENT and STREAMING are source-on-demand engines (see
+:mod:`hospectra.tiled`) that pull values through a fetch callable instead
+of reading a materialized matrix.
+
+:func:`smooth_periodic` is the materialized plans' periodic entry point for
+2-D and 3-D arrays (order-3 and order-4 grids); :func:`window_sums_2d` runs
+any plan on a 2-D matrix with either boundary rule.
 
 All plans agree within a relative 1e-9 tolerance with an absolute floor of
 1e-12; the summation orders differ, exact equality is not promised.
@@ -25,6 +31,7 @@ All plans agree within a relative 1e-9 tolerance with an absolute floor of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,15 +39,13 @@ import numpy as np
 
 from .errors import ParameterError
 from .meter import WORKSPACE
-from .tiled import smoothed_cells_2d
+from .tiled import box_sums, smoothed_cells_2d
 
 __all__ = [
     "SmoothingPlan",
     "WindowSpec",
-    "window_sums_1d",
-    "prefix_sums",
+    "smooth_periodic",
     "window_sums_2d",
-    "window_sums_2d_fn",
 ]
 
 
@@ -84,8 +89,6 @@ _DECLARED = {
 
 #: Plans that require a materialized input matrix.
 MATERIALIZED_PLANS = (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX)
-#: Plans that can pull source values on demand.
-STREAMING_PLANS = (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING)
 
 
 @dataclass(frozen=True)
@@ -118,40 +121,12 @@ class WindowSpec:
         return rows, cols
 
 
-def window_sums_1d(x, w: int) -> np.ndarray:
-    """All length-``w`` window sums of ``x`` via the rolling update
-    ``s[i+1] = s[i] - x[i] + x[i+w]``."""
-    x = np.asarray(x)
-    n = x.size
-    if w < 1:
-        raise ParameterError(f"window must be >= 1, got {w}")
-    if w > n:
-        raise ParameterError(f"window {w} exceeds sequence length {n}")
-    out = np.empty(n - w + 1, dtype=x.dtype if x.dtype.kind in "fc" else np.float64)
-    s = x[:w].sum()
-    out[0] = s
-    for i in range(n - w):
-        s = s - x[i] + x[i + w]
-        out[i + 1] = s
-    return out
-
-
-def prefix_sums(x) -> np.ndarray:
-    """Running cumulative sums, sequential-scan semantics."""
-    x = np.asarray(x)
-    if x.size < 1:
-        raise ParameterError("prefix sums need at least one element")
-    return np.cumsum(x)
-
-
 def _naive_valid(a: np.ndarray, w: int) -> np.ndarray:
-    ro = a.shape[0] - w + 1
-    co = a.shape[1] - w + 1
-    out = np.zeros((ro, co), dtype=a.dtype)
+    shape = tuple(n - w + 1 for n in a.shape)
+    out = np.zeros(shape, dtype=a.dtype)
     with WORKSPACE.held(out):
-        for u in range(w):
-            for v in range(w):
-                out += a[u : u + ro, v : v + co]
+        for offs in itertools.product(range(w), repeat=a.ndim):
+            out += a[tuple(slice(o, o + n) for o, n in zip(offs, shape))]
     return out
 
 
@@ -179,44 +154,43 @@ def _ws_valid(a: np.ndarray, w: int) -> np.ndarray:
     return s
 
 
-def _prefix_valid(a: np.ndarray, w: int) -> np.ndarray:
-    ro = a.shape[0] - w + 1
-    co = a.shape[1] - w + 1
-    cs0 = np.cumsum(a, axis=0)
-    c = cs0[w - 1 :, :].copy()
-    c[1:, :] -= cs0[: ro - 1, :]
-    t = np.cumsum(c, axis=1)
-    s = t[:, w - 1 :].copy()
-    s[:, 1:] -= t[:, : co - 1]
-    nbytes = WORKSPACE.note(cs0, c, t, s)
-    WORKSPACE.drop(nbytes)
-    return s
-
-
-_MATERIALIZED_FNS = {
+_VALID_FNS = {
     SmoothingPlan.NAIVE: _naive_valid,
     SmoothingPlan.WS: _ws_valid,
-    SmoothingPlan.PREFIX: _prefix_valid,
+    SmoothingPlan.PREFIX: box_sums,
 }
 
 
-def _fetch_from_matrix(a: np.ndarray, periodic: bool):
-    if periodic:
-        rows_n, cols_n = a.shape
+def smooth_periodic(a: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
+    """Periodic ``w``-box sums over every axis of a materialized 2-D or 3-D
+    array by one of the materialized plans; the output has the input's shape.
 
-        def fetch(rows, cols):
-            return a[np.asarray(rows) % rows_n, np.asarray(cols) % cols_n]
-
-    else:
-
-        def fetch(rows, cols):
-            return a[np.asarray(rows), np.asarray(cols)]
-
-    return fetch
-
-
-def _full_spans(n_rows_out: int, n_cols_out: int):
-    return [(r, 0, n_cols_out) for r in range(n_rows_out)]
+    NAIVE re-sums all ``w**ndim`` shifted copies of the wrapped array. WS and
+    PREFIX run their 2-D engine on each plane of the first two axes, then
+    the same plan's 1-D pass along the third axis: the strip recurrence for
+    WS, the shared cumsum-difference kernel for PREFIX. A window of 1 is an
+    exact copy.
+    """
+    if w == 1:
+        return a.copy()
+    if plan is SmoothingPlan.NAIVE or a.ndim == 2:
+        ext = np.pad(a, ((0, w - 1),) * a.ndim, mode="wrap")
+        with WORKSPACE.held(ext):
+            return _VALID_FNS[plan](ext, w)
+    m = a.shape[2]
+    ext = np.empty(a.shape[:2] + (m + w - 1,), dtype=a.dtype)
+    with WORKSPACE.held(ext):
+        for c in range(m):
+            ext[:, :, c] = smooth_periodic(a[:, :, c], w, plan)
+        ext[:, :, m:] = ext[:, :, : w - 1]
+        if plan is SmoothingPlan.PREFIX:
+            return box_sums(ext, w, axes=(2,))
+        out = np.empty_like(a)
+        with WORKSPACE.held(out):
+            out[:, :, 0] = ext[:, :, :w].sum(axis=2)
+            for j in range(1, m):
+                out[:, :, j] = out[:, :, j - 1] - ext[:, :, j - 1] + ext[:, :, j + w - 1]
+        return out
 
 
 def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
@@ -225,7 +199,7 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     Every plan produces the same values (within the documented tolerance);
     they differ in how they get there. Returns the full output matrix, so
     the memory tiers of the lean plans only pay off through
-    :func:`window_sums_2d_fn` or the estimation pipeline.
+    :func:`hospectra.tiled.smoothed_cells_2d` or the estimation pipeline.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -238,51 +212,16 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
         return a.copy()
     if plan in MATERIALIZED_PLANS:
         if spec.boundary == "periodic":
-            ext = np.pad(a, ((0, w - 1), (0, w - 1)), mode="wrap")
-            with WORKSPACE.held(ext):
-                return _MATERIALIZED_FNS[plan](ext, w)
-        return _MATERIALIZED_FNS[plan](a, w)
-    fetch = _fetch_from_matrix(a, periodic=spec.boundary == "periodic")
+            return smooth_periodic(a, w, plan)
+        return _VALID_FNS[plan](a, w)
+    rows_n, cols_n = a.shape
+
+    def fetch(rows, cols):  # valid-mode indices never reach the wrap
+        return a[np.asarray(rows) % rows_n, np.asarray(cols) % cols_n]
+
     out = np.empty((rows_out, cols_out), dtype=a.dtype)
+    spans = [(r, 0, cols_out) for r in range(rows_out)]
     with WORKSPACE.held(out):
-        for row, c0, vals in smoothed_cells_2d(
-            fetch, rows_out, cols_out, w, plan.name, _full_spans(rows_out, cols_out)
-        ):
+        for row, c0, vals in smoothed_cells_2d(fetch, rows_out, cols_out, w, plan.name, spans):
             out[row, c0 : c0 + vals.size] = vals
     return out
-
-
-def window_sums_2d_fn(value_at, rows: int, cols: int, spec: WindowSpec, plan, emit) -> None:
-    """Window sums over a source given only as ``value_at(row, col)``.
-
-    Emits ``emit(row, col, sum)`` once per output cell, row-major within
-    each engine unit (band, tile, or column block), without materializing
-    the source or the output. Only the source-on-demand plans are valid
-    here; the materialized plans need the full matrix and are rejected.
-    """
-    if plan not in STREAMING_PLANS:
-        raise ParameterError(
-            f"plan {plan.name} requires a materialized matrix; "
-            "use FAST, EFFICIENT or STREAMING here"
-        )
-    rows_out, cols_out = spec.out_shape(rows, cols)
-    periodic = spec.boundary == "periodic"
-
-    def fetch(r_idx, c_idx):
-        r, c = np.broadcast_arrays(np.asarray(r_idx), np.asarray(c_idx))
-        out = np.empty(r.shape, dtype=np.float64)
-        flat_r = r.ravel()
-        flat_c = c.ravel()
-        flat_o = out.reshape(-1)
-        if periodic:
-            flat_r = flat_r % rows
-            flat_c = flat_c % cols
-        for i in range(flat_r.size):
-            flat_o[i] = value_at(int(flat_r[i]), int(flat_c[i]))
-        return out
-
-    for row, c0, vals in smoothed_cells_2d(
-        fetch, rows_out, cols_out, spec.w, plan.name, _full_spans(rows_out, cols_out)
-    ):
-        for off in range(vals.size):
-            emit(row, c0 + off, vals[off])

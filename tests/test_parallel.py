@@ -78,9 +78,14 @@ class TestParallelEstimate:
         series = generate_qpc(0.1, 0.15, 64, 0.4, seed=5)
         cfg = EstimationConfig(4, SegmentConfig(m=64), 5, SmoothingPlan.EFFICIENT)
         ref = estimate_spectrum(series, cfg)
-        for p in (2, 4):
+        for p in (2, 3, 4):
             for partition in ("row_blocks", "point_blocks"):
-                got = parallel_estimate(series, cfg, WorkerConfig(p=p, partition=partition))
+                workers = WorkerConfig(p=p, partition=partition)
+                if partition == "point_blocks":
+                    # some worker's slice begins inside a (k1, k2) run
+                    parts = partition_domain(ref.indices, workers)
+                    assert any(part[0, 2] > 0 for part in parts[1:]), p
+                got = parallel_estimate(series, cfg, workers)
                 assert np.array_equal(ref.values, got.values), (p, partition)
 
     def test_materialized_plan_runs_serial_any_worker_count(self):

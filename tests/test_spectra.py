@@ -116,11 +116,24 @@ class TestPrincipalDomain:
             assert got4 == expect4, m
 
     def test_domain_slice_matches_full_build(self):
-        for order, m in ((3, 64), (3, 127), (4, 16)):
+        for order, m in ((3, 64), (3, 127), (4, 16), (4, 33)):
             dom = principal_domain(order, m)
             cuts = [(0, len(dom)), (3, 11), (len(dom) // 2, len(dom))]
+            if order == 4:
+                # cuts that start and end inside a (k1, k2) run, across runs
+                # and within a single one
+                mid = np.flatnonzero(dom[:, 2] > 0)
+                last2 = int(np.flatnonzero(dom[:, 2] == 2)[-1])
+                half = len(mid) // 2
+                cuts += [(int(mid[1]), int(mid[-2])), (int(mid[half]), int(mid[half + 1])), (last2 - 1, last2)]
             for a, b in cuts:
-                assert np.array_equal(domain_slice(order, m, a, b), dom[a:b])
+                got = domain_slice(order, m, a, b)
+                assert got.dtype == dom.dtype and np.array_equal(got, dom[a:b]), (order, m, a, b)
+        for order in (3, 4):
+            for m in (2, 3, 4, 5):
+                dom = principal_domain(order, m)
+                for a, b in itertools.combinations(range(len(dom) + 1), 2):
+                    assert np.array_equal(domain_slice(order, m, a, b), dom[a:b]), (order, m, a, b)
 
 
 class TestEstimateSpectrum:
@@ -136,13 +149,14 @@ class TestEstimateSpectrum:
             cfg3(64, 32)
 
     def test_smoothing_window_of_one_is_identity_on_raw_grid(self):
-        series = generate_qpc(0.1, 0.15, 64, 0.4, seed=5)
-        segs = segment_and_demean(series, SegmentConfig(m=64, k=1))
-        f = dft_segments(segs).spectra[0]
-        grid = estimate_spectrum(series, cfg3(64, 1, SmoothingPlan.FAST))
-        for idx, val in zip(grid.indices, grid.values):
-            raw = raw_bispectrum_value(f, int(idx[0]), int(idx[1]))
-            assert abs(val - raw) <= 1e-9 * max(abs(raw), 1e-12)
+        for make_cfg, m, raw_value in ((cfg3, 64, raw_bispectrum_value), (cfg4, 32, raw_trispectrum_value)):
+            series = generate_qpc(0.1, 0.15, m, 0.4, seed=5)
+            segs = segment_and_demean(series, SegmentConfig(m=m, k=1))
+            f = dft_segments(segs).spectra[0]
+            grid = estimate_spectrum(series, make_cfg(m, 1, SmoothingPlan.FAST))
+            for idx, val in zip(grid.indices, grid.values):
+                raw = raw_value(f, *(int(k) for k in idx))
+                assert abs(val - raw) <= 1e-9 * max(abs(raw), 1e-12)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(6)
@@ -232,18 +246,11 @@ class TestSpectrumGrid:
                 EstimationConfig(order, SegmentConfig(m=m), 3, SmoothingPlan.FAST),
             )
             expect = [tuple(p) for p in principal_domain(order, m)]
-            mapping = grid.point_dict()
-            assert len(mapping) == len(expect) == len(grid.values)
-            assert list(mapping) == expect
+            got = [tuple(p) for p in grid.indices]
+            assert len(set(got)) == len(got) == len(expect) == len(grid.values)
+            assert got == expect
             assert np.all(np.isfinite(grid.values.real))
             assert np.all(np.isfinite(grid.values.imag))
-
-    def test_points_iteration_matches_arrays(self):
-        series = generate_qpc(0.1, 0.15, 32, 0.3, seed=18)
-        grid = estimate_spectrum(series, cfg3(32, 3))
-        pts = list(grid.points())
-        assert pts[0].k == tuple(int(v) for v in grid.indices[0])
-        assert pts[0].value == complex(grid.values[0])
 
 
 class TestCompareGrids:

@@ -8,15 +8,13 @@ from hospectra import (
     ParameterError,
     SmoothingPlan,
     WindowSpec,
-    prefix_sums,
-    window_sums_1d,
     window_sums_2d,
-    window_sums_2d_fn,
 )
 from hospectra.meter import WORKSPACE
+from hospectra.tiled import box_sums, smoothed_cells_2d
+from hospectra.window_sums import smooth_periodic
 
 ALL_PLANS = list(SmoothingPlan)
-FN_PLANS = (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING)
 
 
 def direct_sums(a, w, periodic=False):
@@ -37,48 +35,73 @@ def direct_sums(a, w, periodic=False):
     return out
 
 
-class TestWindowSums1d:
+class TestBoxSums:
     def test_hand_oracle(self):
-        assert np.array_equal(window_sums_1d([1.0, 2, 3, 4, 5], 3), [6, 9, 12])
+        assert np.array_equal(box_sums(np.array([1.0, 2, 3, 4, 5]), 3, axes=(0,)), [6, 9, 12])
 
     def test_identity_window(self):
-        x = np.array([3.0, -1.0, 4.0])
-        assert np.array_equal(window_sums_1d(x, 1), x)
+        x = np.array([[3.0, -1.0], [4.0, 0.5]])
+        out = box_sums(x, 1)
+        assert out is not x and np.array_equal(out, x)
 
     def test_zeros(self):
-        assert np.array_equal(window_sums_1d(np.zeros(4), 2), np.zeros(3))
+        assert np.array_equal(box_sums(np.zeros(4), 2, axes=(0,)), np.zeros(3))
 
-    def test_window_too_large(self):
-        with pytest.raises(ParameterError):
-            window_sums_1d([1.0, 2.0], 3)
+    def test_window_spanning_whole_axis_gives_total(self):
+        x = np.array([1.0, 1, 1, 1])
+        assert np.array_equal(box_sums(x, 4, axes=(0,)), [4.0])
 
-    def test_window_too_small(self):
-        with pytest.raises(ParameterError):
-            window_sums_1d([1.0, 2.0], 0)
+    def test_singleton(self):
+        assert np.array_equal(box_sums(np.array([5.0]), 1, axes=(0,)), [5.0])
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(200)
         for w in (1, 2, 7, 50, 200):
             expect = np.array([x[i : i + w].sum() for i in range(200 - w + 1)])
-            assert_window_equal(window_sums_1d(x, w), expect)
-
-
-class TestPrefixSums:
-    def test_units(self):
-        assert np.array_equal(prefix_sums([1.0, 1, 1, 1]), [1, 2, 3, 4])
-
-    def test_singleton(self):
-        assert np.array_equal(prefix_sums([5.0]), [5.0])
+            assert_window_equal(box_sums(x, w, axes=(0,)), expect)
 
     def test_matches_sequential_fold(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100)
-        acc, expect = 0.0, []
+        acc, prefix = 0.0, [0.0]
         for v in x:
             acc += v
-            expect.append(acc)
-        assert_window_equal(prefix_sums(x), np.array(expect), rel=1e-12)
+            prefix.append(acc)
+        w = 9
+        expect = np.array([prefix[i + w] - prefix[i] for i in range(len(x) - w + 1)])
+        assert_window_equal(box_sums(x, w, axes=(0,)), expect, rel=1e-12)
+
+    def test_matches_direct_oracle_2d_and_3d(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((9, 13))
+        for w in (2, 3, 8):
+            assert_window_equal(box_sums(a, w), direct_sums(a, w), context=f"2-D w={w}")
+        cube = rng.standard_normal((6, 7, 5)) + 1j * rng.standard_normal((6, 7, 5))
+        w = 3
+        expect = np.empty((4, 5, 3), dtype=cube.dtype)
+        for i, j, k in np.ndindex(expect.shape):
+            expect[i, j, k] = cube[i : i + w, j : j + w, k : k + w].sum()
+        assert_window_equal(box_sums(cube, w, axes=(0, 1, 2)), expect, context="3-D")
+
+    def test_cell_depends_only_on_its_own_lines(self):
+        # the property that keeps tiles and plane blocks bit-identical to a
+        # whole-array sweep: extent across an axis never changes a cell
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((12, 12))
+        w = 3
+        full = box_sums(a, w)
+        part = box_sums(a[:7, :10], w)
+        assert np.array_equal(part, full[:5, :8])
+        rows = box_sums(a, w, axes=(1,))
+        assert np.array_equal(box_sums(a[4:6], w, axes=(1,)), rows[4:6])
+
+    def test_registers_and_releases_its_temporaries(self):
+        a = np.ones((32, 32))
+        WORKSPACE.reset()
+        box_sums(a, 4)
+        assert WORKSPACE.peak >= a.nbytes
+        assert WORKSPACE.current == 0
 
 
 class TestWindowSums2d:
@@ -175,49 +198,85 @@ class TestWindowSums2d:
             assert_window_equal(window_sums_2d(a, spec, plan), ref)
 
 
-class TestWindowSums2dFn:
-    def test_constant_field(self):
+class TestSmoothPeriodic:
+    def test_plans_match_direct_periodic_oracle_3d(self):
+        rng = np.random.default_rng(11)
+        cube = rng.standard_normal((5, 6, 7))
+        w = 3
+        expect = np.empty_like(cube)
+        for i, j, k in np.ndindex(cube.shape):
+            expect[i, j, k] = sum(
+                cube[(i + u) % 5, (j + v) % 6, (k + t) % 7]
+                for u in range(w) for v in range(w) for t in range(w)
+            )
+        for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
+            assert_window_equal(smooth_periodic(cube, w, plan), expect, context=plan.name)
+
+    def test_window_of_one_is_exact_copy(self):
+        rng = np.random.default_rng(12)
+        for shape in ((4, 5), (3, 4, 5)):
+            a = rng.standard_normal(shape)
+            for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
+                out = smooth_periodic(a, 1, plan)
+                assert out is not a and np.array_equal(out, a), (shape, plan.name)
+
+
+class TestSmoothedCells2d:
+    @staticmethod
+    def collect(fetch, rows_out, cols_out, w, plan, spans):
         seen = {}
-        window_sums_2d_fn(
-            lambda r, c: 1.0, 4, 4, WindowSpec(2, "valid"), SmoothingPlan.EFFICIENT,
-            lambda r, c, s: seen.__setitem__((r, c), s),
-        )
+        for row, c0, vals in smoothed_cells_2d(fetch, rows_out, cols_out, w, plan.name, spans):
+            for j, v in enumerate(vals):
+                assert (row, c0 + j) not in seen, "cell emitted twice"
+                seen[(row, c0 + j)] = v
+        return seen
+
+    def test_constant_field(self):
+        ones = lambda r, c: np.ones(np.broadcast(np.asarray(r), np.asarray(c)).shape)
+        seen = self.collect(ones, 3, 3, 2, SmoothingPlan.EFFICIENT, [(r, 0, 3) for r in range(3)])
         assert set(seen) == {(r, c) for r in range(3) for c in range(3)}
         assert all(abs(v - 4.0) < 1e-12 for v in seen.values())
 
     def test_each_plan_matches_materialized(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((8, 8))
+
+        def fetch(r, c):
+            return a[np.asarray(r) % 8, np.asarray(c) % 8]
+
         for boundary in ("valid", "periodic"):
             spec = WindowSpec(3, boundary)
             expect = window_sums_2d(a, spec, SmoothingPlan.NAIVE)
-            for plan in FN_PLANS:
-                seen = {}
-
-                def emit(r, c, s):
-                    assert (r, c) not in seen, "cell emitted twice"
-                    seen[(r, c)] = s
-
-                window_sums_2d_fn(lambda r, c: a[r, c], 8, 8, spec, plan, emit)
-                got = np.empty_like(expect)
+            rows_out, cols_out = expect.shape
+            spans = [(r, 0, cols_out) for r in range(rows_out)]
+            for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
+                seen = self.collect(fetch, rows_out, cols_out, 3, plan, spans)
                 assert len(seen) == expect.size
+                got = np.empty_like(expect)
                 for (r, c), v in seen.items():
                     got[r, c] = v
                 assert_window_equal(got, expect, context=f"{plan.name} {boundary}")
 
-    def test_window_larger_than_matrix_valid_rejected(self):
-        with pytest.raises(ParameterError):
-            window_sums_2d_fn(
-                lambda r, c: 1.0, 4, 4, WindowSpec(5, "valid"),
-                SmoothingPlan.EFFICIENT, lambda r, c, s: None,
-            )
+    def test_partial_spans_bit_identical_to_full_sweep(self):
+        rng = np.random.default_rng(13)
+        n, w = 10, 3
+        a = rng.standard_normal((n, n))
 
-    def test_materialized_plans_rejected(self):
-        for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
-            with pytest.raises(ParameterError, match="materialized"):
-                window_sums_2d_fn(
-                    lambda r, c: 1.0, 4, 4, WindowSpec(2, "valid"), plan, lambda r, c, s: None
-                )
+        def fetch(r, c):
+            return a[np.asarray(r) % n, np.asarray(c) % n]
+
+        full_spans = [(r, 0, n) for r in range(n)]
+        part_spans = [(2, 4, 9), (3, 0, 10), (4, 0, 1), (7, 5, 6)]
+        for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
+            full = self.collect(fetch, n, n, w, plan, full_spans)
+            part = self.collect(fetch, n, n, w, plan, part_spans)
+            expect = {(r, c) for r, s, e in part_spans for c in range(s, e)}
+            assert set(part) == expect, plan.name
+            assert all(part[k] == full[k] for k in part), plan.name
+
+    def test_window_too_small_rejected(self):
+        with pytest.raises(ValueError):
+            smoothed_cells_2d(lambda r, c: 0.0, 4, 4, 0, "EFFICIENT", [(0, 0, 4)])
 
     def test_source_read_counts_respect_plan(self):
         rng = np.random.default_rng(10)
@@ -228,15 +287,18 @@ class TestWindowSums2dFn:
             SmoothingPlan.EFFICIENT: 6 * n * n,     # O(1) amortized per cell
             SmoothingPlan.STREAMING: 3 * w * n * n, # O(w) per cell
         }
+        spans = [(r, 0, n) for r in range(n)]
         for plan, budget in budgets.items():
-            calls = [0]
+            cells = [0]
 
-            def value_at(r, c):
-                calls[0] += 1
-                return a[r, c]
+            def fetch(r, c):
+                r, c = np.broadcast_arrays(np.asarray(r), np.asarray(c))
+                cells[0] += r.size
+                return a[r % n, c % n]
 
-            window_sums_2d_fn(value_at, n, n, WindowSpec(w, "periodic"), plan, lambda r, c, s: None)
-            assert calls[0] <= budget, f"{plan.name}: {calls[0]} reads > {budget}"
+            for _ in smoothed_cells_2d(fetch, n, n, w, plan.name, spans):
+                pass
+            assert cells[0] <= budget, f"{plan.name}: {cells[0]} reads > {budget}"
 
 
 class TestMemoryTiers:
@@ -255,8 +317,6 @@ class TestMemoryTiers:
             assert 3.5 <= big / small <= 4.5, peaks
 
     def test_fast_doubles_when_size_doubles(self):
-        from hospectra.tiled import smoothed_cells_2d
-
         def peak(n, w):
             rng = np.random.default_rng(n)
             a = rng.standard_normal((n, n))
@@ -271,8 +331,6 @@ class TestMemoryTiers:
             assert 1.7 <= big / small <= 2.6, peaks
 
     def test_lean_plans_flat_when_size_doubles(self):
-        from hospectra.tiled import smoothed_cells_2d
-
         def peak(n, w, plan):
             rng = np.random.default_rng(n)
             a = rng.standard_normal((n, n))
