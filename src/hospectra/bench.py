@@ -108,7 +108,7 @@ def measure_peak_memory(
 
 
 def _resolve_windows(windows, sizes):
-    if windows is None or windows == "reference":
+    if windows == "reference":
         return [reference_window(n) for n in sizes]
     if isinstance(windows, int):
         return [windows] * len(sizes)
@@ -132,9 +132,7 @@ def run_benchmarks(
     time_limit: float = 60.0,
     mem_limit: int = 4 * 2**30,
     seed: int = 1234,
-    windows=None,
-    noise_sigma: float = 0.5,
-    partition: str = "row_blocks",
+    windows="reference",
 ) -> list[BenchReport]:
     """Run the cross-product of (order, size, plan, threads) sequentially.
 
@@ -157,7 +155,7 @@ def run_benchmarks(
     for order in orders:
         for n, m3 in zip(sizes, m3_list):
             if n not in series_cache:
-                series_cache[n] = generate_qpc(0.1, 0.15, n, noise_sigma, seed)
+                series_cache[n] = generate_qpc(0.1, 0.15, n, noise_sigma=0.5, seed=seed)
             series = series_cache[n]
             for plan in plans:
                 for p in threads_list:
@@ -165,7 +163,7 @@ def run_benchmarks(
                         order=order, segment=SegmentConfig(m=n, k=1),
                         m3=m3, plan=plan,
                     )
-                    workers = WorkerConfig(p=p, partition=partition)
+                    workers = WorkerConfig(p=p)
                     grid, wall, peak = measure_run(series, cfg, workers)
                     checksum = float(np.abs(grid.values).sum())
                     status = "ok"

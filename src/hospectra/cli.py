@@ -81,24 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_estimate(args) -> int:
-    if args.seg_len < 2:
-        raise ParameterError(f"--seg-len must be >= 2, got {args.seg_len}")
-    if args.segments < 1:
-        raise ParameterError(f"--segments must be >= 1, got {args.segments}")
     if args.window < 1 or 2 * args.window >= args.seg_len:
         raise ParameterError(
             f"--window {args.window} must satisfy 1 <= window < seg-len/2 "
             f"(seg-len = {args.seg_len})"
         )
-    series = load_series(args.input, args.format)
-    if args.segments * args.seg_len > series.n:
-        raise ParameterError(
-            f"--segments * --seg-len = {args.segments * args.seg_len} exceeds "
-            f"series length {series.n}"
-        )
-    threads = args.threads if args.threads is not None else _env_threads()
-    if threads < 1:
-        raise ParameterError(f"--threads must be >= 1, got {threads}")
     cfg = EstimationConfig(
         order=args.order,
         segment=SegmentConfig(m=args.seg_len, k=args.segments),
@@ -106,7 +93,9 @@ def cmd_estimate(args) -> int:
         plan=SmoothingPlan.parse(args.plan),
         conjugate_last=args.conjugate == "on",
     )
-    grid = parallel_estimate(series, cfg, WorkerConfig(p=threads))
+    workers = WorkerConfig(p=args.threads if args.threads is not None else _env_threads())
+    series = load_series(args.input, args.format)
+    grid = parallel_estimate(series, cfg, workers)
     write_grid_csv(grid, args.out)
     return 0
 

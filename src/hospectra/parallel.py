@@ -1,10 +1,12 @@
 """Deterministic data-parallel estimation.
 
-Work is split over OS processes by partitioning the principal domain; each
-worker computes its points with the same window-aligned engine units a
-single-worker sweep would use, so the result is bit-identical for every
-worker count. Workers share nothing but the read-only segment spectra
-(shipped once) and a shared-memory output buffer with disjoint regions.
+Each worker process gets the segment spectra, the estimation config and one
+contiguous slice of the principal domain, and runs the sequential
+:func:`hospectra.spectra.smoothed_values` on it, which computes any slice
+bit-identically to the whole-domain sweep. Workers write into disjoint
+regions of one shared-memory buffer. The pool has one process per non-empty
+slice; on every exit, a worker's exception included, the pool is shut down
+and the buffer unlinked.
 
 The materialized plans (NAIVE, WS, PREFIX) carry row-to-row arithmetic
 state across the whole grid; splitting them would change the summation
@@ -23,7 +25,7 @@ import numpy as np
 from .dft import SegmentSpectrumSet, dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
-from .series import SegmentConfig, TimeSeries, segment_and_demean
+from .series import TimeSeries, segment_and_demean
 from .spectra import (
     EstimationConfig,
     SpectrumGrid,
@@ -31,7 +33,7 @@ from .spectra import (
     principal_domain,
     smoothed_values,
 )
-from .window_sums import MATERIALIZED_PLANS, SmoothingPlan
+from .window_sums import MATERIALIZED_PLANS
 
 __all__ = ["WorkerConfig", "partition_domain", "parallel_estimate"]
 
@@ -58,57 +60,35 @@ class WorkerConfig:
             )
 
 
-def _split_bounds(domain, workers: WorkerConfig) -> list[int]:
-    """Cut offsets (including 0 and len) realizing the partition policy."""
-    dom = np.asarray(domain)
-    total = len(dom)
-    p = workers.p
-    if p == 1 or total == 0:
-        return [0, total] + [total] * (p - 1)
-    if workers.partition == "point_blocks":
-        q, r = divmod(total, p)
-        sizes = [q + 1] * r + [q] * (p - r)
-        return [0] + list(np.cumsum(sizes))
-    _, first_idx, counts = np.unique(dom[:, 0], return_index=True, return_counts=True)
-    cum = np.cumsum(counts)
-    targets = np.arange(1, p) * (total / p)
-    group_bounds = np.searchsorted(cum, targets, side="left") + 1
-    cuts = [
-        int(first_idx[b]) if b < len(first_idx) else total for b in group_bounds
-    ]
-    return [0] + cuts + [total]
-
-
-def partition_domain(domain, workers: WorkerConfig) -> list:
-    """Split a lex-ordered domain into ``workers.p`` disjoint contiguous
-    parts whose concatenation reproduces the input.
+def partition_domain(domain, workers: WorkerConfig) -> list[int]:
+    """Cut offsets ``[0, c1, ..., len(domain)]`` of a lex-ordered domain:
+    worker ``i`` gets ``domain[cuts[i]:cuts[i + 1]]``, which may be empty.
 
     ``point_blocks`` parts differ in size by at most one; ``row_blocks``
     parts are balanced at whole-row granularity."""
-    dom = np.asarray(domain)
-    bounds = _split_bounds(dom, workers)
-    return [dom[bounds[i] : bounds[i + 1]] for i in range(workers.p)]
+    total = len(domain)
+    p = workers.p
+    if workers.partition == "point_blocks":
+        q, r = divmod(total, p)
+        return [0] + np.cumsum([q + 1] * r + [q] * (p - r)).tolist()
+    _, first_idx, counts = np.unique(domain[:, 0], return_index=True, return_counts=True)
+    cum = np.cumsum(counts)
+    targets = np.arange(1, p) * (total / p)
+    group_bounds = np.searchsorted(cum, targets, side="left") + 1
+    cuts = [int(first_idx[b]) if b < len(first_idx) else total for b in group_bounds]
+    return [0] + cuts + [total]
 
 
-def _worker_run(payload: dict) -> int:
-    """Compute one partition's values into the shared output buffer and
-    report this process's smoothing working-set peak. The partition
-    travels as two domain offsets, not as index arrays."""
+def _worker_run(
+    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int, shm_name: str
+) -> int:
+    """Compute domain positions ``[start, stop)`` into the shared output
+    buffer and report this process's smoothing working-set peak."""
     WORKSPACE.reset()
-    spec_set = SegmentSpectrumSet(spectra=payload["spectra"])
-    cfg = EstimationConfig(
-        order=payload["order"],
-        segment=SegmentConfig(m=spec_set.m, k=spec_set.k),
-        m3=payload["m3"],
-        plan=SmoothingPlan[payload["plan"]],
-        conjugate_last=payload["conjugate_last"],
-    )
-    start, stop = payload["start"], payload["stop"]
     values = smoothed_values(spec_set, cfg, start, stop)
-    shm = shared_memory.SharedMemory(name=payload["shm_name"])
+    shm = shared_memory.SharedMemory(name=shm_name)
     try:
-        buf = np.ndarray(payload["total"], dtype=np.complex128, buffer=shm.buf)
-        buf[start:stop] = values
+        np.ndarray(stop, dtype=np.complex128, buffer=shm.buf)[start:] = values
     finally:
         shm.close()
     return WORKSPACE.peak
@@ -118,38 +98,23 @@ def parallel_estimate(
     series: TimeSeries, cfg: EstimationConfig, workers: WorkerConfig
 ) -> SpectrumGrid:
     """Same contract and bit-identical output as ``estimate_spectrum``,
-    computed by ``workers.p`` processes."""
-    cfg.segment.validate_for(series)
+    computed by up to ``workers.p`` processes."""
     spec_set = dft_segments(segment_and_demean(series, cfg.segment))
     if workers.p == 1 or cfg.plan in MATERIALIZED_PLANS:
         return estimate_from_spectra(spec_set, cfg)
     dom = principal_domain(cfg.order, spec_set.m)
-    total = len(dom)
-    if total == 0:
-        return estimate_from_spectra(spec_set, cfg)
-    bounds = _split_bounds(dom, workers)
-    shm = shared_memory.SharedMemory(create=True, size=total * 16)
+    cuts = partition_domain(dom, workers)
+    slices = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    shm = shared_memory.SharedMemory(create=True, size=len(dom) * 16)
     try:
-        payload_common = {
-            "spectra": spec_set.spectra,
-            "order": cfg.order,
-            "m3": cfg.m3,
-            "plan": cfg.plan.name,
-            "conjugate_last": cfg.conjugate_last,
-            "shm_name": shm.name,
-            "total": total,
-        }
-        with ProcessPoolExecutor(max_workers=workers.p) as pool:
-            futures = []
-            for i in range(workers.p):
-                start, stop = int(bounds[i]), int(bounds[i + 1])
-                if start == stop:
-                    continue
-                payload = dict(payload_common, start=start, stop=stop)
-                futures.append(pool.submit(_worker_run, payload))
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            futures = [
+                pool.submit(_worker_run, spec_set, cfg, start, stop, shm.name)
+                for start, stop in slices
+            ]
             peaks = [f.result() for f in futures]
         WORKSPACE.absorb_concurrent(peaks)
-        values = np.ndarray(total, dtype=np.complex128, buffer=shm.buf).copy()
+        values = np.ndarray(len(dom), dtype=np.complex128, buffer=shm.buf).copy()
     finally:
         shm.close()
         shm.unlink()

@@ -214,12 +214,15 @@ def _last_factor(f: np.ndarray, copies: int, conjugate_last: bool) -> np.ndarray
     return np.conj(ext) if conjugate_last else ext
 
 
-def _raw_grid(f: np.ndarray, order: int, conjugate_last: bool) -> np.ndarray:
+def _raw_grid(f: np.ndarray, order: int, conjugate_last: bool, h: int) -> np.ndarray:
     """Raw products ``f[k1]...f[k_{order-1}] * last[k1+...] / m`` over the
-    full periodic grid; the last factor is a Hankel view, not a copy."""
+    full periodic grid, shifted by ``h`` on every axis (entry ``k`` holds the
+    product at ``k - h`` mod ``m``) by rolling the factors, not the grid;
+    the last factor is a Hankel view, not a copy."""
     m = f.size
     axes = order - 1
-    last = _last_factor(f, axes, conjugate_last)
+    last = _last_factor(np.roll(f, axes * h), axes, conjugate_last)
+    f = np.roll(f, h)
     step = last.strides[0]
     hank = np.lib.stride_tricks.as_strided(
         last, shape=(m,) * axes, strides=(step,) * axes, writeable=False
@@ -265,35 +268,19 @@ def _make_fetch(spectra: np.ndarray, order: int, h: int, conjugate_last: bool):
 def _materialized_grid(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> np.ndarray:
     """Full smoothed periodic grid, averaged over segments (smooth first,
     then average, as the direct method states it)."""
-    m = spec_set.m
     w = cfg.m3
-    h = w // 2
     axes = cfg.order - 1
-    acc = np.zeros((m,) * axes, dtype=np.complex128)
-    nb_acc = WORKSPACE.note(acc)
-    try:
-        for i in range(spec_set.k):
-            raw = _raw_grid(spec_set.spectra[i], cfg.order, cfg.conjugate_last)
-            nb_raw = WORKSPACE.note(raw)
-            try:
-                shifted = np.roll(raw, (h,) * axes, axis=tuple(range(axes)))
-                nb_shift = WORKSPACE.note(shifted)
-            finally:
-                WORKSPACE.drop(nb_raw)
-            del raw
-            try:
-                sm = smooth_periodic(shifted, w, cfg.plan)
-                nb_sm = WORKSPACE.note(sm)
-            finally:
-                WORKSPACE.drop(nb_shift)
-            del shifted
-            acc += sm
-            WORKSPACE.drop(nb_sm)
-            del sm
-        acc /= spec_set.k * float(w) ** axes
-        return acc
-    finally:
-        WORKSPACE.drop(nb_acc)
+    acc = np.zeros((spec_set.m,) * axes, dtype=np.complex128)
+    with WORKSPACE.held(acc):
+        for f in spec_set.spectra:
+            raw = _raw_grid(f, cfg.order, cfg.conjugate_last, w // 2)
+            with WORKSPACE.held(raw):
+                sm = smooth_periodic(raw, w, cfg.plan)
+                with WORKSPACE.held(sm):
+                    acc += sm
+            del raw, sm
+    acc /= spec_set.k * float(w) ** axes
+    return acc
 
 
 def smoothed_values(
@@ -344,7 +331,6 @@ def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -
 def estimate_spectrum(series: TimeSeries, cfg: EstimationConfig) -> SpectrumGrid:
     """The direct method end to end: segment, demean, transform, raw
     products, smoothing, segment averaging, principal-domain restriction."""
-    cfg.segment.validate_for(series)
     segs = segment_and_demean(series, cfg.segment)
     return estimate_from_spectra(dft_segments(segs), cfg)
 

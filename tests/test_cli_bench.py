@@ -102,6 +102,25 @@ class TestCmdEstimate:
         assert code == 2
         assert "--window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--seg-len", "1", "--window", "1"],
+        ["--seg-len", "64", "--window", "5", "--segments", "0"],
+        ["--seg-len", "64", "--window", "5", "--threads", "0"],
+    ])
+    def test_bad_config_exits_2_before_reading_input(self, tmp_path, flags):
+        code = main(["estimate", "--input", str(tmp_path / "nope.csv"),
+                     "--out", str(tmp_path / "g.csv")] + flags)
+        assert code == 2
+
+    def test_segments_longer_than_series_exit_2(self, tmp_path, capsys):
+        inp = self._gen(tmp_path, n=128)
+        out = tmp_path / "g.csv"
+        code = main(["estimate", "--input", str(inp), "--seg-len", "64",
+                     "--segments", "3", "--window", "5", "--out", str(out)])
+        assert code == 2
+        assert "exceeds series length" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bogus_plan_exits_2_listing_choices(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(

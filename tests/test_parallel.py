@@ -1,6 +1,11 @@
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from hospectra import parallel
 from hospectra import (
     EstimationConfig,
     ParameterError,
@@ -19,34 +24,34 @@ from hospectra.bench import measure_peak_memory
 class TestPartitionDomain:
     def test_single_worker_gets_everything(self):
         dom = principal_domain(3, 16)
-        parts = partition_domain(dom, WorkerConfig(p=1))
-        assert len(parts) == 1
-        assert np.array_equal(parts[0], dom)
+        for mode in ("row_blocks", "point_blocks"):
+            assert partition_domain(dom, WorkerConfig(p=1, partition=mode)) == [0, len(dom)]
 
     def test_point_blocks_sizes_differ_by_at_most_one(self):
         dom = principal_domain(3, 8)  # 6 points
-        parts = partition_domain(dom, WorkerConfig(p=4, partition="point_blocks"))
-        assert sorted(len(p) for p in parts) == [1, 1, 2, 2]
+        cuts = partition_domain(dom, WorkerConfig(p=4, partition="point_blocks"))
+        assert sorted(np.diff(cuts)) == [1, 1, 2, 2]
 
     def test_every_point_appears_exactly_once(self):
         dom = principal_domain(3, 64)
         for mode in ("row_blocks", "point_blocks"):
-            parts = partition_domain(dom, WorkerConfig(p=8, partition=mode))
-            assert len(parts) == 8
-            stacked = np.concatenate([p for p in parts if len(p)])
-            assert np.array_equal(stacked, dom), mode
+            cuts = partition_domain(dom, WorkerConfig(p=8, partition=mode))
+            assert len(cuts) == 9
+            assert cuts[0] == 0 and cuts[-1] == len(dom), mode
+            assert all(a <= b for a, b in zip(cuts, cuts[1:])), mode
 
     def test_row_blocks_keep_rows_whole(self):
         dom = principal_domain(3, 64)
-        parts = partition_domain(dom, WorkerConfig(p=5, partition="row_blocks"))
-        seen_rows = [set(int(r) for r in p[:, 0]) for p in parts if len(p)]
-        for a, b in zip(seen_rows, seen_rows[1:]):
-            assert not (a & b)
+        cuts = partition_domain(dom, WorkerConfig(p=5, partition="row_blocks"))
+        inner = [c for c in cuts if 0 < c < len(dom)]
+        assert inner
+        for c in inner:
+            assert dom[c - 1, 0] != dom[c, 0]
 
     def test_more_workers_than_points(self):
         dom = principal_domain(3, 4)  # 2 points
-        parts = partition_domain(dom, WorkerConfig(p=6, partition="point_blocks"))
-        assert sum(len(p) for p in parts) == len(dom)
+        cuts = partition_domain(dom, WorkerConfig(p=6, partition="point_blocks"))
+        assert cuts == [0, 1, 2, 2, 2, 2, 2]
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -83,8 +88,8 @@ class TestParallelEstimate:
                 workers = WorkerConfig(p=p, partition=partition)
                 if partition == "point_blocks":
                     # some worker's slice begins inside a (k1, k2) run
-                    parts = partition_domain(ref.indices, workers)
-                    assert any(part[0, 2] > 0 for part in parts[1:]), p
+                    cuts = partition_domain(ref.indices, workers)
+                    assert any(ref.indices[c, 2] > 0 for c in cuts[1:-1]), p
                 got = parallel_estimate(series, cfg, workers)
                 assert np.array_equal(ref.values, got.values), (p, partition)
 
@@ -111,3 +116,51 @@ class TestParallelMemory:
         eight = measure_peak_memory(series, cfg, WorkerConfig(p=8))
         assert single > 0
         assert eight <= 8.5 * single
+
+
+class TestParallelFailure:
+    def test_failing_worker_surfaces_and_leaves_nothing_behind(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched function reaches the workers only through fork")
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm to inspect")
+
+        def failing(*args):
+            raise RuntimeError("injected worker failure")
+
+        monkeypatch.setattr(parallel, "smoothed_values", failing)
+        series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
+        cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.EFFICIENT)
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            parallel_estimate(series, cfg, WorkerConfig(p=2))
+        left = [n for n in set(os.listdir("/dev/shm")) - before if n.startswith("psm_")]
+        assert left == []
+        assert multiprocessing.active_children() == []
+
+    def test_one_process_per_nonempty_slice(self, monkeypatch):
+        if not hasattr(ProcessPoolExecutor, "_spawn_process"):
+            pytest.skip("this Python's pool has no per-process spawn hook")
+        spawned = []
+        spawn = ProcessPoolExecutor._spawn_process
+
+        def counting_spawn(pool):
+            spawned.append(pool)
+            spawn(pool)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting_spawn)
+        series = generate_qpc(0.1, 0.15, 8, 0.4, seed=10)
+        cfg = EstimationConfig(3, SegmentConfig(m=8), 3, SmoothingPlan.EFFICIENT)
+        ref = estimate_spectrum(series, cfg)  # 6 points in 4 rows
+        idle = 0
+        for p in range(2, 9):
+            for partition in ("row_blocks", "point_blocks"):
+                workers = WorkerConfig(p=p, partition=partition)
+                cuts = partition_domain(ref.indices, workers)
+                busy = sum(a < b for a, b in zip(cuts, cuts[1:]))
+                idle += p - busy
+                spawned.clear()
+                got = parallel_estimate(series, cfg, workers)
+                assert len(spawned) == busy, (p, partition)
+                assert np.array_equal(ref.values, got.values), (p, partition)
+        assert idle > 0
