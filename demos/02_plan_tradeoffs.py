@@ -1,11 +1,12 @@
 """The six smoothing plans: one answer, six cost profiles.
 
 Every plan computes the same smoothed spectrum. They differ in how the
-box sums are carried: brute-force re-summation (NAIVE), strip recurrences
-over a materialized grid (WS), prefix sums with differencing (PREFIX), a
-rolling band of source rows (FAST), window-sized tiles (EFFICIENT), or
-O(w) running strips (STREAMING). The working-set meter shows the memory
-tiers; the wall clock shows the work tiers.
+box sums are carried: brute-force re-summation (NAIVE), running sums
+along each axis of a materialized grid (WS), prefix sums with differencing
+along each axis (PREFIX), a rolling band of source rows (FAST),
+window-sized tiles (EFFICIENT), or O(w) running strips (STREAMING). The
+working-set meter shows the memory tiers; the wall clock shows the work
+tiers.
 """
 
 from hospectra import (

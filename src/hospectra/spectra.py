@@ -199,12 +199,6 @@ def principal_domain(order: int, m: int) -> np.ndarray:
     return _expand(_domain_runs(order, m))
 
 
-def domain_slice(order: int, m: int, start: int, stop: int) -> np.ndarray:
-    """``principal_domain(order, m)[start:stop]``, expanding only the runs
-    inside the slice."""
-    return _expand(_domain_runs(order, m, start, stop))
-
-
 # -- raw products ------------------------------------------------------------
 
 

@@ -13,17 +13,19 @@ EFFICIENT    n^2         O(w^2)
 STREAMING    n^2 w       O(w)
 ============ =========== ==============
 
-NAIVE re-sums every window. WS carries the sums with horizontal and
-vertical strip recurrences. PREFIX differences cumulative sums along each
-axis through :func:`hospectra.tiled.box_sums`, the shared summed-area-table
-kernel, which the EFFICIENT tiles and the 3-D plane blocks also call.
-FAST, EFFICIENT and STREAMING are source-on-demand engines (see
+NAIVE re-sums every window. WS and PREFIX make one 1-D pass per axis, for
+any number of axes: WS carries each line's sum with the running-sum
+recurrence, PREFIX differences cumulative sums through
+:func:`hospectra.tiled.box_sums`, the shared summed-area-table kernel,
+which the EFFICIENT tiles and the 3-D plane blocks also call. FAST,
+EFFICIENT and STREAMING are source-on-demand engines (see
 :mod:`hospectra.tiled`) that pull values through a fetch callable instead
 of reading a materialized matrix.
 
 :func:`smooth_periodic` is the materialized plans' periodic entry point for
-2-D and 3-D arrays (order-3 and order-4 grids); :func:`window_sums_2d` runs
-any plan on a 2-D matrix with either boundary rule.
+arrays of any number of axes (order-3 and order-4 grids);
+:func:`window_sums_2d` runs any plan on a 2-D matrix with either boundary
+rule.
 
 All plans agree within a relative 1e-9 tolerance with an absolute floor of
 1e-12; the summation orders differ, exact equality is not promised.
@@ -121,76 +123,66 @@ class WindowSpec:
         return rows, cols
 
 
-def _naive_valid(a: np.ndarray, w: int) -> np.ndarray:
-    shape = tuple(n - w + 1 for n in a.shape)
-    out = np.zeros(shape, dtype=a.dtype)
-    with WORKSPACE.held(out):
-        for offs in itertools.product(range(w), repeat=a.ndim):
-            out += a[tuple(slice(o, o + n) for o, n in zip(offs, shape))]
+def _running_sums(a: np.ndarray, w: int, axis: int) -> np.ndarray:
+    """Valid-mode ``w``-sums along one axis by the running-sum recurrence in
+    telescoped form: the first window is summed, and each later one is the
+    first plus the cumulative sum of the cells entering minus the cells
+    leaving, computed in place in the output."""
+    shape = list(a.shape)
+    shape[axis] -= w - 1
+    out = np.empty(shape, dtype=a.dtype)
+    x, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)  # views
+    o[0] = x[:w].sum(axis=0)
+    np.subtract(x[w:], x[:-w], out=o[1:])
+    np.cumsum(o[1:], axis=0, out=o[1:])
+    o[1:] += o[0]
     return out
 
 
-def _ws_valid(a: np.ndarray, w: int) -> np.ndarray:
-    ro = a.shape[0] - w + 1
-    co = a.shape[1] - w + 1
-    # horizontal strips r[i, j] = sum_k a[i, j+k], rolled along j
-    r = np.empty((a.shape[0], co), dtype=a.dtype)
-    r[:, 0] = a[:, :w].sum(axis=1)
-    if co > 1:
-        r[:, 1:] = r[:, :1] + np.cumsum(a[:, w:] - a[:, : co - 1], axis=1)
-    # vertical strips are only needed to seed the first output row
-    c0 = a[:w, :].sum(axis=0)
-    s = np.empty((ro, co), dtype=a.dtype)
-    nbytes = WORKSPACE.note(r, c0, s)
+def _box(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarray:
+    """``w``-box sums over every axis of ``a`` by a materialized plan, valid
+    or periodic (each axis shrinks by ``w - 1``, or keeps its length).
+
+    NAIVE re-sums all ``w**ndim`` shifted copies of the wrap-padded array.
+    WS (running sums) and PREFIX (the shared cumsum-difference kernel) make
+    one pass per axis, last axis first, each axis wrapped just before its
+    pass. The last axis is wrapped one cell further and the result is a view
+    without that cell, so that no later pass walks a power-of-two row
+    stride, on which NumPy's cumsum along an outer axis is ~1.5x slower.
+    """
+    if plan is SmoothingPlan.NAIVE:
+        ext = np.pad(a, ((0, w - 1),) * a.ndim, mode="wrap") if periodic else a
+        shape = tuple(n - w + 1 for n in ext.shape)
+        out = np.zeros(shape, dtype=a.dtype)
+        owned = (ext,) if periodic else ()  # the caller's array is not counted
+        with WORKSPACE.held(out, *owned):
+            for offs in itertools.product(range(w), repeat=a.ndim):
+                out += ext[tuple(slice(o, o + n) for o, n in zip(offs, shape))]
+        return out
+    # bytes of the current array once it is not the caller's; a new array is
+    # noted before the one it was made from is dropped, as both are live
+    held = 0
     try:
-        s[0, 0] = a[:w, :w].sum()
-        row0 = s[0]
-        for j in range(1, co):
-            row0[j] = row0[j - 1] - c0[j - 1] + c0[j + w - 1]
-        for i in range(1, ro):
-            s[i] = s[i - 1] - r[i - 1] + r[i + w - 1]
+        for axis in reversed(range(a.ndim)):
+            if periodic:
+                n = a.shape[axis] + w - 1 + (axis == a.ndim - 1)
+                a = np.take(a, np.arange(n), axis=axis, mode="wrap")
+                held, _ = WORKSPACE.note(a), WORKSPACE.drop(held)
+            if plan is SmoothingPlan.PREFIX:
+                a = box_sums(a, w, axes=(axis,))
+            else:
+                a = _running_sums(a, w, axis)
+            held, _ = WORKSPACE.note(a), WORKSPACE.drop(held)
     finally:
-        WORKSPACE.drop(nbytes)
-    return s
-
-
-_VALID_FNS = {
-    SmoothingPlan.NAIVE: _naive_valid,
-    SmoothingPlan.WS: _ws_valid,
-    SmoothingPlan.PREFIX: box_sums,
-}
+        WORKSPACE.drop(held)
+    return a[..., :-1] if periodic else a
 
 
 def smooth_periodic(a: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
-    """Periodic ``w``-box sums over every axis of a materialized 2-D or 3-D
-    array by one of the materialized plans; the output has the input's shape.
-
-    NAIVE re-sums all ``w**ndim`` shifted copies of the wrapped array. WS and
-    PREFIX run their 2-D engine on each plane of the first two axes, then
-    the same plan's 1-D pass along the third axis: the strip recurrence for
-    WS, the shared cumsum-difference kernel for PREFIX. A window of 1 is an
-    exact copy.
-    """
-    if w == 1:
-        return a.copy()
-    if plan is SmoothingPlan.NAIVE or a.ndim == 2:
-        ext = np.pad(a, ((0, w - 1),) * a.ndim, mode="wrap")
-        with WORKSPACE.held(ext):
-            return _VALID_FNS[plan](ext, w)
-    m = a.shape[2]
-    ext = np.empty(a.shape[:2] + (m + w - 1,), dtype=a.dtype)
-    with WORKSPACE.held(ext):
-        for c in range(m):
-            ext[:, :, c] = smooth_periodic(a[:, :, c], w, plan)
-        ext[:, :, m:] = ext[:, :, : w - 1]
-        if plan is SmoothingPlan.PREFIX:
-            return box_sums(ext, w, axes=(2,))
-        out = np.empty_like(a)
-        with WORKSPACE.held(out):
-            out[:, :, 0] = ext[:, :, :w].sum(axis=2)
-            for j in range(1, m):
-                out[:, :, j] = out[:, :, j - 1] - ext[:, :, j - 1] + ext[:, :, j + w - 1]
-        return out
+    """Periodic ``w``-box sums over every axis of a materialized array (an
+    order-3 or order-4 grid) by one of the materialized plans; the output
+    has the input's shape. A window of 1 is an exact copy."""
+    return a.copy() if w == 1 else _box(a, w, plan, periodic=True)
 
 
 def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
@@ -211,9 +203,7 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     if w == 1:  # a width-1 window is the identity, exactly
         return a.copy()
     if plan in MATERIALIZED_PLANS:
-        if spec.boundary == "periodic":
-            return smooth_periodic(a, w, plan)
-        return _VALID_FNS[plan](a, w)
+        return _box(a, w, plan, periodic=spec.boundary == "periodic")
     rows_n, cols_n = a.shape
 
     def fetch(rows, cols):  # valid-mode indices never reach the wrap

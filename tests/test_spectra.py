@@ -19,9 +19,9 @@ from hospectra import (
     raw_trispectrum_value,
     write_grid_csv,
 )
-from hospectra.dft import dft_segments
+from hospectra.dft import SegmentSpectrumSet, dft_segments
 from hospectra.series import segment_and_demean
-from hospectra.spectra import _materialized_grid, domain_slice
+from hospectra.spectra import _materialized_grid, smoothed_values
 
 
 def cfg3(m, m3, plan=SmoothingPlan.EFFICIENT, k=1, conj=True):
@@ -116,7 +116,23 @@ class TestPrincipalDomain:
             assert got4 == expect4, m
 
     def test_domain_slice_matches_full_build(self):
-        for order, m in ((3, 64), (3, 127), (4, 16), (4, 33)):
+        # smoothed_values over [a, b) equals the whole-domain values[a:b]
+        # bit for bit: the property the parallel workers rely on. Random
+        # spectra give every point a distinct value, so a misplaced index
+        # shows as a changed value.
+        rng = np.random.default_rng(21)
+
+        def check(order, m, m3, cuts):
+            cuts = list(cuts)
+            spec_set = SegmentSpectrumSet(rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m)))
+            for plan in (SmoothingPlan.EFFICIENT, SmoothingPlan.WS):
+                cfg = EstimationConfig(order, SegmentConfig(m=m, k=1), m3, plan)
+                full = smoothed_values(spec_set, cfg, 0, len(principal_domain(order, m)))
+                for a, b in cuts:
+                    got = smoothed_values(spec_set, cfg, a, b)
+                    assert np.array_equal(got, full[a:b]), (order, m, plan.name, a, b)
+
+        for order, m, m3 in ((3, 64, 5), (3, 127, 7), (4, 16, 3), (4, 33, 5)):
             dom = principal_domain(order, m)
             cuts = [(0, len(dom)), (3, 11), (len(dom) // 2, len(dom))]
             if order == 4:
@@ -126,14 +142,11 @@ class TestPrincipalDomain:
                 last2 = int(np.flatnonzero(dom[:, 2] == 2)[-1])
                 half = len(mid) // 2
                 cuts += [(int(mid[1]), int(mid[-2])), (int(mid[half]), int(mid[half + 1])), (last2 - 1, last2)]
-            for a, b in cuts:
-                got = domain_slice(order, m, a, b)
-                assert got.dtype == dom.dtype and np.array_equal(got, dom[a:b]), (order, m, a, b)
+            check(order, m, m3, cuts)
         for order in (3, 4):
-            for m in (2, 3, 4, 5):
-                dom = principal_domain(order, m)
-                for a, b in itertools.combinations(range(len(dom) + 1), 2):
-                    assert np.array_equal(domain_slice(order, m, a, b), dom[a:b]), (order, m, a, b)
+            for m in (3, 4, 5):  # m = 2 admits no window (m3 < m/2)
+                size = len(principal_domain(order, m))
+                check(order, m, (m - 1) // 2, itertools.combinations(range(size + 1), 2))
 
 
 class TestEstimateSpectrum:

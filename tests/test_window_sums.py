@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,17 +201,22 @@ class TestWindowSums2d:
 
 class TestSmoothPeriodic:
     def test_plans_match_direct_periodic_oracle_3d(self):
+        # each axis is wrapped just before its own pass; even windows too
         rng = np.random.default_rng(11)
-        cube = rng.standard_normal((5, 6, 7))
-        w = 3
-        expect = np.empty_like(cube)
-        for i, j, k in np.ndindex(cube.shape):
-            expect[i, j, k] = sum(
-                cube[(i + u) % 5, (j + v) % 6, (k + t) % 7]
-                for u in range(w) for v in range(w) for t in range(w)
-            )
-        for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
-            assert_window_equal(smooth_periodic(cube, w, plan), expect, context=plan.name)
+        shape = (5, 6, 7)
+        real = rng.standard_normal(shape)
+        for cube in (real, real + 1j * rng.standard_normal(shape)):
+            for w in (2, 3, 4):
+                expect = np.empty_like(cube)
+                for i, j, k in np.ndindex(shape):
+                    expect[i, j, k] = sum(
+                        cube[(i + u) % 5, (j + v) % 6, (k + t) % 7]
+                        for u in range(w) for v in range(w) for t in range(w)
+                    )
+                for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
+                    out = smooth_periodic(cube, w, plan)
+                    assert out.dtype == cube.dtype
+                    assert_window_equal(out, expect, context=f"{plan.name} w={w} {cube.dtype}")
 
     def test_window_of_one_is_exact_copy(self):
         rng = np.random.default_rng(12)
@@ -219,6 +225,24 @@ class TestSmoothPeriodic:
             for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
                 out = smooth_periodic(a, 1, plan)
                 assert out is not a and np.array_equal(out, a), (shape, plan.name)
+
+    def test_meter_matches_traced_peak(self):
+        # the modelled working set is the traced one, within a few percent
+        rng = np.random.default_rng(13)
+        for shape, w in (((512, 512), 49), ((64, 64, 64), 17)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
+                WORKSPACE.reset()
+                tracemalloc.start()
+                try:
+                    out = smooth_periodic(a, w, plan)
+                    traced = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                del out
+                ratio = traced / WORKSPACE.peak
+                assert 0.95 <= ratio <= 1.10, (shape, w, plan.name, ratio)
+                assert WORKSPACE.current == 0
 
 
 class TestSmoothedCells2d:

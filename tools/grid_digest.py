@@ -1,0 +1,55 @@
+"""Print one digest line per estimated grid over a fixed matrix of cells.
+
+A bit-identity claim between two source trees becomes one ``diff``: run this
+script against each tree's ``src`` and compare the outputs, e.g.
+
+    PYTHONPATH=src python tools/grid_digest.py > new.txt
+    PYTHONPATH=../old/src python tools/grid_digest.py > old.txt
+    diff old.txt new.txt
+
+Line format: ``order m w K conj plan P partition sha256 modelled_peak``. The
+sha256 covers the grid's index bytes followed by its value bytes; the
+modelled peak is ``WORKSPACE.peak`` after the run. Cells: order 3 at m=64,
+w in {1,2,3,5,8}; order 4 at m=32, w in {1,2,3,5}; every plan, K in {1,3},
+conjugation on and off; the lean plans also at P in {2,3} with both
+partition modes. Uses the public API only.
+"""
+
+import hashlib
+import itertools
+
+from hospectra import (
+    WORKSPACE,
+    EstimationConfig,
+    SegmentConfig,
+    SmoothingPlan,
+    WorkerConfig,
+    generate_qpc,
+    parallel_estimate,
+)
+
+LEAN = (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING)
+CELLS = ((3, 64, (1, 2, 3, 5, 8)), (4, 32, (1, 2, 3, 5)))
+
+
+def cells():
+    for order, m, windows in CELLS:
+        for w, k, conj, plan in itertools.product(windows, (1, 3), (True, False), SmoothingPlan):
+            yield order, m, w, k, conj, plan, WorkerConfig()
+            if plan in LEAN:
+                for p, part in itertools.product((2, 3), ("row_blocks", "point_blocks")):
+                    yield order, m, w, k, conj, plan, WorkerConfig(p, part)
+
+
+def main():
+    for order, m, w, k, conj, plan, workers in cells():
+        series = generate_qpc(0.11, 0.23, k * m, noise_sigma=0.5, seed=100 * order + k)
+        cfg = EstimationConfig(order, SegmentConfig(m=m, k=k), w, plan, conjugate_last=conj)
+        WORKSPACE.reset()
+        grid = parallel_estimate(series, cfg, workers)
+        digest = hashlib.sha256(grid.indices.tobytes() + grid.values.tobytes()).hexdigest()
+        print(order, m, w, k, int(conj), plan.name, workers.p, workers.partition, digest, WORKSPACE.peak)
+
+
+if __name__ == "__main__":
+    main()
