@@ -3,8 +3,9 @@
 Every plan computes the same smoothed spectrum. They differ in how the
 box sums are carried: brute-force re-summation (NAIVE), running sums
 along each axis of a materialized grid (WS), prefix sums with differencing
-along each axis (PREFIX), a rolling band of source rows (FAST),
-window-sized tiles (EFFICIENT), or O(w) running strips (STREAMING). The
+along each axis (PREFIX), WS's running sums over bands of w source rows
+(FAST), PREFIX's box sums over window-sized tiles (EFFICIENT), or running
+sums over column sums fetched w cells at a time (STREAMING). The
 working-set meter shows the memory tiers; the wall clock shows the work
 tiers.
 """

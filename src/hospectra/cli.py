@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 for configuration errors, 1 for I/O errors.
 The default worker count comes from the ``HOSPECTRA_THREADS`` environment
-variable; the ``--threads`` flag wins when both are given.
+variable, checked as strictly as ``--threads``; the flag wins when both are
+given.
 """
 
 from __future__ import annotations
@@ -22,10 +23,14 @@ PLAN_NAMES = [p.name for p in SmoothingPlan]
 
 
 def _env_threads() -> int:
+    text = os.environ.get("HOSPECTRA_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("HOSPECTRA_THREADS", "1")))
+        threads = int(text)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ParameterError(f"HOSPECTRA_THREADS must be an integer >= 1, got {text!r}")
+    return threads
 
 
 def _csv_ints(text: str) -> list[int]:

@@ -21,8 +21,9 @@ The materialized plans (NAIVE, WS, PREFIX) smooth each segment's grid and
 then average, in that order. The source-on-demand plans average the raw
 products inside the fetch function and smooth once; box sums and segment
 averages are both linear, so the two orderings agree within rounding (the
-test suite pins this). PREFIX and the EFFICIENT engine share one box-sum
-kernel, :func:`hospectra.tiled.box_sums`.
+test suite pins this). All plans but NAIVE share two 1-D kernels from
+:mod:`hospectra.tiled`: :func:`~hospectra.tiled.running_sums` (WS, FAST,
+STREAMING) and :func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Source-on-demand window-sum engines with fixed unit decomposition.
+"""Source-on-demand window-sum engines and the two shared 1-D window-sum kernels.
 
 These engines compute 2-D (and, for the spectrum pipeline, 3-D) sliding
 box sums without materializing the source: values are pulled through a
@@ -6,35 +6,36 @@ box sums without materializing the source: values are pulled through a
 wrapping for periodic boundaries lives inside ``fetch``, so the engines
 themselves are boundary-agnostic.
 
-The work is decomposed into units aligned to a fixed ``w``-grid in output
-coordinates:
+Two kernels do the summing, one pass per axis: :func:`running_sums` (the
+WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
+cumsum difference). The lean plans apply them to units of the output
+aligned to a fixed grid in output coordinates:
 
-* FAST      - row bands of height ``w``; a band holds ``w`` source rows and
-              carries the column-strip row through the band with the rolling
-              update in telescoped form (O(cols*w) memory, each source cell
+* FAST      - ``w`` x full-width bands, :func:`running_sums` over a
+              ``2w-1``-row source patch (O(cols*w) memory, each source cell
               fetched at most twice).
-* EFFICIENT - ``w x w`` tiles computed from a ``(2w-1) x (2w-1)`` source
+* EFFICIENT - ``w x w`` tiles, :func:`box_sums` over a ``(2w-1)^2`` source
               patch (O(w^2) memory, each source cell fetched O(1) times).
-* STREAMING - width-``w`` column blocks of a single output row, built from
-              one column strip at a time (O(w) memory, each source cell
-              fetched O(w) times).
+* STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over the sums
+              of ``2w-1`` source columns of ``w`` cells, fetched one column
+              at a time (O(w) memory, each source cell fetched O(w) times).
 
-EFFICIENT tiles and the 3-D plane blocks reduce their patches with
-:func:`box_sums`, the shared cumsum-difference (summed-area-table)
-kernel, which the materialized PREFIX plan also calls.
-
-Every unit's arithmetic depends only on (fetch, w, unit origin). Any
-partition of the output across workers therefore reproduces a serial sweep
-bit for bit, which is what the parallel layer relies on.
+One walker serves the three 2-D plans; the 3-D engine takes its block
+shapes from the same table and box-sums every plane block as an EFFICIENT
+tile. A unit depends only on (fetch, w, unit origin), and a kernel's cell
+only on the input along its own lines, so any partition of the output
+across workers reproduces a serial sweep bit for bit.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 import numpy as np
 
 from .meter import WORKSPACE
 
-__all__ = ["box_sums", "smoothed_cells_2d", "smoothed_cells_3d"]
+__all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d"]
 
 
 def box_sums(a, w, axes=(0, 1)):
@@ -61,106 +62,97 @@ def box_sums(a, w, axes=(0, 1)):
     return a
 
 
-def _clip_spans(spans_in_band, c0, bw):
-    for row, start, stop in spans_in_band:
-        s = max(start, c0)
-        e = min(stop, c0 + bw)
-        if s < e:
-            yield row, s, e
+def running_sums(a, w, axes=(0, 1)):
+    """Valid-mode box sums of side ``w`` along ``axes``, as :func:`box_sums`,
+    by the running-sum recurrence in telescoped form.
+
+    Per axis, the first window is summed, and each later one is the first
+    plus the cumulative sum of the cells entering minus the cells leaving,
+    computed in place in the pass's output. A cell's value depends only on
+    the input along its own line. A window of 1 is an exact copy.
+    """
+    if w == 1:
+        return a.copy()
+    nbytes = 0
+    for axis in axes:
+        shape = list(a.shape)
+        shape[axis] -= w - 1
+        out = np.empty(shape, dtype=a.dtype)
+        x, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)  # views
+        o[0] = x[:w].sum(axis=0)
+        np.subtract(x[w:], x[:-w], out=o[1:])
+        np.cumsum(o[1:], axis=0, out=o[1:])
+        o[1:] += o[0]
+        a = out
+        nbytes += out.nbytes
+    WORKSPACE.drop(WORKSPACE.note_bytes(nbytes))
+    return a
 
 
-def _fast_2d(fetch, n_rows_out, n_cols_out, w, spans):
-    ncs = n_cols_out + w - 1  # strip columns needed for a full output row
-    cols = np.arange(ncs)[None, :]
-    by_band: dict[int, list] = {}
-    for span in spans:
-        by_band.setdefault(span[0] // w * w, []).append(span)
-    for b0 in sorted(by_band):
-        band_spans = by_band[b0]
-        last = band_spans[-1][0]
-        nrows = last - b0 + 1
-        # column strips for the whole band: anchor the first row, then the
-        # rolling update in telescoped (running-sum-of-increments) form.
-        # cumsum prefixes do not depend on later rows, so a worker covering
-        # only part of the band reproduces the same values bit for bit.
-        band_src = fetch(np.arange(b0, b0 + w)[:, None], cols)
-        strips = np.empty((nrows, ncs), dtype=band_src.dtype)
-        strips[0] = band_src.sum(axis=0)
-        nbytes = WORKSPACE.note(band_src, strips)
-        try:
-            if nrows > 1:
-                incoming = fetch(np.arange(b0 + w, b0 + w + nrows - 1)[:, None], cols)
-                nbytes += WORKSPACE.note(incoming)
-                np.subtract(incoming, band_src[: nrows - 1], out=incoming)
-                np.cumsum(incoming, axis=0, out=incoming)
-                np.add(incoming, strips[0], out=strips[1:])
-            if w == 1:
-                row_vals = strips
-            else:
-                # box_sums would allocate a second band-sized buffer; the
-                # strips are this band's own, so the cumsum runs in place
-                np.cumsum(strips, axis=1, out=strips)
-                row_vals = strips[:, w - 1 :].copy()
-                row_vals[:, 1:] -= strips[:, : n_cols_out - 1]
-                nbytes += WORKSPACE.note(row_vals)
-            for r, start, stop in band_spans:
-                yield r, start, row_vals[r - b0, start:stop]
-        finally:
-            WORKSPACE.drop(nbytes)
+def _band(fetch, r0, c0, rows, cols, w):
+    src = np.arange(r0, r0 + rows + w - 1)[:, None]
+    src_cols = np.arange(c0, c0 + cols + w - 1)[None, :]
+    patch = fetch(src[:w], src_cols)
+    if rows > 1:  # a second fetch: one fetch of 2w-1 rows has larger temporaries
+        patch = np.concatenate([patch, fetch(src[w:], src_cols)])
+    nbytes = WORKSPACE.note(patch)
+    try:
+        return running_sums(patch, w)
+    finally:
+        WORKSPACE.drop(nbytes)
 
 
-def _efficient_2d(fetch, n_rows_out, n_cols_out, w, spans):
-    by_band: dict[int, list] = {}
-    for span in spans:
-        by_band.setdefault(span[0] // w * w, []).append(span)
-    for b0 in sorted(by_band):
-        band_spans = by_band[b0]
-        bh = min(w, n_rows_out - b0)
-        c_lo = min(s[1] for s in band_spans)
-        c_hi = max(s[2] for s in band_spans)
-        for c0 in range(w * (c_lo // w), c_hi, w):
-            bw = min(w, n_cols_out - c0)
-            patch = fetch(
-                np.arange(b0, b0 + bh + w - 1)[:, None],
-                np.arange(c0, c0 + bw + w - 1)[None, :],
-            )
-            nbytes = WORKSPACE.note(patch)
-            try:
-                tile = box_sums(patch, w)
-                for row, s, e in _clip_spans(band_spans, c0, bw):
-                    yield row, s, tile[row - b0, s - c0 : e - c0]
-            finally:
-                WORKSPACE.drop(nbytes)
+def _tile(fetch, r0, c0, rows, cols, w, *plane):
+    patch = fetch(
+        np.arange(r0, r0 + rows + w - 1)[:, None],
+        np.arange(c0, c0 + cols + w - 1)[None, :],
+        *plane,
+    )
+    nbytes = WORKSPACE.note(patch)
+    try:
+        return box_sums(patch, w)
+    finally:
+        WORKSPACE.drop(nbytes)
 
 
-def _streaming_2d(fetch, n_rows_out, n_cols_out, w, spans):
-    for row, start, stop in spans:
-        rows_idx = np.arange(row, row + w)
-        for c0 in range(w * (start // w), stop, w):
-            bw = min(w, n_cols_out - c0)
-            nst = bw + w - 1
-            first = fetch(rows_idx, c0).sum()
-            sums = np.empty(nst, dtype=np.asarray(first).dtype)
-            sums[0] = first
-            for t in range(1, nst):
-                sums[t] = fetch(rows_idx, c0 + t).sum()
-            out = np.empty(bw, dtype=sums.dtype)
-            out[0] = sums[:w].sum()
-            for j in range(1, bw):
-                out[j] = out[j - 1] - sums[j - 1] + sums[j + w - 1]
-            nbytes = WORKSPACE.note(sums, out, rows_idx)
-            WORKSPACE.drop(nbytes)
-            s = max(start, c0)
-            e = min(stop, c0 + bw)
-            if s < e:
-                yield row, s, out[s - c0 : e - c0]
+def _strip(fetch, r0, c0, rows, cols, w):
+    src = np.arange(r0, r0 + w)
+    sums = np.array([fetch(src, c).sum() for c in range(c0, c0 + cols + w - 1)])
+    nbytes = WORKSPACE.note(sums, src)
+    try:
+        return running_sums(sums, w, axes=(0,))[None]
+    finally:
+        WORKSPACE.drop(nbytes)
 
 
-_ENGINES_2D = {
-    "FAST": _fast_2d,
-    "EFFICIENT": _efficient_2d,
-    "STREAMING": _streaming_2d,
+#: plan -> (unit shape from (output columns, w), unit function). A unit
+#: function ``unit(fetch, r0, c0, rows, cols, w)`` returns the ``rows x
+#: cols`` output values whose windows are anchored at ``(r0, c0)`` onwards.
+_UNITS = {
+    "FAST": (lambda cols, w: (w, cols), _band),
+    "EFFICIENT": (lambda cols, w: (w, w), _tile),
+    "STREAMING": (lambda cols, w: (1, w), _strip),
 }
+
+
+def _walk(fetch, n_cols_out, w, plan_name, spans):
+    shape, unit = _UNITS[plan_name]
+    uh, uw = shape(n_cols_out, w)
+    for _, band in groupby(spans, key=lambda span: span[0] // uh):
+        band = list(band)
+        r0 = band[0][0] // uh * uh
+        # as many rows as the last span needs: the kernels' own-line
+        # property makes a shorter unit give the same bits
+        rows = band[-1][0] - r0 + 1
+        c_lo = min(span[1] for span in band) // uw * uw
+        c_hi = max(span[2] for span in band)
+        for c0 in range(c_lo, c_hi, uw):
+            cols = min(uw, n_cols_out - c0)
+            vals = unit(fetch, r0, c0, rows, cols, w)
+            for row, start, stop in band:
+                start, stop = max(start, c0), min(stop, c0 + cols)
+                if start < stop:
+                    yield row, start, vals[row - r0, start - c0 : stop - c0]
 
 
 def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
@@ -168,36 +160,12 @@ def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
 
     ``spans`` is a sorted sequence of ``(row, col_start, col_stop)`` with at
     most one entry per row. ``fetch(rows, cols)`` must accept broadcastable
-    integer arrays; periodic wrapping is fetch's responsibility.
+    integer arrays; periodic wrapping is fetch's responsibility. A band ends
+    at its last span's row, so ``n_rows_out`` is not used.
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    spans = [s for s in spans if s[1] < s[2]]
-    if not spans:
-        return iter(())
-    return _ENGINES_2D[plan_name](fetch, n_rows_out, n_cols_out, w, spans)
-
-
-# 3-D extension: separable box sums, one rolling pass along the third axis
-# over 2-D-smoothed planes restricted to a block of the leading two axes.
-# The per-plan block shapes keep each tier's memory within one extra factor
-# of w: FAST (w, m), EFFICIENT (w, w), STREAMING (1, w).
-
-_BLOCK_3D = {
-    "FAST": lambda m, w: (w, m),
-    "EFFICIENT": lambda m, w: (w, w),
-    "STREAMING": lambda m, w: (1, w),
-}
-
-
-def _plane_block(fetch3, c, b0, c0, bh, bw, w):
-    patch = fetch3(
-        np.arange(b0, b0 + bh + w - 1)[:, None],
-        np.arange(c0, c0 + bw + w - 1)[None, :],
-        c,
-    )
-    with WORKSPACE.held(patch):
-        return box_sums(patch, w)
+    return _walk(fetch, n_cols_out, w, plan_name, [s for s in spans if s[1] < s[2]])
 
 
 def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
@@ -208,11 +176,12 @@ def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, o
     ``out[bases[t] + (k3 - starts[t])]``. The third axis is swept with a
     ring of ``w`` 2-D-smoothed block planes, re-anchored at every
     ``w``-aligned position so that any sweep entry point produces identical
-    values.
+    values. Blocks of the leading two axes have the plan's unit shape, which
+    keeps each tier's memory within one extra factor of ``w``.
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    bh_max, bw_max = _BLOCK_3D[plan_name](m, w)
+    bh_max, bw_max = _UNITS[plan_name][0](m, w)
     groups: dict[tuple, list] = {}
     for t in range(len(k1s)):
         key = (int(k1s[t]) // bh_max, int(k2s[t]) // bw_max)
@@ -231,13 +200,13 @@ def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, o
         a0 = w * (int(st.min()) // w)
         kmax = int(sp.max())
         ring = None  # free the previous block's ring before building this one
-        ring = np.stack([_plane_block(fetch3, a0 + t, b0, c0, bh, bw, w) for t in range(w)])
+        ring = np.stack([_tile(fetch3, b0, c0, bh, bw, w, a0 + t) for t in range(w)])
         acc = ring.sum(axis=0)
         nbytes = WORKSPACE.note(ring, acc)
         try:
             for k3 in range(a0, kmax):
                 if k3 > a0:
-                    new = _plane_block(fetch3, k3 + w - 1, b0, c0, bh, bw, w)
+                    new = _tile(fetch3, b0, c0, bh, bw, w, k3 + w - 1)
                     slot = (k3 - 1) % w
                     if k3 % w == 0:
                         ring[slot] = new

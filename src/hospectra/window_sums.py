@@ -14,13 +14,14 @@ STREAMING    n^2 w       O(w)
 ============ =========== ==============
 
 NAIVE re-sums every window. WS and PREFIX make one 1-D pass per axis, for
-any number of axes: WS carries each line's sum with the running-sum
-recurrence, PREFIX differences cumulative sums through
-:func:`hospectra.tiled.box_sums`, the shared summed-area-table kernel,
-which the EFFICIENT tiles and the 3-D plane blocks also call. FAST,
-EFFICIENT and STREAMING are source-on-demand engines (see
-:mod:`hospectra.tiled`) that pull values through a fetch callable instead
-of reading a materialized matrix.
+any number of axes, through the two shared kernels of
+:mod:`hospectra.tiled`: WS carries each line's sum with the running-sum
+recurrence (:func:`~hospectra.tiled.running_sums`), PREFIX differences
+cumulative sums (:func:`~hospectra.tiled.box_sums`). FAST, EFFICIENT and
+STREAMING are source-on-demand engines that apply the same kernels to
+pieces of the output, pulling values through a fetch callable instead of
+reading a materialized matrix: FAST is WS over bands of rows, EFFICIENT is
+PREFIX over tiles, STREAMING is WS over column sums.
 
 :func:`smooth_periodic` is the materialized plans' periodic entry point for
 arrays of any number of axes (order-3 and order-4 grids);
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .meter import WORKSPACE
-from .tiled import box_sums, smoothed_cells_2d
+from .tiled import box_sums, running_sums, smoothed_cells_2d
 
 __all__ = [
     "SmoothingPlan",
@@ -123,22 +124,6 @@ class WindowSpec:
         return rows, cols
 
 
-def _running_sums(a: np.ndarray, w: int, axis: int) -> np.ndarray:
-    """Valid-mode ``w``-sums along one axis by the running-sum recurrence in
-    telescoped form: the first window is summed, and each later one is the
-    first plus the cumulative sum of the cells entering minus the cells
-    leaving, computed in place in the output."""
-    shape = list(a.shape)
-    shape[axis] -= w - 1
-    out = np.empty(shape, dtype=a.dtype)
-    x, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)  # views
-    o[0] = x[:w].sum(axis=0)
-    np.subtract(x[w:], x[:-w], out=o[1:])
-    np.cumsum(o[1:], axis=0, out=o[1:])
-    o[1:] += o[0]
-    return out
-
-
 def _box(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarray:
     """``w``-box sums over every axis of ``a`` by a materialized plan, valid
     or periodic (each axis shrinks by ``w - 1``, or keeps its length).
@@ -159,6 +144,7 @@ def _box(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarr
             for offs in itertools.product(range(w), repeat=a.ndim):
                 out += ext[tuple(slice(o, o + n) for o, n in zip(offs, shape))]
         return out
+    kernel = box_sums if plan is SmoothingPlan.PREFIX else running_sums
     # bytes of the current array once it is not the caller's; a new array is
     # noted before the one it was made from is dropped, as both are live
     held = 0
@@ -168,10 +154,7 @@ def _box(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarr
                 n = a.shape[axis] + w - 1 + (axis == a.ndim - 1)
                 a = np.take(a, np.arange(n), axis=axis, mode="wrap")
                 held, _ = WORKSPACE.note(a), WORKSPACE.drop(held)
-            if plan is SmoothingPlan.PREFIX:
-                a = box_sums(a, w, axes=(axis,))
-            else:
-                a = _running_sums(a, w, axis)
+            a = kernel(a, w, axes=(axis,))
             held, _ = WORKSPACE.note(a), WORKSPACE.drop(held)
     finally:
         WORKSPACE.drop(held)

@@ -139,6 +139,14 @@ class TestCmdEstimate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_threads_env_var_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("HOSPECTRA_THREADS", value)
+        code = main(["estimate", "--input", str(tmp_path / "nope.csv"), "--seg-len", "64",
+                     "--window", "5", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        assert "HOSPECTRA_THREADS" in capsys.readouterr().err
+
     def test_threads_env_var_with_flag_override(self, tmp_path, monkeypatch):
         inp = self._gen(tmp_path, n=128)
         monkeypatch.setenv("HOSPECTRA_THREADS", "2")

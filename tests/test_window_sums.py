@@ -12,7 +12,7 @@ from hospectra import (
     window_sums_2d,
 )
 from hospectra.meter import WORKSPACE
-from hospectra.tiled import box_sums, smoothed_cells_2d
+from hospectra.tiled import box_sums, running_sums, smoothed_cells_2d
 from hospectra.window_sums import smooth_periodic
 
 ALL_PLANS = list(SmoothingPlan)
@@ -36,31 +36,40 @@ def direct_sums(a, w, periodic=False):
     return out
 
 
-class TestBoxSums:
-    def test_hand_oracle(self):
-        assert np.array_equal(box_sums(np.array([1.0, 2, 3, 4, 5]), 3, axes=(0,)), [6, 9, 12])
+KERNELS = pytest.mark.parametrize("kernel", [box_sums, running_sums], ids=lambda k: k.__name__)
 
-    def test_identity_window(self):
+
+class TestBoxSums:
+    @KERNELS
+    def test_hand_oracle(self, kernel):
+        assert np.array_equal(kernel(np.array([1.0, 2, 3, 4, 5]), 3, axes=(0,)), [6, 9, 12])
+
+    @KERNELS
+    def test_identity_window(self, kernel):
         x = np.array([[3.0, -1.0], [4.0, 0.5]])
-        out = box_sums(x, 1)
+        out = kernel(x, 1)
         assert out is not x and np.array_equal(out, x)
 
-    def test_zeros(self):
-        assert np.array_equal(box_sums(np.zeros(4), 2, axes=(0,)), np.zeros(3))
+    @KERNELS
+    def test_zeros(self, kernel):
+        assert np.array_equal(kernel(np.zeros(4), 2, axes=(0,)), np.zeros(3))
 
-    def test_window_spanning_whole_axis_gives_total(self):
+    @KERNELS
+    def test_window_spanning_whole_axis_gives_total(self, kernel):
         x = np.array([1.0, 1, 1, 1])
-        assert np.array_equal(box_sums(x, 4, axes=(0,)), [4.0])
+        assert np.array_equal(kernel(x, 4, axes=(0,)), [4.0])
 
-    def test_singleton(self):
-        assert np.array_equal(box_sums(np.array([5.0]), 1, axes=(0,)), [5.0])
+    @KERNELS
+    def test_singleton(self, kernel):
+        assert np.array_equal(kernel(np.array([5.0]), 1, axes=(0,)), [5.0])
 
-    def test_matches_direct_summation(self):
+    @KERNELS
+    def test_matches_direct_summation(self, kernel):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(200)
         for w in (1, 2, 7, 50, 200):
             expect = np.array([x[i : i + w].sum() for i in range(200 - w + 1)])
-            assert_window_equal(box_sums(x, w, axes=(0,)), expect)
+            assert_window_equal(kernel(x, w, axes=(0,)), expect)
 
     def test_matches_sequential_fold(self):
         rng = np.random.default_rng(2)
@@ -73,34 +82,37 @@ class TestBoxSums:
         expect = np.array([prefix[i + w] - prefix[i] for i in range(len(x) - w + 1)])
         assert_window_equal(box_sums(x, w, axes=(0,)), expect, rel=1e-12)
 
-    def test_matches_direct_oracle_2d_and_3d(self):
+    @KERNELS
+    def test_matches_direct_oracle_2d_and_3d(self, kernel):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((9, 13))
         for w in (2, 3, 8):
-            assert_window_equal(box_sums(a, w), direct_sums(a, w), context=f"2-D w={w}")
+            assert_window_equal(kernel(a, w), direct_sums(a, w), context=f"2-D w={w}")
         cube = rng.standard_normal((6, 7, 5)) + 1j * rng.standard_normal((6, 7, 5))
         w = 3
         expect = np.empty((4, 5, 3), dtype=cube.dtype)
         for i, j, k in np.ndindex(expect.shape):
             expect[i, j, k] = cube[i : i + w, j : j + w, k : k + w].sum()
-        assert_window_equal(box_sums(cube, w, axes=(0, 1, 2)), expect, context="3-D")
+        assert_window_equal(kernel(cube, w, axes=(0, 1, 2)), expect, context="3-D")
 
-    def test_cell_depends_only_on_its_own_lines(self):
-        # the property that keeps tiles and plane blocks bit-identical to a
-        # whole-array sweep: extent across an axis never changes a cell
+    @KERNELS
+    def test_cell_depends_only_on_its_own_lines(self, kernel):
+        # the property that keeps tiles, bands and plane blocks bit-identical
+        # to a whole-array sweep: extent across an axis never changes a cell
         rng = np.random.default_rng(4)
         a = rng.standard_normal((12, 12))
         w = 3
-        full = box_sums(a, w)
-        part = box_sums(a[:7, :10], w)
+        full = kernel(a, w)
+        part = kernel(a[:7, :10], w)
         assert np.array_equal(part, full[:5, :8])
-        rows = box_sums(a, w, axes=(1,))
-        assert np.array_equal(box_sums(a[4:6], w, axes=(1,)), rows[4:6])
+        rows = kernel(a, w, axes=(1,))
+        assert np.array_equal(kernel(a[4:6], w, axes=(1,)), rows[4:6])
 
-    def test_registers_and_releases_its_temporaries(self):
+    @KERNELS
+    def test_registers_and_releases_its_temporaries(self, kernel):
         a = np.ones((32, 32))
         WORKSPACE.reset()
-        box_sums(a, 4)
+        kernel(a, 4)
         assert WORKSPACE.peak >= a.nbytes
         assert WORKSPACE.current == 0
 
@@ -281,9 +293,10 @@ class TestSmoothedCells2d:
                     got[r, c] = v
                 assert_window_equal(got, expect, context=f"{plan.name} {boundary}")
 
-    def test_partial_spans_bit_identical_to_full_sweep(self):
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_partial_spans_bit_identical_to_full_sweep(self, w):
         rng = np.random.default_rng(13)
-        n, w = 10, 3
+        n = 10
         a = rng.standard_normal((n, n))
 
         def fetch(r, c):

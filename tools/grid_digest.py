@@ -7,9 +7,11 @@ script against each tree's ``src`` and compare the outputs, e.g.
     PYTHONPATH=../old/src python tools/grid_digest.py > old.txt
     diff old.txt new.txt
 
-Line format: ``order m w K conj plan P partition sha256 modelled_peak``. The
-sha256 covers the grid's index bytes followed by its value bytes; the
-modelled peak is ``WORKSPACE.peak`` after the run. Cells: order 3 at m=64,
+Line format: ``order m w K conj plan P partition sha256 modelled_peak
+naive_dev``. The sha256 covers the grid's index bytes followed by its value
+bytes; the modelled peak is ``WORKSPACE.peak`` after the run; ``naive_dev``
+is ``compare_grids`` against the NAIVE grid of the same order, m, w, K and
+conjugation setting, so a "within tolerance" claim reads off the same lines. Cells: order 3 at m=64,
 w in {1,2,3,5,8}; order 4 at m=32, w in {1,2,3,5}; every plan, K in {1,3},
 conjugation on and off; the lean plans also at P in {2,3} with both
 partition modes. Uses the public API only.
@@ -24,6 +26,7 @@ from hospectra import (
     SegmentConfig,
     SmoothingPlan,
     WorkerConfig,
+    compare_grids,
     generate_qpc,
     parallel_estimate,
 )
@@ -47,8 +50,12 @@ def main():
         cfg = EstimationConfig(order, SegmentConfig(m=m, k=k), w, plan, conjugate_last=conj)
         WORKSPACE.reset()
         grid = parallel_estimate(series, cfg, workers)
+        if plan is SmoothingPlan.NAIVE:  # the first plan of each (order, m, w, K, conj)
+            naive = grid
         digest = hashlib.sha256(grid.indices.tobytes() + grid.values.tobytes()).hexdigest()
-        print(order, m, w, k, int(conj), plan.name, workers.p, workers.partition, digest, WORKSPACE.peak)
+        dev = compare_grids(grid, naive)
+        print(order, m, w, k, int(conj), plan.name, workers.p, workers.partition, digest,
+              WORKSPACE.peak, f"{dev:.2e}")
 
 
 if __name__ == "__main__":
