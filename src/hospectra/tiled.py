@@ -14,17 +14,22 @@ aligned to a fixed grid in output coordinates:
 * FAST      - ``w`` x full-width bands, :func:`running_sums` over a
               ``2w-1``-row source patch (O(cols*w) memory, each source cell
               fetched at most twice).
-* EFFICIENT - ``w x w`` tiles, :func:`box_sums` over a ``(2w-1)^2`` source
-              patch (O(w^2) memory, each source cell fetched O(1) times).
+* EFFICIENT - square units of ``g x g`` tiles of ``w x w``, ``g = max(1,
+              S // w)``, fetched as one patch; :func:`box_sums` runs over
+              every tile's ``(2w-1)^2`` window of it at once, through a
+              strided view (O(max(S, w)^2) memory, each source cell fetched
+              O(1) times, one fetch per up to ``S x S`` output cells).
 * STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over the sums
               of ``2w-1`` source columns of ``w`` cells, fetched one column
               at a time (O(w) memory, each source cell fetched O(w) times).
 
 One walker serves the three 2-D plans; the 3-D engine takes its block
-shapes from the same table and box-sums every plane block as an EFFICIENT
-tile. A unit depends only on (fetch, w, unit origin), and a kernel's cell
-only on the input along its own lines, so any partition of the output
-across workers reproduces a serial sweep bit for bit.
+shapes from the same table, except that EFFICIENT keeps single ``w x w``
+tiles, and box-sums every plane block whole. Every EFFICIENT tile is summed
+alone, so batching leaves its bits as they were. A unit depends only on
+(fetch, w, unit origin), and a kernel's cell only on the input along its own
+lines, so any partition of the output across workers reproduces a serial
+sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -32,10 +37,15 @@ from __future__ import annotations
 from itertools import groupby
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .meter import WORKSPACE
 
 __all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d"]
+
+#: An EFFICIENT unit is ``max(1, S // w)`` tiles of ``w`` per side: at most
+#: ``S`` output cells, or one tile for a window wider than ``S / 2``.
+S = 48
 
 
 def box_sums(a, w, axes=(0, 1)):
@@ -47,13 +57,16 @@ def box_sums(a, w, axes=(0, 1)):
     summed-area table, Crow 1984). NumPy's cumsum adds in sequence along its
     axis, so a cell's value depends only on the input along its own line,
     never on the array's extent across it. A window of 1 is an exact copy.
+    For float and complex arrays: sums accumulate in ``a``'s dtype.
     """
     if w == 1:
         return a.copy()
     nbytes = 0
     for axis in axes:
         lead = (slice(None),) * axis
-        cs = np.cumsum(a, axis=axis)
+        # C order even for a strided view: a difference along a leading
+        # axis then runs over whole memory lines, which NumPy does not buffer
+        cs = np.cumsum(a, axis=axis, out=np.empty(a.shape, a.dtype))
         a = cs[lead + (slice(w - 1, None),)].copy()
         a[lead + (slice(1, None),)] -= cs[lead + (slice(None, a.shape[axis] - 1),)]
         nbytes += cs.nbytes + a.nbytes
@@ -102,7 +115,7 @@ def _band(fetch, r0, c0, rows, cols, w):
         WORKSPACE.drop(nbytes)
 
 
-def _tile(fetch, r0, c0, rows, cols, w, *plane):
+def _block(fetch, r0, c0, rows, cols, w, *plane):
     patch = fetch(
         np.arange(r0, r0 + rows + w - 1)[:, None],
         np.arange(c0, c0 + cols + w - 1)[None, :],
@@ -111,6 +124,35 @@ def _tile(fetch, r0, c0, rows, cols, w, *plane):
     nbytes = WORKSPACE.note(patch)
     try:
         return box_sums(patch, w)
+    finally:
+        WORKSPACE.drop(nbytes)
+
+
+def _tile(fetch, r0, c0, rows, cols, w):
+    tr, tc = -(-rows // w), -(-cols // w)  # tiles per side
+    if w == 1 or tr * tc == 1:  # the identity, or one tile: one patch summed whole
+        return _block(fetch, r0, c0, rows, cols, w)
+    patch = fetch(
+        np.arange(r0, r0 + (tr + 1) * w - 1)[:, None],
+        np.arange(c0, c0 + (tc + 1) * w - 1)[None, :],
+    )
+    # the patch, and the previous unit's values, which the walker holds
+    # until this unit returns
+    nbytes = WORKSPACE.note(patch) + WORKSPACE.note_bytes(tr * tc * w * w * patch.itemsize)
+    try:
+        # Each pass views every tile's 2w-1 source lines as a stack with the
+        # summed axis first, so every tile is box-summed alone, rows first as
+        # box_sums orders its axes, and no pass copies the overlap.
+        s0, s1 = patch.strides
+        stack = as_strided(patch, (2 * w - 1, tr, patch.shape[1]), (s0, w * s0, s1))
+        del patch
+        part = box_sums(stack, w, axes=(0,))  # [row in tile, tile row, column]
+        sk, st, sc = part.strides
+        stack = as_strided(part, (2 * w - 1, w, tr, tc), (sc, sk, st, w * sc))
+        part = box_sums(stack, w, axes=(0,))  # [col in tile, row in tile, tile row, tile col]
+        del stack
+        nbytes += WORKSPACE.note(part)  # held beside its reordered copy
+        return part.transpose(2, 1, 3, 0).reshape(tr * w, tc * w)
     finally:
         WORKSPACE.drop(nbytes)
 
@@ -127,10 +169,11 @@ def _strip(fetch, r0, c0, rows, cols, w):
 
 #: plan -> (unit shape from (output columns, w), unit function). A unit
 #: function ``unit(fetch, r0, c0, rows, cols, w)`` returns the ``rows x
-#: cols`` output values whose windows are anchored at ``(r0, c0)`` onwards.
+#: cols`` output values whose windows are anchored at ``(r0, c0)`` onwards
+#: (EFFICIENT: rounded up to whole tiles).
 _UNITS = {
     "FAST": (lambda cols, w: (w, cols), _band),
-    "EFFICIENT": (lambda cols, w: (w, w), _tile),
+    "EFFICIENT": (lambda cols, w: (max(1, S // w) * w,) * 2, _tile),
     "STREAMING": (lambda cols, w: (1, w), _strip),
 }
 
@@ -176,12 +219,14 @@ def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, o
     ``out[bases[t] + (k3 - starts[t])]``. The third axis is swept with a
     ring of ``w`` 2-D-smoothed block planes, re-anchored at every
     ``w``-aligned position so that any sweep entry point produces identical
-    values. Blocks of the leading two axes have the plan's unit shape, which
-    keeps each tier's memory within one extra factor of ``w``.
+    values. Blocks of the leading two axes have the plan's unit shape (one
+    ``w x w`` tile for EFFICIENT), which keeps each tier's memory within one
+    extra factor of ``w``.
     """
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    bh_max, bw_max = _UNITS[plan_name][0](m, w)
+    # the ring's planes are not batched, so an EFFICIENT block is one tile
+    bh_max, bw_max = (w, w) if plan_name == "EFFICIENT" else _UNITS[plan_name][0](m, w)
     groups: dict[tuple, list] = {}
     for t in range(len(k1s)):
         key = (int(k1s[t]) // bh_max, int(k2s[t]) // bw_max)
@@ -200,13 +245,13 @@ def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, o
         a0 = w * (int(st.min()) // w)
         kmax = int(sp.max())
         ring = None  # free the previous block's ring before building this one
-        ring = np.stack([_tile(fetch3, b0, c0, bh, bw, w, a0 + t) for t in range(w)])
+        ring = np.stack([_block(fetch3, b0, c0, bh, bw, w, a0 + t) for t in range(w)])
         acc = ring.sum(axis=0)
         nbytes = WORKSPACE.note(ring, acc)
         try:
             for k3 in range(a0, kmax):
                 if k3 > a0:
-                    new = _tile(fetch3, b0, c0, bh, bw, w, k3 + w - 1)
+                    new = _block(fetch3, b0, c0, bh, bw, w, k3 + w - 1)
                     slot = (k3 - 1) % w
                     if k3 % w == 0:
                         ring[slot] = new

@@ -189,7 +189,7 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
         return _box(a, w, plan, periodic=spec.boundary == "periodic")
     rows_n, cols_n = a.shape
 
-    def fetch(rows, cols):  # valid-mode indices never reach the wrap
+    def fetch(rows, cols):  # in valid mode, wrapped cells only feed sums that are dropped
         return a[np.asarray(rows) % rows_n, np.asarray(cols) % cols_n]
 
     out = np.empty((rows_out, cols_out), dtype=a.dtype)

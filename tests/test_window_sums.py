@@ -338,6 +338,62 @@ class TestSmoothedCells2d:
             assert cells[0] <= budget, f"{plan.name}: {cells[0]} reads > {budget}"
 
 
+    @pytest.mark.parametrize("w", [1, 2, 3, 5, 8, 9, 16, 17, 24, 47, 48, 49])
+    def test_efficient_bit_identical_to_per_tile_box_sums(self, w):
+        # EFFICIENT units batch many tiles; each tile must still get the bits
+        # of box_sums over its own (2w-1)^2 patch. 100 output columns leave a
+        # partial tile and a partial unit at the right edge, and 70 rows end
+        # the last band short of a unit's height.
+        rng = np.random.default_rng(w)
+        rows_out, cols_out = 70, 100
+        a = rng.standard_normal((cols_out, cols_out)) + 1j * rng.standard_normal((cols_out, cols_out))
+
+        def fetch(r, c):
+            return a[np.asarray(r) % cols_out, np.asarray(c) % cols_out]
+
+        tiles = -(-rows_out // w), -(-cols_out // w)
+        expect = np.empty((tiles[0] * w, tiles[1] * w), dtype=a.dtype)
+        for i, j in np.ndindex(tiles):
+            r0, c0 = i * w, j * w
+            patch = fetch(np.arange(r0, r0 + 2 * w - 1)[:, None], np.arange(c0, c0 + 2 * w - 1)[None, :])
+            expect[r0 : r0 + w, c0 : c0 + w] = box_sums(patch, w)
+        triangle = [(r, r, cols_out) for r in range(rows_out)]
+        full = [(r, 0, cols_out) for r in range(rows_out)]
+        for spans in (triangle, full):
+            got = self.collect(fetch, rows_out, cols_out, w, SmoothingPlan.EFFICIENT, spans)
+            assert set(got) == {(r, c) for r, s, e in spans for c in range(s, e)}
+            for (r, c), v in got.items():
+                assert np.array_equal(v, expect[r, c]), (w, r, c)
+
+    @pytest.mark.parametrize("w", [5, 9, 24, 49, 181])
+    def test_efficient_meter_matches_traced_peak(self, w):
+        # the engine's modelled working set is the traced one: batched units
+        # at w <= 24, single tiles above (measured 0.85-1.13). At n=400 a full
+        # unit follows a full unit at every window, so the peak is reached.
+        rng = np.random.default_rng(w)
+        n = 400
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pad = 2 * max(w, 48)
+        ext = np.pad(a, ((0, pad), (0, pad)), mode="wrap")
+
+        def fetch(r, c):  # a slice: no index temporaries in the trace
+            r, c = np.ravel(r), np.ravel(c)
+            return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
+
+        out = np.empty((n, n), dtype=a.dtype)
+        spans = [(r, 0, n) for r in range(n)]
+        WORKSPACE.reset()
+        tracemalloc.start()
+        try:
+            for row, c0, vals in smoothed_cells_2d(fetch, n, n, w, "EFFICIENT", spans):
+                out[row, c0 : c0 + vals.size] = vals
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = traced / WORKSPACE.peak
+        assert 0.8 <= ratio <= 1.25, (w, ratio)
+        assert WORKSPACE.current == 0
+
 class TestMemoryTiers:
     def _engine_peak(self, n, w, plan):
         """Working-set peak for one full sweep at size n (periodic)."""

@@ -8,17 +8,25 @@ script against each tree's ``src`` and compare the outputs, e.g.
     diff old.txt new.txt
 
 Line format: ``order m w K conj plan P partition sha256 modelled_peak
-naive_dev``. The sha256 covers the grid's index bytes followed by its value
-bytes; the modelled peak is ``WORKSPACE.peak`` after the run; ``naive_dev``
-is ``compare_grids`` against the NAIVE grid of the same order, m, w, K and
-conjugation setting, so a "within tolerance" claim reads off the same lines. Cells: order 3 at m=64,
-w in {1,2,3,5,8}; order 4 at m=32, w in {1,2,3,5}; every plan, K in {1,3},
-conjugation on and off; the lean plans also at P in {2,3} with both
-partition modes. Uses the public API only.
+naive_dev scale_dev``. The sha256 covers the grid's index bytes followed by
+its value bytes; the modelled peak is ``WORKSPACE.peak`` after the run;
+``naive_dev`` is ``compare_grids`` against the NAIVE grid of the same order,
+m, w, K and conjugation setting, so a "within tolerance" claim reads off the
+same lines; ``scale_dev`` is ``max|grid - naive| / max|naive|``, the same
+deviation against the grid's scale, which bins whose true value is zero
+cannot inflate. ``tools/grid_digest.golden`` holds the committed output:
+
+    PYTHONPATH=src python tools/grid_digest.py | diff tools/grid_digest.golden -
+
+Cells: order 3 at m=64, w in {1,2,3,5,8}; order 4 at m=32, w in {1,2,3,5};
+every plan, K in {1,3}, conjugation on and off; the lean plans also at P in
+{2,3} with both partition modes. Uses the public API only.
 """
 
 import hashlib
 import itertools
+
+import numpy as np
 
 from hospectra import (
     WORKSPACE,
@@ -54,8 +62,9 @@ def main():
             naive = grid
         digest = hashlib.sha256(grid.indices.tobytes() + grid.values.tobytes()).hexdigest()
         dev = compare_grids(grid, naive)
+        scale_dev = np.max(np.abs(grid.values - naive.values)) / np.max(np.abs(naive.values))
         print(order, m, w, k, int(conj), plan.name, workers.p, workers.partition, digest,
-              WORKSPACE.peak, f"{dev:.2e}")
+              WORKSPACE.peak, f"{dev:.2e}", f"{scale_dev:.2e}")
 
 
 if __name__ == "__main__":
