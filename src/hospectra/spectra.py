@@ -13,9 +13,9 @@ so every window is full and the normalization is exactly ``m3**(order-1)``.
 Order 3 and order 4 run one pipeline; only the number of frequency axes,
 ``order - 1``, differs. The principal domain is kept as a run table: a run
 is the set of points sharing their leading ``order - 2`` indices, and its
-last index takes consecutive values. Both the index arrays and the spans
-handed to the smoothing engines are read from that table, for the whole
-domain or for any contiguous slice of it.
+last index takes consecutive values. For the whole domain or any contiguous
+slice of it, the index arrays are read from that table, and the one
+source-on-demand engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
 
 The materialized plans (NAIVE, WS, PREFIX) smooth each segment's grid and
 then average, in that order. The source-on-demand plans average the raw
@@ -37,7 +37,7 @@ from .dft import SegmentSpectrumSet, dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
 from .series import SegmentConfig, TimeSeries, segment_and_demean
-from .tiled import smoothed_cells_2d, smoothed_cells_3d
+from .tiled import smoothed_runs
 from .window_sums import MATERIALIZED_PLANS, SmoothingPlan, smooth_periodic
 
 __all__ = [
@@ -294,16 +294,7 @@ def smoothed_values(
     out = np.empty(int(runs.lens.sum()), dtype=np.complex128)
     fetch = _make_fetch(spec_set.spectra, cfg.order, w // 2, cfg.conjugate_last)
     stops = runs.first + runs.lens
-    if cfg.order == 3:
-        rows = runs.lead[:, 0].tolist()
-        base = (runs.offsets - runs.first).tolist()
-        spans = zip(rows, runs.first.tolist(), stops.tolist())
-        for row, c0, vals in smoothed_cells_2d(fetch, m, m, w, cfg.plan.name, spans):
-            pos = base[row - rows[0]] + c0  # a slice's runs are consecutive k1 rows
-            out[pos : pos + vals.size] = vals
-    else:
-        k1s, k2s = runs.lead.T
-        smoothed_cells_3d(fetch, m, w, cfg.plan.name, k1s, k2s, runs.first, stops, runs.offsets, out)
+    smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)
     out /= float(w) ** (cfg.order - 1)
     return out
 

@@ -1,10 +1,10 @@
 """Source-on-demand window-sum engines and the two shared 1-D window-sum kernels.
 
-These engines compute 2-D (and, for the spectrum pipeline, 3-D) sliding
-box sums without materializing the source: values are pulled through a
-``fetch`` callable that accepts broadcastable integer index arrays. Index
-wrapping for periodic boundaries lives inside ``fetch``, so the engines
-themselves are boundary-agnostic.
+The engines compute sliding box sums along runs of cells without
+materializing the source: values are pulled through ``fetch(rows, cols,
+*scalars)``, which takes broadcastable integer row and column index arrays
+and one scalar per further axis. Index wrapping for periodic boundaries
+lives inside ``fetch``, so the engines themselves are boundary-agnostic.
 
 Two kernels do the summing, one pass per axis: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
@@ -23,25 +23,23 @@ aligned to a fixed grid in output coordinates:
               of ``2w-1`` source columns of ``w`` cells, fetched one column
               at a time (O(w) memory, each source cell fetched O(w) times).
 
-One walker serves the three 2-D plans; the 3-D engine takes its block
-shapes from the same table, except that EFFICIENT keeps single ``w x w``
-tiles, and box-sums every plane block whole. Every EFFICIENT tile is summed
-alone, so batching leaves its bits as they were. A unit depends only on
-(fetch, w, unit origin), and a kernel's cell only on the input along its own
-lines, so any partition of the output across workers reproduces a serial
-sweep bit for bit.
+One engine, :func:`smoothed_runs`, serves both orders from one run table:
+with one lead index, each band of units is walked column unit by column
+unit; with two, each block of the leading axes (one ``w x w`` tile for
+EFFICIENT) sweeps the run axis with a ring of ``w`` planes. Units depend
+only on (fetch, w, unit origin), EFFICIENT tiles are summed alone, and a
+kernel's cell depends only on its own lines, so batching tiles or splitting
+the output across workers reproduces a serial sweep bit for bit.
 """
 
 from __future__ import annotations
-
-from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .meter import WORKSPACE
 
-__all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d"]
+__all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d", "smoothed_runs"]
 
 #: An EFFICIENT unit is ``max(1, S // w)`` tiles of ``w`` per side: at most
 #: ``S`` output cells, or one tile for a window wider than ``S / 2``.
@@ -178,80 +176,60 @@ _UNITS = {
 }
 
 
-def _walk(fetch, n_cols_out, w, plan_name, spans):
+def _groups(lead, face):
+    """Yield (unit origin, slice of its runs) for runs sorted by unit of the leading axes."""
+    keys = lead // face
+    starts = np.flatnonzero(np.diff(keys, axis=0, prepend=keys[:1] - 1).any(axis=1)).tolist()
+    return zip((keys[starts] * face).tolist(), map(slice, starts, starts[1:] + [len(keys)]))
+
+
+def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+    """:func:`smoothed_runs` for one lead column, yielding after every unit."""
     shape, unit = _UNITS[plan_name]
-    uh, uw = shape(n_cols_out, w)
-    for _, band in groupby(spans, key=lambda span: span[0] // uh):
-        band = list(band)
-        r0 = band[0][0] // uh * uh
-        # as many rows as the last span needs: the kernels' own-line
-        # property makes a shorter unit give the same bits
-        rows = band[-1][0] - r0 + 1
-        c_lo = min(span[1] for span in band) // uw * uw
-        c_hi = max(span[2] for span in band)
-        for c0 in range(c_lo, c_hi, uw):
-            cols = min(uw, n_cols_out - c0)
-            vals = unit(fetch, r0, c0, rows, cols, w)
-            for row, start, stop in band:
-                start, stop = max(start, c0), min(stop, c0 + cols)
-                if start < stop:
-                    yield row, start, vals[row - r0, start - c0 : stop - c0]
+    uh, uw = shape(m, w)
+    for (r0,), u in _groups(lead, (uh,)):
+        rows, pos = lead[u, 0].tolist(), (offsets[u] - first[u]).tolist()
+        lo, hi = first[u].tolist(), stops[u].tolist()
+        for c0 in range(min(lo) // uw * uw, max(hi), uw):  # the band's column units
+            cols = min(uw, m - c0)
+            # rows up to the last run's: by the own-line property, a shorter unit has the same bits
+            vals = unit(fetch, r0, c0, rows[-1] - r0 + 1, cols, w)
+            for row, s, e, p in zip(rows, lo, hi, pos):
+                s, e = max(s, c0), min(e, c0 + cols)
+                if s < e:
+                    out[p + s : p + e] = vals[row - r0, s - c0 : e - c0]
+            yield
 
 
-def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
-    """Yield ``(row, col_start, values)`` chunks covering the given spans.
-
-    ``spans`` is a sorted sequence of ``(row, col_start, col_stop)`` with at
-    most one entry per row. ``fetch(rows, cols)`` must accept broadcastable
-    integer arrays; periodic wrapping is fetch's responsibility. A band ends
-    at its last span's row, so ``n_rows_out`` is not used.
-    """
+def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+    """Periodic ``w``-box sums along runs of cells, written in place: run
+    ``t`` holds the cells with leading indices ``lead[t]`` (one or two
+    columns) and last index ``k`` in ``[first[t], stops[t])``, and cell ``k``
+    lands in ``out[offsets[t] + (k - first[t])]``. Every axis has extent ``m``;
+    runs with one lead column come sorted by it."""
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    return _walk(fetch, n_cols_out, w, plan_name, [s for s in spans if s[1] < s[2]])
-
-
-def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
-    """Periodic 3-D box sums evaluated at scattered cells.
-
-    Cell ``t`` is the output column ``(k1s[t], k2s[t])`` with third-axis
-    range ``[starts[t], stops[t])``; its values land in
-    ``out[bases[t] + (k3 - starts[t])]``. The third axis is swept with a
-    ring of ``w`` 2-D-smoothed block planes, re-anchored at every
-    ``w``-aligned position so that any sweep entry point produces identical
-    values. Blocks of the leading two axes have the plan's unit shape (one
-    ``w x w`` tile for EFFICIENT), which keeps each tier's memory within one
-    extra factor of ``w``.
-    """
-    if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
+    if lead.shape[1] == 1:
+        for _ in _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+            pass
+        return
     # the ring's planes are not batched, so an EFFICIENT block is one tile
-    bh_max, bw_max = (w, w) if plan_name == "EFFICIENT" else _UNITS[plan_name][0](m, w)
-    groups: dict[tuple, list] = {}
-    for t in range(len(k1s)):
-        key = (int(k1s[t]) // bh_max, int(k2s[t]) // bw_max)
-        groups.setdefault(key, []).append(t)
-    for key in sorted(groups):
-        idx = np.asarray(groups[key])
-        b0 = key[0] * bh_max
-        c0 = key[1] * bw_max
-        bh = min(bh_max, m - b0)
-        bw = min(bw_max, m - c0)
-        ii = k1s[idx] - b0
-        jj = k2s[idx] - c0
-        st = starts[idx]
-        sp = stops[idx]
-        bb = bases[idx]
+    face = (w, w) if plan_name == "EFFICIENT" else _UNITS[plan_name][0](m, w)
+    order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
+    lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
+    for (b0, c0), u in _groups(lead, face):
+        bh, bw = min(face[0], m - b0), min(face[1], m - c0)
+        ii, jj = (lead[u] - (b0, c0)).T
+        st, sp, bb = first[u], stops[u], offsets[u]
         a0 = w * (int(st.min()) // w)
-        kmax = int(sp.max())
         ring = None  # free the previous block's ring before building this one
-        ring = np.stack([_block(fetch3, b0, c0, bh, bw, w, a0 + t) for t in range(w)])
+        ring = np.stack([_block(fetch, b0, c0, bh, bw, w, a0 + t) for t in range(w)])
         acc = ring.sum(axis=0)
         nbytes = WORKSPACE.note(ring, acc)
         try:
-            for k3 in range(a0, kmax):
+            for k3 in range(a0, int(sp.max())):
                 if k3 > a0:
-                    new = _block(fetch3, b0, c0, bh, bw, w, k3 + w - 1)
+                    new = _block(fetch, b0, c0, bh, bw, w, k3 + w - 1)
                     slot = (k3 - 1) % w
                     if k3 % w == 0:
                         ring[slot] = new
@@ -265,3 +243,33 @@ def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, o
                     out[bb[active] + (k3 - st[active])] = acc[ii[active], jj[active]]
         finally:
             WORKSPACE.drop(nbytes)
+
+
+class _Chunks(list):
+    """An ``out`` that keeps each span written to it as a ``(position, view)`` chunk."""
+
+    def __setitem__(self, span, vals):
+        self.append((span.start, vals))
+
+    def drain(self):
+        chunks = self.copy()
+        self.clear()
+        return chunks
+
+
+def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
+    """Yield ``(row, col_start, values)`` per span and unit, one unit at a time, over
+    sorted ``(row, col_start, col_stop)`` spans, at most one per row (``n_rows_out`` unused)."""
+    if w < 1:
+        raise ValueError(f"window must be >= 1, got {w}")
+    # int32 halves this table, which the meter does not model; a larger index raises
+    spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int32).reshape(-1, 3)
+    out = _Chunks()  # a cell's position is row * n_cols_out + col
+    sweep = _bands(fetch, n_cols_out, w, plan_name, spans[:, :1], spans[:, 1], spans[:, 2],
+                   spans[:, 0] * np.int64(n_cols_out) + spans[:, 1], out)
+    return ((*divmod(p, n_cols_out), v) for _ in sweep for p, v in out.drain())
+
+
+def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
+    """:func:`smoothed_runs` with lead ``(k1s, k2s)``, first ``starts``, offsets ``bases``."""
+    smoothed_runs(fetch3, m, w, plan_name, np.column_stack([k1s, k2s]), starts, stops, bases, out)

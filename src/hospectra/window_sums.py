@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .meter import WORKSPACE
-from .tiled import box_sums, running_sums, smoothed_cells_2d
+from .tiled import box_sums, running_sums, smoothed_runs
 
 __all__ = [
     "SmoothingPlan",
@@ -174,7 +174,7 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     Every plan produces the same values (within the documented tolerance);
     they differ in how they get there. Returns the full output matrix, so
     the memory tiers of the lean plans only pay off through
-    :func:`hospectra.tiled.smoothed_cells_2d` or the estimation pipeline.
+    :func:`hospectra.tiled.smoothed_runs` or the estimation pipeline.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -193,8 +193,8 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
         return a[np.asarray(rows) % rows_n, np.asarray(cols) % cols_n]
 
     out = np.empty((rows_out, cols_out), dtype=a.dtype)
-    spans = [(r, 0, cols_out) for r in range(rows_out)]
+    r = np.arange(rows_out)  # one run per output row
     with WORKSPACE.held(out):
-        for row, c0, vals in smoothed_cells_2d(fetch, rows_out, cols_out, w, plan.name, spans):
-            out[row, c0 : c0 + vals.size] = vals
+        smoothed_runs(fetch, cols_out, w, plan.name, r[:, None], np.zeros_like(r),
+                      np.full_like(r, cols_out), r * cols_out, out.reshape(-1))
     return out

@@ -4,15 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_window_equal
+from conftest import assert_spectrum_close, assert_window_equal
 from hospectra import (
+    EstimationConfig,
     ParameterError,
+    SegmentConfig,
     SmoothingPlan,
     WindowSpec,
+    estimate_spectrum,
+    generate_qpc,
+    principal_domain,
     window_sums_2d,
 )
+from hospectra.dft import dft_segments
 from hospectra.meter import WORKSPACE
-from hospectra.tiled import box_sums, running_sums, smoothed_cells_2d
+from hospectra.series import segment_and_demean
+from hospectra.tiled import box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
 from hospectra.window_sums import smooth_periodic
 
 ALL_PLANS = list(SmoothingPlan)
@@ -312,8 +319,13 @@ class TestSmoothedCells2d:
             assert all(part[k] == full[k] for k in part), plan.name
 
     def test_window_too_small_rejected(self):
+        # at the call, before any fetch, for both wrappers
         with pytest.raises(ValueError):
             smoothed_cells_2d(lambda r, c: 0.0, 4, 4, 0, "EFFICIENT", [(0, 0, 4)])
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError):
+            smoothed_cells_3d(lambda r, c, k: 0.0, 8, 0, "EFFICIENT", one, one, one, one + 1, one,
+                              np.empty(1))
 
     def test_source_read_counts_respect_plan(self):
         rng = np.random.default_rng(10)
@@ -393,6 +405,88 @@ class TestSmoothedCells2d:
         ratio = traced / WORKSPACE.peak
         assert 0.8 <= ratio <= 1.25, (w, ratio)
         assert WORKSPACE.current == 0
+
+
+def direct_fetch(spectra, w):
+    """Segment-averaged raw products from the direct-method formula
+    ``F(k1) F(k2) ... conj(F(k1 + k2 + ...)) / M``, indices shifted by the
+    centred window offset ``w // 2`` and wrapped mod M."""
+    k, m = spectra.shape
+    h = w // 2
+
+    def fetch(rows, cols, *rest):
+        idx = [(np.asarray(rows) - h) % m, (np.asarray(cols) - h) % m]
+        idx += [(int(d) - h) % m for d in rest]
+        total = sum(idx) % m
+        acc = 0
+        for f in spectra:
+            term = np.conj(f[total])
+            for i in idx:
+                term = term * f[i]
+            acc = acc + term
+        return acc / (m * k)
+
+    return fetch
+
+
+class HitCounter:
+    """An ``out`` that records how often each cell is written."""
+
+    def __init__(self, n):
+        self.values = np.full(n, np.nan, dtype=complex)
+        self.hits = np.zeros(n, dtype=int)
+
+    def __setitem__(self, where, vals):
+        self.values[where] = vals
+        self.hits[where] += 1
+
+
+class TestEngineEntryPoints:
+    """The public 2-D and 3-D engines, driven over the principal domain the
+    way the benchmark drives them: one span (or run) per leading index."""
+
+    # m=64 (order 3) and m=32 (order 4): the domain ends at k1 = 31 and 15,
+    # inside units of 42 (EFFICIENT, w=7), 5x5 blocks and w-row bands, so
+    # units straddle the domain edge
+    CASES = [(3, 64, 3), (3, 64, 7), (4, 32, 3), (4, 32, 5)]
+
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
+    @pytest.mark.parametrize("order,m,w", CASES)
+    def test_covers_domain_once_and_matches_estimate(self, order, m, w, plan):
+        series = generate_qpc(0.1, 0.15, 2 * m, noise_sigma=0.4, seed=order * w)
+        seg = SegmentConfig(m=m, k=2)
+        spectra = dft_segments(segment_and_demean(series, seg)).spectra
+        dom = principal_domain(order, m)
+        lead = dom[:, :-1]
+        starts = np.flatnonzero(np.r_[True, (lead[1:] != lead[:-1]).any(axis=1)])
+        ends = np.r_[starts[1:], len(dom)]
+        first, stops = dom[starts, -1], dom[ends - 1, -1] + 1
+        fetch = direct_fetch(spectra, w)
+        out = HitCounter(len(dom))
+        if order == 3:
+            spans = list(zip(dom[starts, 0].tolist(), first.tolist(), stops.tolist()))
+            base = {row: s - c for (row, c, _), s in zip(spans, starts.tolist())}
+            for row, c0, vals in smoothed_cells_2d(fetch, m, m, w, plan, spans):
+                out[base[row] + c0 : base[row] + c0 + vals.size] = vals
+        else:
+            k1s, k2s = dom[starts, 0].astype(np.int64), dom[starts, 1].astype(np.int64)
+            smoothed_cells_3d(fetch, m, w, plan, k1s, k2s, first.astype(np.int64),
+                              stops.astype(np.int64), starts.astype(np.int64), out)
+        assert np.array_equal(out.hits, np.ones(len(dom), dtype=int))
+        expect = estimate_spectrum(series, EstimationConfig(order, seg, w, SmoothingPlan.NAIVE))
+        assert_spectrum_close(out.values / float(w) ** (order - 1), expect.values,
+                              context=f"order {order} w={w} {plan}")
+
+    def test_chunks_keep_the_fetch_dtype(self):
+        a = np.arange(36.0).reshape(6, 6)
+        for dtype in (np.float64, np.float32, np.complex128):
+            src = a.astype(dtype)
+            chunks = smoothed_cells_2d(
+                lambda r, c: src[np.asarray(r) % 6, np.asarray(c) % 6], 6, 6, 2,
+                "EFFICIENT", [(r, 0, 6) for r in range(6)],
+            )
+            assert {vals.dtype for _, _, vals in chunks} == {np.dtype(dtype)}
+
 
 class TestMemoryTiers:
     def _engine_peak(self, n, w, plan):
