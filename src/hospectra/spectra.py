@@ -36,7 +36,7 @@ import numpy as np
 from .dft import SegmentSpectrumSet, dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
-from .series import SegmentConfig, TimeSeries, segment_and_demean
+from .series import SegmentConfig, TimeSeries, segment_and_demean, write_csv_rows
 from .tiled import smoothed_runs
 from .window_sums import MATERIALIZED_PLANS, SmoothingPlan, smooth_periodic
 
@@ -337,10 +337,16 @@ def compare_grids(a: SpectrumGrid, b: SpectrumGrid) -> float:
 
 def write_grid_csv(grid: SpectrumGrid, path) -> None:
     """Grid interchange format: header ``k1,k2[,k3],re,im``, one principal-
-    domain point per row in lexicographic order, 17 significant digits."""
-    names = [f"k{i + 1}" for i in range(grid.order - 1)]
+    domain point per row in lexicographic order, bins as ``%d`` and both
+    parts as ``%.17g``.
+
+    Rows are formatted in chunks of ``series.CSV_CHUNK_ROWS`` (4096) by
+    :func:`~hospectra.series.write_csv_rows`; the bytes are unchanged from
+    one f-string per row.
+    """
+    nbins = grid.order - 1
+    names = [f"k{i + 1}" for i in range(nbins)]
     with open(str(path), "w", encoding="utf-8") as fh:
         fh.write(",".join(names + ["re", "im"]) + "\n")
-        for idx, val in zip(grid.indices, grid.values):
-            bins = ",".join(str(int(v)) for v in idx)
-            fh.write(f"{bins},{val.real:.17g},{val.imag:.17g}\n")
+        columns = [*grid.indices.T, grid.values.real, grid.values.imag]
+        write_csv_rows(fh, "%d," * nbins + "%.17g,%.17g\n", columns)

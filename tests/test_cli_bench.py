@@ -10,6 +10,7 @@ from hospectra import (
     ParameterError,
     SegmentConfig,
     SmoothingPlan,
+    TimeSeries,
     estimate_spectrum,
     generate_qpc,
     load_series,
@@ -18,8 +19,10 @@ from hospectra import (
     reports_from_json,
     reports_to_json,
     run_benchmarks,
+    save_series,
 )
 from hospectra.cli import main
+from hospectra.series import CSV_CHUNK_ROWS
 
 
 class TestCmdGen:
@@ -47,6 +50,22 @@ class TestCmdGen:
         sc = load_series(c, "csv")
         sr = load_series(r, "raw64")
         assert np.array_equal(sc.samples, sr.samples)
+
+    @pytest.mark.parametrize(
+        "n", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 3 * CSV_CHUNK_ROWS + 17]
+    )
+    def test_csv_bytes_match_per_sample_reference(self, tmp_path, n):
+        # the chunked writer against one f-string per sample, below one
+        # chunk, exactly one, and several plus a remainder
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, size=n)
+        samples[: min(n, 6)] = [-0.0, 5e-324, 1e308, 0.1, 2.0, -1.5e-17][: min(n, 6)]
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        save_series(TimeSeries(samples), got, "csv")
+        with open(ref, "w", encoding="utf-8") as fh:
+            for value in samples:
+                fh.write(f"{value:.17g}\n")
+        assert got.read_bytes() == ref.read_bytes()
 
     def test_ar_generation(self, tmp_path):
         out = tmp_path / "ar.csv"

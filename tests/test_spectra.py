@@ -10,6 +10,7 @@ from hospectra import (
     ParameterError,
     SegmentConfig,
     SmoothingPlan,
+    SpectrumGrid,
     TimeSeries,
     compare_grids,
     estimate_spectrum,
@@ -20,7 +21,7 @@ from hospectra import (
     write_grid_csv,
 )
 from hospectra.dft import SegmentSpectrumSet, dft_segments
-from hospectra.series import segment_and_demean
+from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
 from hospectra.spectra import _materialized_grid, smoothed_values
 
 
@@ -284,6 +285,29 @@ class TestCompareGrids:
             compare_grids(a, b)
 
 
+def reference_grid_csv(grid, path):
+    """One f-string per row: the writer whose bytes the chunked one keeps."""
+    names = [f"k{i + 1}" for i in range(grid.order - 1)]
+    with open(str(path), "w", encoding="utf-8") as fh:
+        fh.write(",".join(names + ["re", "im"]) + "\n")
+        for idx, val in zip(grid.indices, grid.values):
+            bins = ",".join(str(int(v)) for v in idx)
+            fh.write(f"{bins},{val.real:.17g},{val.imag:.17g}\n")
+
+
+def hand_grid(order, indices, values):
+    indices = np.asarray(indices, dtype=np.int32).reshape(-1, order - 1)
+    values = np.asarray(values, dtype=np.complex128)
+    return SpectrumGrid(order, 64, 3, SmoothingPlan.EFFICIENT, indices, values)
+
+
+def assert_same_bytes_as_reference(grid, tmp_path):
+    got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    write_grid_csv(grid, got)
+    reference_grid_csv(grid, ref)
+    assert got.read_bytes() == ref.read_bytes()
+
+
 class TestGridCsv:
     def test_format_and_roundtrip(self, tmp_path):
         series = generate_qpc(0.1, 0.15, 32, 0.2, seed=15)
@@ -309,3 +333,44 @@ class TestGridCsv:
         write_grid_csv(grid, path)
         header = open(path).readline().strip()
         assert header == "k1,k2,k3,re,im"
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize(
+        "rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, 3 * CSV_CHUNK_ROWS + 17]
+    )
+    def test_bytes_match_per_row_reference(self, tmp_path, order, rows):
+        # below one chunk, exactly one, and several plus a remainder; values
+        # spread over 40 decades so every %.17g shape appears
+        rng = np.random.default_rng(rows + order)
+        indices = rng.integers(0, 2**31 - 1, size=(rows, order - 1))
+        scale = 10.0 ** rng.integers(-20, 20, size=(2, rows))
+        parts = rng.standard_normal((2, rows)) * scale
+        grid = hand_grid(order, indices, parts[0] + 1j * parts[1])
+        assert_same_bytes_as_reference(grid, tmp_path)
+
+    @pytest.mark.parametrize("order, m", [(3, 64), (4, 16)])
+    def test_estimated_grid_matches_per_row_reference(self, tmp_path, order, m):
+        series = generate_qpc(0.1, 0.15, m, 0.2, seed=18)
+        grid = estimate_spectrum(series, EstimationConfig(order, SegmentConfig(m=m), 3))
+        assert_same_bytes_as_reference(grid, tmp_path)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_empty_grid_writes_header_only(self, tmp_path, order):
+        grid = hand_grid(order, np.empty((0, order - 1)), np.empty(0))
+        path = tmp_path / "empty.csv"
+        write_grid_csv(grid, path)
+        names = ["k1", "k2", "k3"][: order - 1]
+        assert path.read_bytes() == (",".join(names + ["re", "im"]) + "\n").encode()
+        assert_same_bytes_as_reference(grid, tmp_path)
+
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_edge_values_on_both_parts(self, tmp_path, order):
+        edge = [-0.0, 5e-324, 1e308, 0.1, 2.0, -1.5e-17]
+        values = [complex(re, im) for re, im in itertools.product(edge, edge)]
+        indices = np.arange(len(values) * (order - 1))
+        grid = hand_grid(order, indices, values)
+        assert_same_bytes_as_reference(grid, tmp_path)
+        rows = (tmp_path / "got.csv").read_text().splitlines()[1:]
+        assert rows[0].endswith(",-0,-0")
+        assert rows[7].endswith(",4.9406564584124654e-324,4.9406564584124654e-324")
+        assert [float(v) for v in rows[14].split(",")[-2:]] == [1e308, 1e308]
