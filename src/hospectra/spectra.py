@@ -1,9 +1,9 @@
 """Bispectrum and trispectrum estimation via the direct method.
 
 Pipeline: segment and demean, per-segment DFT, raw triple (or quadruple)
-products over the full periodic frequency grid, box smoothing through a
-window-sum plan, averaging over segments, and restriction to the principal
-domain.
+products over boxes of the periodic frequency grid (the whole grid for the
+materialized plans), box smoothing through a window-sum plan, averaging over
+segments, and restriction to the principal domain.
 
 Smoothing is centered: a window of side ``m3`` covers offsets
 ``[-m3//2, m3 - 1 - m3//2]`` per axis (symmetric for odd ``m3``, one cell
@@ -203,56 +203,49 @@ def principal_domain(order: int, m: int) -> np.ndarray:
 # -- raw products ------------------------------------------------------------
 
 
-def _last_factor(f: np.ndarray, copies: int, conjugate_last: bool) -> np.ndarray:
-    """``f`` repeated so that any sum of ``copies`` bins indexes it unwrapped."""
-    ext = np.concatenate([f] * copies)
-    return np.conj(ext) if conjugate_last else ext
-
-
-def _raw_grid(f: np.ndarray, order: int, conjugate_last: bool, h: int) -> np.ndarray:
-    """Raw products ``f[k1]...f[k_{order-1}] * last[k1+...] / m`` over the
-    full periodic grid, shifted by ``h`` on every axis (entry ``k`` holds the
-    product at ``k - h`` mod ``m``) by rolling the factors, not the grid;
-    the last factor is a Hankel view, not a copy."""
-    m = f.size
-    axes = order - 1
-    last = _last_factor(np.roll(f, axes * h), axes, conjugate_last)
-    f = np.roll(f, h)
-    step = last.strides[0]
-    hank = np.lib.stride_tricks.as_strided(
-        last, shape=(m,) * axes, strides=(step,) * axes, writeable=False
+def _raw_block(spectra, order, origin, shape, conjugate_last):
+    """Unscaled raw products ``(f[k1]*f[k2]) * (f[k3]*...*last[k1+...])``
+    over the box ``origin + [0, shape)`` of the periodic grid, summed over
+    the segments (rows of ``spectra``) in order. Each axis's factor is one
+    wrapped take; the last factor is a Hankel view of one more, over the
+    range of index sums, so no index array as large as the box is built."""
+    k, axes, lo = len(spectra), order - 1, sum(origin)
+    f1, f2, *mid = (
+        spectra.take(np.arange(o, o + n).reshape((1,) * a + (n,) + (1,) * (axes - 1 - a)),
+                     axis=1, mode="wrap")
+        for a, (o, n) in enumerate(zip(origin, shape))
     )
-    prod = f.reshape((m,) + (1,) * (axes - 1))
-    for axis in range(1, axes):
-        prod = prod * f.reshape((1,) * axis + (m,) + (1,) * (axes - 1 - axis))
-    return prod * hank / m
+    last = spectra.take(np.arange(lo, lo + sum(shape) - axes + 1), axis=1, mode="wrap")
+    if conjugate_last:
+        np.conj(last, out=last)
+    s0, s1 = last.strides
+    hank = np.ndarray((k, *shape), last.dtype, last, 0, (s0,) + (s1,) * axes)  # a view of last
+    acc = None
+    for tail, a, b, *rest in zip(hank, f1, f2, *mid):
+        for f in rest[::-1]:
+            tail = f * tail
+        term = (a * b) * tail
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return acc
 
 
 def _make_fetch(spectra: np.ndarray, order: int, h: int, conjugate_last: bool):
-    """Segment-averaged raw products at ``fetch(rows, cols, *rest)``:
-    broadcastable index arrays on the first two axes, one scalar per further
-    axis; indices are shifted by the window offset ``h`` and wrapped mod
-    ``m``. Each segment contributes ``(f[r]*f[c]) * (f[d]*...*last[s])``."""
-    k, m = spectra.shape
-    parts = [(spectra[i], _last_factor(spectra[i], order - 1, conjugate_last)) for i in range(k)]
-    scale = 1.0 / (m * k)
+    """Segment-averaged raw products at ``fetch(rows, cols, *rest)``, indices
+    shifted by the window offset ``h``. Rows and columns are consecutive
+    ascending ranges (the ``tiled`` contract), so only their first values and
+    sizes are read; one scalar per further axis."""
+    scale = 1.0 / spectra.size
 
     def fetch(rows, cols, *rest):
-        r = (np.asarray(rows) - h) % m
-        c = (np.asarray(cols) - h) % m
-        s = r + c
-        ds = [(int(x) - h) % m for x in rest]
-        for d in ds:
-            s = s + d
-        acc = None
-        for f, e in parts:
-            term = e[s]
-            for d in ds:
-                term = f[d] * term
-            term = (f[r] * f[c]) * term
-            acc = term if acc is None else acc + term
-        del term  # only the sum stays alive while it is scaled
-        return acc * scale
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        origin = [int(x) - h for x in (rows.flat[0], cols.flat[0], *rest)]
+        shape = (rows.size, cols.size) + (1,) * len(rest)
+        block = _raw_block(spectra, order, origin, shape, conjugate_last)
+        block *= scale
+        return block.reshape(np.broadcast(rows, cols).shape)
 
     return fetch
 
@@ -268,7 +261,9 @@ def _materialized_grid(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> n
     acc = np.zeros((spec_set.m,) * axes, dtype=np.complex128)
     with WORKSPACE.held(acc):
         for f in spec_set.spectra:
-            raw = _raw_grid(f, cfg.order, cfg.conjugate_last, w // 2)
+            raw = _raw_block(f[None], cfg.order, (-(w // 2),) * axes, (spec_set.m,) * axes,
+                             cfg.conjugate_last)
+            raw /= spec_set.m
             with WORKSPACE.held(raw):
                 sm = smooth_periodic(raw, w, cfg.plan)
                 with WORKSPACE.held(sm):

@@ -3,8 +3,9 @@
 The engines compute sliding box sums along runs of cells without
 materializing the source: values are pulled through ``fetch(rows, cols,
 *scalars)``, which takes broadcastable integer row and column index arrays
-and one scalar per further axis. Index wrapping for periodic boundaries
-lives inside ``fetch``, so the engines themselves are boundary-agnostic.
+and one index per further axis; rows and columns are always consecutive
+ascending ranges. Index wrapping for periodic boundaries lives inside
+``fetch``, so the engines themselves are boundary-agnostic.
 
 Two kernels do the summing, one pass per axis: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
@@ -33,6 +34,8 @@ the output across workers reproduces a serial sweep bit for bit.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -100,20 +103,7 @@ def running_sums(a, w, axes=(0, 1)):
     return a
 
 
-def _band(fetch, r0, c0, rows, cols, w):
-    src = np.arange(r0, r0 + rows + w - 1)[:, None]
-    src_cols = np.arange(c0, c0 + cols + w - 1)[None, :]
-    patch = fetch(src[:w], src_cols)
-    if rows > 1:  # a second fetch: one fetch of 2w-1 rows has larger temporaries
-        patch = np.concatenate([patch, fetch(src[w:], src_cols)])
-    nbytes = WORKSPACE.note(patch)
-    try:
-        return running_sums(patch, w)
-    finally:
-        WORKSPACE.drop(nbytes)
-
-
-def _block(fetch, r0, c0, rows, cols, w, *plane):
+def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=box_sums):
     patch = fetch(
         np.arange(r0, r0 + rows + w - 1)[:, None],
         np.arange(c0, c0 + cols + w - 1)[None, :],
@@ -121,7 +111,7 @@ def _block(fetch, r0, c0, rows, cols, w, *plane):
     )
     nbytes = WORKSPACE.note(patch)
     try:
-        return box_sums(patch, w)
+        return kernel(patch, w)
     finally:
         WORKSPACE.drop(nbytes)
 
@@ -170,7 +160,7 @@ def _strip(fetch, r0, c0, rows, cols, w):
 #: cols`` output values whose windows are anchored at ``(r0, c0)`` onwards
 #: (EFFICIENT: rounded up to whole tiles).
 _UNITS = {
-    "FAST": (lambda cols, w: (w, cols), _band),
+    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=running_sums)),
     "EFFICIENT": (lambda cols, w: (max(1, S // w) * w,) * 2, _tile),
     "STREAMING": (lambda cols, w: (1, w), _strip),
 }

@@ -172,6 +172,22 @@ class TestEstimateSpectrum:
                 raw = raw_value(f, *(int(k) for k in idx))
                 assert abs(val - raw) <= 1e-9 * max(abs(raw), 1e-12)
 
+    @pytest.mark.parametrize("order, m", [(3, 64), (4, 32)])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("conj", [True, False])
+    def test_window_of_one_is_byte_identical_across_plans(self, order, m, k, conj):
+        # every plan smooths the same raw products, and at a power-of-two m
+        # the 1/m scaling is exact, so smoothing a window of one before or
+        # after averaging the segments moves no bit
+        series = generate_qpc(0.11, 0.23, k * m, noise_sigma=0.5, seed=10 * order + k)
+        grids = [
+            estimate_spectrum(
+                series, EstimationConfig(order, SegmentConfig(m=m, k=k), 1, plan, conjugate_last=conj)
+            ).values.tobytes()
+            for plan in SmoothingPlan
+        ]
+        assert grids == grids[:1] * len(grids)
+
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(128)
