@@ -4,10 +4,10 @@ Every plan computes the same smoothed spectrum. They differ in how the
 box sums are carried: brute-force re-summation (NAIVE), running sums
 along each axis of a materialized grid (WS), prefix sums with differencing
 along each axis (PREFIX), WS's running sums over bands of w source rows
-(FAST), PREFIX's box sums over window-sized tiles (EFFICIENT), or running
-sums over column sums fetched w cells at a time (STREAMING). The
-working-set meter shows the memory tiers; the wall clock shows the work
-tiers.
+(FAST), PREFIX's box sums over square blocks of max(48, w) output cells
+(EFFICIENT), or running sums over column sums fetched w cells at a time
+(STREAMING). The working-set meter shows the memory tiers; the wall clock
+shows the work tiers.
 """
 
 from hospectra import (

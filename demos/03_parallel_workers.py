@@ -2,10 +2,10 @@
 
 The output points of the smoothed spectrum are independent given the
 segment transforms, so the principal domain can be split across worker
-processes. The engines compute in window-aligned units whose values do
+processes. The engines compute in grid-aligned units whose values do
 not depend on which worker runs them: the grids below are bit-identical
 for every worker count, and the instrumented working set grows linearly
-with the worker count (each worker owns its own tile buffers).
+with the worker count (each worker owns its own unit buffers).
 """
 
 import os

@@ -1,9 +1,9 @@
 """High-water accounting of the smoothing working set.
 
 The smoothing engines register every working buffer they allocate (strip
-arrays, row bands, tiles, materialized grids) with a process-global meter.
-The meter models the algorithmic working set deterministically: NumPy
-expression temporaries and objects outside the smoothing stage (input
+arrays, row bands, square blocks, materialized grids) with a process-global
+meter. The meter models the algorithmic working set deterministically:
+NumPy expression temporaries and objects outside the smoothing stage (input
 series, segment DFTs, the collected output store) are deliberately not
 counted, so that plan-to-plan comparisons isolate the engines themselves.
 OS-level peak RSS is reported separately by the benchmark harness.
@@ -29,11 +29,7 @@ class AllocationMeter:
 
     def note(self, *arrays) -> int:
         """Register arrays as live working memory; returns the byte total."""
-        nbytes = sum(int(a.nbytes) for a in arrays)
-        self.current += nbytes
-        if self.current > self.peak:
-            self.peak = self.current
-        return nbytes
+        return self.note_bytes(sum(a.nbytes for a in arrays))
 
     def note_bytes(self, nbytes: int) -> int:
         self.current += int(nbytes)

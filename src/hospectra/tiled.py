@@ -15,22 +15,21 @@ aligned to a fixed grid in output coordinates:
 * FAST      - ``w`` x full-width bands, :func:`running_sums` over a
               ``2w-1``-row source patch (O(cols*w) memory, each source cell
               fetched at most twice).
-* EFFICIENT - square units of ``g x g`` tiles of ``w x w``, ``g = max(1,
-              S // w)``, fetched as one patch; :func:`box_sums` runs over
-              every tile's ``(2w-1)^2`` window of it at once, through a
-              strided view (O(max(S, w)^2) memory, each source cell fetched
-              O(1) times, one fetch per up to ``S x S`` output cells).
+* EFFICIENT - square blocks of ``B = max(S, w)`` output cells per side,
+              :func:`box_sums` over one fetched ``(B+w-1)^2`` source patch
+              (O(max(S, w)^2) memory, each source cell fetched at most 4
+              times).
 * STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over the sums
               of ``2w-1`` source columns of ``w`` cells, fetched one column
               at a time (O(w) memory, each source cell fetched O(w) times).
 
 One engine, :func:`smoothed_runs`, serves both orders from one run table:
 with one lead index, each band of units is walked column unit by column
-unit; with two, each block of the leading axes (one ``w x w`` tile for
-EFFICIENT) sweeps the run axis with a ring of ``w`` planes. Units depend
-only on (fetch, w, unit origin), EFFICIENT tiles are summed alone, and a
-kernel's cell depends only on its own lines, so batching tiles or splitting
-the output across workers reproduces a serial sweep bit for bit.
+unit; with two, each block of the leading axes, of the plan's unit shape,
+sweeps the run axis with a ring of ``w`` planes. Units depend only on
+(fetch, w, unit origin) and a kernel's cell depends only on its own lines,
+so splitting the output across workers reproduces a serial sweep bit for
+bit.
 """
 
 from __future__ import annotations
@@ -38,14 +37,12 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .meter import WORKSPACE
 
 __all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d", "smoothed_runs"]
 
-#: An EFFICIENT unit is ``max(1, S // w)`` tiles of ``w`` per side: at most
-#: ``S`` output cells, or one tile for a window wider than ``S / 2``.
+#: An EFFICIENT unit is a square block of ``max(S, w)`` output cells per side.
 S = 48
 
 
@@ -103,44 +100,29 @@ def running_sums(a, w, axes=(0, 1)):
     return a
 
 
-def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=box_sums):
+def _box_sums_2d(a, w):
+    # box_sums(a, w) bit for bit, the columns summed on the transposed view:
+    # a difference along an inner axis makes NumPy buffer about three times
+    # its result, one along a leading axis nothing
+    part = box_sums(a, w, axes=(0,))
+    nbytes = WORKSPACE.note(part)
+    try:
+        return box_sums(part.T, w, axes=(0,)).T
+    finally:
+        WORKSPACE.drop(nbytes)
+
+
+def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
     patch = fetch(
         np.arange(r0, r0 + rows + w - 1)[:, None],
         np.arange(c0, c0 + cols + w - 1)[None, :],
         *plane,
     )
+    if w == 1:  # the identity
+        return patch
     nbytes = WORKSPACE.note(patch)
     try:
         return kernel(patch, w)
-    finally:
-        WORKSPACE.drop(nbytes)
-
-
-def _tile(fetch, r0, c0, rows, cols, w):
-    tr, tc = -(-rows // w), -(-cols // w)  # tiles per side
-    if w == 1 or tr * tc == 1:  # the identity, or one tile: one patch summed whole
-        return _block(fetch, r0, c0, rows, cols, w)
-    patch = fetch(
-        np.arange(r0, r0 + (tr + 1) * w - 1)[:, None],
-        np.arange(c0, c0 + (tc + 1) * w - 1)[None, :],
-    )
-    # the patch, and the previous unit's values, which the walker holds
-    # until this unit returns
-    nbytes = WORKSPACE.note(patch) + WORKSPACE.note_bytes(tr * tc * w * w * patch.itemsize)
-    try:
-        # Each pass views every tile's 2w-1 source lines as a stack with the
-        # summed axis first, so every tile is box-summed alone, rows first as
-        # box_sums orders its axes, and no pass copies the overlap.
-        s0, s1 = patch.strides
-        stack = as_strided(patch, (2 * w - 1, tr, patch.shape[1]), (s0, w * s0, s1))
-        del patch
-        part = box_sums(stack, w, axes=(0,))  # [row in tile, tile row, column]
-        sk, st, sc = part.strides
-        stack = as_strided(part, (2 * w - 1, w, tr, tc), (sc, sk, st, w * sc))
-        part = box_sums(stack, w, axes=(0,))  # [col in tile, row in tile, tile row, tile col]
-        del stack
-        nbytes += WORKSPACE.note(part)  # held beside its reordered copy
-        return part.transpose(2, 1, 3, 0).reshape(tr * w, tc * w)
     finally:
         WORKSPACE.drop(nbytes)
 
@@ -157,11 +139,11 @@ def _strip(fetch, r0, c0, rows, cols, w):
 
 #: plan -> (unit shape from (output columns, w), unit function). A unit
 #: function ``unit(fetch, r0, c0, rows, cols, w)`` returns the ``rows x
-#: cols`` output values whose windows are anchored at ``(r0, c0)`` onwards
-#: (EFFICIENT: rounded up to whole tiles).
+#: cols`` output values whose windows are anchored at ``(r0, c0)`` onwards.
+#: The unit shape is also the face of an order-4 block.
 _UNITS = {
     "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=running_sums)),
-    "EFFICIENT": (lambda cols, w: (max(1, S // w) * w,) * 2, _tile),
+    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, _block),
     "STREAMING": (lambda cols, w: (1, w), _strip),
 }
 
@@ -177,18 +159,24 @@ def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
     """:func:`smoothed_runs` for one lead column, yielding after every unit."""
     shape, unit = _UNITS[plan_name]
     uh, uw = shape(m, w)
-    for (r0,), u in _groups(lead, (uh,)):
-        rows, pos = lead[u, 0].tolist(), (offsets[u] - first[u]).tolist()
-        lo, hi = first[u].tolist(), stops[u].tolist()
-        for c0 in range(min(lo) // uw * uw, max(hi), uw):  # the band's column units
-            cols = min(uw, m - c0)
-            # rows up to the last run's: by the own-line property, a shorter unit has the same bits
-            vals = unit(fetch, r0, c0, rows[-1] - r0 + 1, cols, w)
-            for row, s, e, p in zip(rows, lo, hi, pos):
-                s, e = max(s, c0), min(e, c0 + cols)
-                if s < e:
-                    out[p + s : p + e] = vals[row - r0, s - c0 : e - c0]
-            yield
+    held = 0  # the bytes of the unit values held until the next unit lands
+    try:
+        for (r0,), u in _groups(lead, (uh,)):
+            rows, pos = lead[u, 0].tolist(), (offsets[u] - first[u]).tolist()
+            lo, hi = first[u].tolist(), stops[u].tolist()
+            for c0 in range(min(lo) // uw * uw, max(hi), uw):  # the band's column units
+                cols = min(uw, m - c0)
+                # rows up to the last run's: by the own-line property, a shorter unit has the same bits
+                vals = unit(fetch, r0, c0, rows[-1] - r0 + 1, cols, w)
+                WORKSPACE.drop(held)
+                held = WORKSPACE.note(vals)
+                for row, s, e, p in zip(rows, lo, hi, pos):
+                    s, e = max(s, c0), min(e, c0 + cols)
+                    if s < e:
+                        out[p + s : p + e] = vals[row - r0, s - c0 : e - c0]
+                yield
+    finally:
+        WORKSPACE.drop(held)
 
 
 def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
@@ -203,8 +191,7 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
         for _ in _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
             pass
         return
-    # the ring's planes are not batched, so an EFFICIENT block is one tile
-    face = (w, w) if plan_name == "EFFICIENT" else _UNITS[plan_name][0](m, w)
+    face = _UNITS[plan_name][0](m, w)
     order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
     lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
     for (b0, c0), u in _groups(lead, face):

@@ -19,7 +19,7 @@ from hospectra import (
 from hospectra.dft import dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import segment_and_demean
-from hospectra.tiled import box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
+from hospectra.tiled import S, box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
 from hospectra.window_sums import smooth_periodic
 
 ALL_PLANS = list(SmoothingPlan)
@@ -351,11 +351,11 @@ class TestSmoothedCells2d:
 
 
     @pytest.mark.parametrize("w", [1, 2, 3, 5, 8, 9, 16, 17, 24, 47, 48, 49])
-    def test_efficient_bit_identical_to_per_tile_box_sums(self, w):
-        # EFFICIENT units batch many tiles; each tile must still get the bits
-        # of box_sums over its own (2w-1)^2 patch. 100 output columns leave a
-        # partial tile and a partial unit at the right edge, and 70 rows end
-        # the last band short of a unit's height.
+    def test_efficient_unit_bit_identical_to_box_sums_over_its_patch(self, w):
+        # an EFFICIENT unit is a square block of B = max(S, w) output cells
+        # with the bits of box_sums over its whole (B+w-1)^2 source patch.
+        # 100 output columns leave a partial unit at the right edge, and 70
+        # rows end the last band short of a unit's height.
         rng = np.random.default_rng(w)
         rows_out, cols_out = 70, 100
         a = rng.standard_normal((cols_out, cols_out)) + 1j * rng.standard_normal((cols_out, cols_out))
@@ -363,12 +363,13 @@ class TestSmoothedCells2d:
         def fetch(r, c):
             return a[np.asarray(r) % cols_out, np.asarray(c) % cols_out]
 
-        tiles = -(-rows_out // w), -(-cols_out // w)
-        expect = np.empty((tiles[0] * w, tiles[1] * w), dtype=a.dtype)
-        for i, j in np.ndindex(tiles):
-            r0, c0 = i * w, j * w
-            patch = fetch(np.arange(r0, r0 + 2 * w - 1)[:, None], np.arange(c0, c0 + 2 * w - 1)[None, :])
-            expect[r0 : r0 + w, c0 : c0 + w] = box_sums(patch, w)
+        b = max(S, w)
+        units = -(-rows_out // b), -(-cols_out // b)
+        expect = np.empty((units[0] * b, units[1] * b), dtype=a.dtype)
+        for i, j in np.ndindex(units):
+            r0, c0 = i * b, j * b
+            patch = fetch(np.arange(r0, r0 + b + w - 1)[:, None], np.arange(c0, c0 + b + w - 1)[None, :])
+            expect[r0 : r0 + b, c0 : c0 + b] = box_sums(patch, w)
         triangle = [(r, r, cols_out) for r in range(rows_out)]
         full = [(r, 0, cols_out) for r in range(rows_out)]
         for spans in (triangle, full):
@@ -379,8 +380,8 @@ class TestSmoothedCells2d:
 
     @pytest.mark.parametrize("w", [5, 9, 24, 49, 181])
     def test_efficient_meter_matches_traced_peak(self, w):
-        # the engine's modelled working set is the traced one: batched units
-        # at w <= 24, single tiles above (measured 0.85-1.13). At n=400 a full
+        # the engine's modelled working set is the traced one: square blocks
+        # of max(48, w) output cells (measured 1.01-1.11). At n=400 a full
         # unit follows a full unit at every window, so the peak is reached.
         rng = np.random.default_rng(w)
         n = 400
@@ -450,8 +451,8 @@ class TestEngineEntryPoints:
     way the benchmark drives them: one span (or run) per leading index."""
 
     # m=64 (order 3) and m=32 (order 4): the domain ends at k1 = 31 and 15,
-    # inside units of 42 (EFFICIENT, w=7), 5x5 blocks and w-row bands, so
-    # units straddle the domain edge
+    # inside EFFICIENT units of 48 (order 4: blocks of 48 cut to m) and
+    # w-row bands, so units straddle the domain edge
     CASES = [(3, 64, 3), (3, 64, 7), (4, 32, 3), (4, 32, 5)]
 
     @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
