@@ -1,11 +1,11 @@
 """High-water accounting of the smoothing working set.
 
 The smoothing engines register every working buffer they allocate (strip
-arrays, row bands, square blocks, materialized grids) with a process-global
-meter. The meter models the algorithmic working set deterministically:
-NumPy expression temporaries and objects outside the smoothing stage (input
-series, segment DFTs, the collected output store) are deliberately not
-counted, so that plan-to-plan comparisons isolate the engines themselves.
+arrays, row bands, square blocks, materialized boxes and the values gathered
+from them, and transients as large as a buffer) with a process-global meter.
+It models the working set deterministically: smaller NumPy temporaries and
+what lies outside the smoothing stage (input series, segment DFTs, the lean
+plans' output) are not counted, so plan comparisons isolate the engines.
 OS-level peak RSS is reported separately by the benchmark harness.
 """
 

@@ -8,10 +8,9 @@ regions of one shared-memory buffer. The pool has one process per non-empty
 slice; on every exit, a worker's exception included, the pool is shut down
 and the buffer unlinked.
 
-The materialized plans (NAIVE, WS, PREFIX) carry row-to-row arithmetic
-state across the whole grid; splitting them would change the summation
-order, so they always execute single-worker regardless of the requested
-count (the lean source-on-demand plans are the ones worth scaling anyway).
+The materialized plans (NAIVE, WS, PREFIX) run single-worker whatever the
+requested count: any slice of theirs is bit-identical too, but each worker
+would rebuild the whole grid (NAIVE: the domain's bounding box).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Bispectrum and trispectrum estimation via the direct method.
 
 Pipeline: segment and demean, per-segment DFT, raw triple (or quadruple)
-products over boxes of the periodic frequency grid (the whole grid for the
-materialized plans), box smoothing through a window-sum plan, averaging over
+products over boxes of the periodic frequency grid (the whole grid for WS
+and PREFIX), box smoothing through a window-sum plan, averaging over
 segments, and restriction to the principal domain.
 
 Smoothing is centered: a window of side ``m3`` covers offsets
@@ -17,13 +17,13 @@ last index takes consecutive values. For the whole domain or any contiguous
 slice of it, the index arrays are read from that table, and the one
 source-on-demand engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
 
-The materialized plans (NAIVE, WS, PREFIX) smooth each segment's grid and
-then average, in that order. The source-on-demand plans average the raw
-products inside the fetch function and smooth once; box sums and segment
-averages are both linear, so the two orderings agree within rounding (the
-test suite pins this). All plans but NAIVE share two 1-D kernels from
-:mod:`hospectra.tiled`: :func:`~hospectra.tiled.running_sums` (WS, FAST,
-STREAMING) and :func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
+The materialized plans (NAIVE, WS, PREFIX) smooth each segment's box and
+then average the values at the domain's points, in that order. The lean
+plans average the raw products inside the fetch function and smooth once;
+box sums and segment averages are both linear, so the two orderings agree
+within rounding (the test suite pins this). All plans but NAIVE share two
+1-D kernels from :mod:`hospectra.tiled`: :func:`~hospectra.tiled.running_sums`
+(WS, FAST, STREAMING) and :func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import ParameterError
 from .meter import WORKSPACE
 from .series import SegmentConfig, TimeSeries, segment_and_demean, write_csv_rows
 from .tiled import smoothed_runs
-from .window_sums import MATERIALIZED_PLANS, SmoothingPlan, smooth_periodic
+from .window_sums import MATERIALIZED_PLANS, SmoothingPlan, smooth
 
 __all__ = [
     "EstimationConfig",
@@ -253,22 +253,27 @@ def _make_fetch(spectra: np.ndarray, order: int, h: int, conjugate_last: bool):
 # -- smoothing paths ---------------------------------------------------------
 
 
-def _materialized_grid(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> np.ndarray:
-    """Full smoothed periodic grid, averaged over segments (smooth first,
-    then average, as the direct method states it)."""
-    w = cfg.m3
-    axes = cfg.order - 1
-    acc = np.zeros((spec_set.m,) * axes, dtype=np.complex128)
-    with WORKSPACE.held(acc):
+def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, idx) -> np.ndarray:
+    """Smoothed, segment-averaged values at the index tuples ``idx`` by a
+    materialized plan: each segment's raw products are smoothed, and their
+    values at ``idx`` added (smooth first, then average, as the direct method
+    states it). WS and PREFIX smooth the whole periodic grid; NAIVE re-sums
+    the box from the origin to ``idx``'s maxima plus the window, no more."""
+    w, axes = cfg.m3, cfg.order - 1
+    naive = cfg.plan is SmoothingPlan.NAIVE
+    shape = tuple(int(n) + w for n in idx.max(axis=0)) if naive else (spec_set.m,) * axes
+    acc = np.zeros(len(idx), dtype=np.complex128)
+    with WORKSPACE.held(acc, idx):
         for f in spec_set.spectra:
-            raw = _raw_block(f[None], cfg.order, (-(w // 2),) * axes, (spec_set.m,) * axes,
-                             cfg.conjugate_last)
-            raw /= spec_set.m
+            raw = _raw_block(f[None], cfg.order, (-(w // 2),) * axes, shape, cfg.conjugate_last)
             with WORKSPACE.held(raw):
-                sm = smooth_periodic(raw, w, cfg.plan)
-                with WORKSPACE.held(sm):
-                    acc += sm
-            del raw, sm
+                WORKSPACE.drop(WORKSPACE.note_bytes(raw.nbytes))  # the product chain's other box
+                raw /= spec_set.m
+                sm = smooth(raw, w, cfg.plan, periodic=not naive)
+                vals = sm[tuple(idx.T)]
+                with WORKSPACE.held(sm, vals):
+                    acc += vals
+            del raw, sm, vals
     acc /= spec_set.k * float(w) ** axes
     return acc
 
@@ -285,7 +290,7 @@ def smoothed_values(
     if len(runs.lens) == 0:
         return np.empty(0, dtype=np.complex128)
     if cfg.plan in MATERIALIZED_PLANS:
-        return _materialized_grid(spec_set, cfg)[tuple(_expand(runs).T)]
+        return _materialized_values(spec_set, cfg, _expand(runs))
     out = np.empty(int(runs.lens.sum()), dtype=np.complex128)
     fetch = _make_fetch(spec_set.spectra, cfg.order, w // 2, cfg.conjugate_last)
     stops = runs.first + runs.lens

@@ -24,10 +24,10 @@ reading a materialized matrix: FAST is WS over bands of rows, EFFICIENT is
 PREFIX over square blocks of ``max(S, w)`` output cells, STREAMING is WS
 over column sums.
 
-:func:`smooth_periodic` is the materialized plans' periodic entry point for
-arrays of any number of axes (order-3 and order-4 grids);
-:func:`window_sums_2d` runs any plan on a 2-D matrix with either boundary
-rule.
+:func:`smooth` is the materialized plans' one entry point, valid or
+periodic, for arrays of any number of axes (order-3 and order-4 boxes of
+the frequency grid); :func:`window_sums_2d` runs any plan on a 2-D matrix
+with either boundary rule.
 
 All plans agree within a relative 1e-9 tolerance with an absolute floor of
 1e-12; the summation orders differ, exact equality is not promised.
@@ -48,7 +48,7 @@ from .tiled import box_sums, running_sums, smoothed_runs
 __all__ = [
     "SmoothingPlan",
     "WindowSpec",
-    "smooth_periodic",
+    "smooth",
     "window_sums_2d",
 ]
 
@@ -125,17 +125,20 @@ class WindowSpec:
         return rows, cols
 
 
-def _box(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarray:
+def smooth(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarray:
     """``w``-box sums over every axis of ``a`` by a materialized plan, valid
     or periodic (each axis shrinks by ``w - 1``, or keeps its length).
 
-    NAIVE re-sums all ``w**ndim`` shifted copies of the wrap-padded array.
-    WS (running sums) and PREFIX (the shared cumsum-difference kernel) make
-    one pass per axis, last axis first, each axis wrapped just before its
-    pass. The last axis is wrapped one cell further and the result is a view
-    without that cell, so that no later pass walks a power-of-two row
-    stride, on which NumPy's cumsum along an outer axis is ~1.5x slower.
+    A window of 1 is an exact copy. NAIVE re-sums all ``w**ndim`` shifted
+    copies of ``a``, wrap-padded if periodic. WS (running sums) and PREFIX
+    (the shared cumsum-difference kernel) make one pass per axis, last axis
+    first, each axis wrapped just before its pass. The last axis is wrapped
+    one cell further and the result is a view without that cell, so that no
+    later pass walks a power-of-two row stride, on which NumPy's cumsum
+    along an outer axis is ~1.5x slower.
     """
+    if w == 1:
+        return a.copy()
     if plan is SmoothingPlan.NAIVE:
         ext = np.pad(a, ((0, w - 1),) * a.ndim, mode="wrap") if periodic else a
         shape = tuple(n - w + 1 for n in ext.shape)
@@ -162,13 +165,6 @@ def _box(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarr
     return a[..., :-1] if periodic else a
 
 
-def smooth_periodic(a: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
-    """Periodic ``w``-box sums over every axis of a materialized array (an
-    order-3 or order-4 grid) by one of the materialized plans; the output
-    has the input's shape. A window of 1 is an exact copy."""
-    return a.copy() if w == 1 else _box(a, w, plan, periodic=True)
-
-
 def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     """All ``w x w`` window sums of a materialized matrix.
 
@@ -187,7 +183,7 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     if w == 1:  # a width-1 window is the identity, exactly
         return a.copy()
     if plan in MATERIALIZED_PLANS:
-        return _box(a, w, plan, periodic=spec.boundary == "periodic")
+        return smooth(a, w, plan, periodic=spec.boundary == "periodic")
     rows_n, cols_n = a.shape
 
     def fetch(rows, cols):  # in valid mode, wrapped cells only feed sums that are dropped

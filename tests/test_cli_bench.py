@@ -233,12 +233,12 @@ class TestCmdBench:
     def test_exceeded_cell_recorded_not_repeated(self):
         # brute-force plan over a cell that cannot finish inside the limit
         reports = run_benchmarks(
-            orders=[3], sizes=[256], plans=["NAIVE"], repeats=3,
-            windows=33, time_limit=0.05, seed=1,
+            orders=[3], sizes=[512], plans=["NAIVE"], repeats=3,
+            windows=49, time_limit=0.01, seed=1,
         )
         assert len(reports) == 1
         assert reports[0].status == "exceeded"
-        assert reports[0].wall_seconds > 0.05
+        assert reports[0].wall_seconds > 0.01
 
     def test_report_json_roundtrip(self):
         reports = run_benchmarks(

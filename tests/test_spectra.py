@@ -1,5 +1,6 @@
 import csv
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from hospectra import (
     write_grid_csv,
 )
 from hospectra.dft import SegmentSpectrumSet, dft_segments
+from hospectra.meter import WORKSPACE
 from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
-from hospectra.spectra import _materialized_grid, smoothed_values
+from hospectra.spectra import _materialized_values, smoothed_values
 
 
 def cfg3(m, m3, plan=SmoothingPlan.EFFICIENT, k=1, conj=True):
@@ -232,7 +234,9 @@ class TestEstimateSpectrum:
     def test_swap_symmetry_of_full_grid(self):
         series = generate_qpc(0.1, 0.15, 64, 0.4, seed=8)
         spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=64, k=1)))
-        full = _materialized_grid(spec_set, cfg3(64, 5, SmoothingPlan.WS))
+        every_cell = np.indices((64, 64)).reshape(2, -1).T
+        full = _materialized_values(spec_set, cfg3(64, 5, SmoothingPlan.WS), every_cell)
+        full = full.reshape(64, 64)
         assert max_rel_dev(full, full.T) < 1e-9
 
     def test_smooth_then_average_equals_average_then_smooth(self):
@@ -265,6 +269,40 @@ class TestEstimateSpectrum:
         for plan in SmoothingPlan:
             got = estimate_spectrum(series, cfg4(32, 3, plan))
             assert compare_grids(ref, got) < 1e-9, plan
+
+
+def metered_values(order, m, w, k, plan):
+    """Whole-domain ``smoothed_values`` with its modelled peak (after one
+    untraced warm-up pass) and its traced peak."""
+    series = generate_qpc(0.1, 0.15, k * m, 0.5, seed=3)
+    spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=m, k=k)))
+    cfg = EstimationConfig(order, SegmentConfig(m=m, k=k), w, plan)
+    npoints = len(principal_domain(order, m))
+    smoothed_values(spec_set, cfg, 0, npoints)
+    WORKSPACE.reset()
+    tracemalloc.start()
+    try:
+        smoothed_values(spec_set, cfg, 0, npoints)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert WORKSPACE.current == 0
+    return WORKSPACE.peak, traced
+
+
+class TestMaterializedMeter:
+    @pytest.mark.parametrize("order, m, w, k", [(3, 512, 49, 1), (3, 512, 9, 3),
+                                                (4, 128, 9, 1), (4, 96, 5, 3)])
+    def test_meter_matches_traced_peak(self, order, m, w, k):
+        # the model counts the raw box, its product chain, the smoothed box,
+        # the gathered values and the O(points) accumulator with its indices
+        for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
+            modelled, traced = metered_values(order, m, w, k, plan)
+            assert 0.8 <= traced / modelled <= 1.25, (plan.name, traced / modelled)
+
+    def test_naive_holds_less_than_one_grid(self):
+        modelled, _ = metered_values(4, 64, 5, 1, SmoothingPlan.NAIVE)
+        assert modelled < 16 * 64**3
 
 
 class TestSpectrumGrid:

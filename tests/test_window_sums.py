@@ -20,7 +20,7 @@ from hospectra.dft import dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import segment_and_demean
 from hospectra.tiled import S, box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
-from hospectra.window_sums import smooth_periodic
+from hospectra.window_sums import smooth
 
 ALL_PLANS = list(SmoothingPlan)
 
@@ -233,7 +233,7 @@ class TestSmoothPeriodic:
                         for u in range(w) for v in range(w) for t in range(w)
                     )
                 for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
-                    out = smooth_periodic(cube, w, plan)
+                    out = smooth(cube, w, plan, periodic=True)
                     assert out.dtype == cube.dtype
                     assert_window_equal(out, expect, context=f"{plan.name} w={w} {cube.dtype}")
 
@@ -242,7 +242,7 @@ class TestSmoothPeriodic:
         for shape in ((4, 5), (3, 4, 5)):
             a = rng.standard_normal(shape)
             for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
-                out = smooth_periodic(a, 1, plan)
+                out = smooth(a, 1, plan, periodic=True)
                 assert out is not a and np.array_equal(out, a), (shape, plan.name)
 
     def test_meter_matches_traced_peak(self):
@@ -254,7 +254,7 @@ class TestSmoothPeriodic:
                 WORKSPACE.reset()
                 tracemalloc.start()
                 try:
-                    out = smooth_periodic(a, w, plan)
+                    out = smooth(a, w, plan, periodic=True)
                     traced = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
