@@ -1,12 +1,13 @@
 """Deterministic data-parallel estimation.
 
-Each worker process gets the segment spectra, the estimation config and one
-contiguous slice of the principal domain, and runs the sequential
-:func:`hospectra.spectra.smoothed_values` on it, which computes any slice
-bit-identically to the whole-domain sweep. Workers write into disjoint
-regions of one shared-memory buffer. The pool has one process per non-empty
-slice; on every exit, a worker's exception included, the pool is shut down
-and the buffer unlinked.
+The parent forks one worker per non-empty slice of the principal domain.
+Each inherits the spectra, the config and one anonymous shared mapping, so
+nothing is pickled; it writes :func:`hospectra.spectra.smoothed_values` of
+its slice (bit-identical to the whole-domain sweep) into its own part of
+the mapping, which is the grid's values, then sends its working-set peak or
+its exception through its own pipe and exits. The first failure is raised
+at once; on every exit the parent kills and joins all workers. The fork
+context is explicit (Python 3.14 changes the default); Linux is assumed.
 
 The materialized plans (NAIVE, WS, PREFIX) run single-worker whatever the
 requested count: any slice of theirs is bit-identical too, but each worker
@@ -15,13 +16,14 @@ would rebuild the whole grid (NAIVE: the domain's bounding box).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import mmap
+import multiprocessing
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing.connection import wait
 
 import numpy as np
 
-from .dft import SegmentSpectrumSet, dft_segments
+from .dft import dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
 from .series import TimeSeries, segment_and_demean
@@ -65,32 +67,25 @@ def partition_domain(domain, workers: WorkerConfig) -> list[int]:
 
     ``point_blocks`` parts differ in size by at most one; ``row_blocks``
     parts are balanced at whole-row granularity."""
-    total = len(domain)
-    p = workers.p
+    total, p = len(domain), workers.p
     if workers.partition == "point_blocks":
         q, r = divmod(total, p)
         return [0] + np.cumsum([q + 1] * r + [q] * (p - r)).tolist()
-    _, first_idx, counts = np.unique(domain[:, 0], return_index=True, return_counts=True)
-    cum = np.cumsum(counts)
+    starts = np.flatnonzero(np.diff(domain[:, 0], prepend=-1))  # first point of each row
     targets = np.arange(1, p) * (total / p)
-    group_bounds = np.searchsorted(cum, targets, side="left") + 1
-    cuts = [int(first_idx[b]) if b < len(first_idx) else total for b in group_bounds]
+    group_bounds = np.searchsorted(np.append(starts[1:], total), targets, side="left") + 1
+    cuts = [int(starts[b]) if b < len(starts) else total for b in group_bounds]
     return [0] + cuts + [total]
 
 
-def _worker_run(
-    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int, shm_name: str
-) -> int:
-    """Compute domain positions ``[start, stop)`` into the shared output
-    buffer and report this process's smoothing working-set peak."""
-    WORKSPACE.reset()
-    values = smoothed_values(spec_set, cfg, start, stop)
-    shm = shared_memory.SharedMemory(name=shm_name)
+def _worker_run(spec_set, cfg, start, stop, values, conn) -> None:
+    """Fill ``values[start:stop]``; send the working-set peak or the exception."""
     try:
-        np.ndarray(stop, dtype=np.complex128, buffer=shm.buf)[start:] = values
-    finally:
-        shm.close()
-    return WORKSPACE.peak
+        WORKSPACE.reset()
+        values[start:stop] = smoothed_values(spec_set, cfg, start, stop)
+        conn.send(WORKSPACE.peak)
+    except Exception as exc:
+        conn.send(exc)
 
 
 def parallel_estimate(
@@ -103,21 +98,36 @@ def parallel_estimate(
         return estimate_from_spectra(spec_set, cfg)
     dom = principal_domain(cfg.order, spec_set.m)
     cuts = partition_domain(dom, workers)
-    slices = [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    shm = shared_memory.SharedMemory(create=True, size=len(dom) * 16)
+    fork = multiprocessing.get_context("fork")
+    values = np.frombuffer(mmap.mmap(-1, 16 * len(dom)), np.complex128)
+    workers_of, peaks = {}, []
     try:
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            futures = [
-                pool.submit(_worker_run, spec_set, cfg, start, stop, shm.name)
-                for start, stop in slices
-            ]
-            peaks = [f.result() for f in futures]
-        WORKSPACE.absorb_concurrent(peaks)
-        values = np.ndarray(len(dom), dtype=np.complex128, buffer=shm.buf).copy()
+        for start, stop in zip(cuts, cuts[1:]):
+            if start < stop:
+                reader, writer = fork.Pipe(duplex=False)
+                proc = fork.Process(target=_worker_run,
+                                     args=(spec_set, cfg, start, stop, values, writer))
+                proc.start()
+                writer.close()
+                workers_of[reader] = (proc, start, stop)
+        pending = dict(workers_of)
+        while pending:
+            for reader in wait(list(pending)):
+                proc, start, stop = pending.pop(reader)
+                try:
+                    result = reader.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"worker for domain slice [{start}, {stop}) exited "
+                                       f"with code {proc.exitcode} without a result") from None
+                if isinstance(result, Exception):
+                    raise result
+                peaks.append(result)
     finally:
-        shm.close()
-        shm.unlink()
-    return SpectrumGrid(
-        order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
-        indices=dom, values=values,
-    )
+        for reader, (proc, _, _) in workers_of.items():
+            reader.close()
+            proc.kill()
+            proc.join()
+    WORKSPACE.absorb_concurrent(peaks)
+    return SpectrumGrid(order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
+                        indices=dom, values=values)

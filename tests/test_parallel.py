@@ -1,6 +1,10 @@
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -120,8 +124,6 @@ class TestParallelMemory:
 
 class TestParallelFailure:
     def test_failing_worker_surfaces_and_leaves_nothing_behind(self, monkeypatch):
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched function reaches the workers only through fork")
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm to inspect")
 
@@ -139,16 +141,15 @@ class TestParallelFailure:
         assert multiprocessing.active_children() == []
 
     def test_one_process_per_nonempty_slice(self, monkeypatch):
-        if not hasattr(ProcessPoolExecutor, "_spawn_process"):
-            pytest.skip("this Python's pool has no per-process spawn hook")
+        fork_process = multiprocessing.get_context("fork").Process
         spawned = []
-        spawn = ProcessPoolExecutor._spawn_process
+        start = fork_process.start
 
-        def counting_spawn(pool):
-            spawned.append(pool)
-            spawn(pool)
+        def counting_start(proc):
+            spawned.append(proc)
+            start(proc)
 
-        monkeypatch.setattr(ProcessPoolExecutor, "_spawn_process", counting_spawn)
+        monkeypatch.setattr(fork_process, "start", counting_start)
         series = generate_qpc(0.1, 0.15, 8, 0.4, seed=10)
         cfg = EstimationConfig(3, SegmentConfig(m=8), 3, SmoothingPlan.EFFICIENT)
         ref = estimate_spectrum(series, cfg)  # 6 points in 4 rows
@@ -164,3 +165,106 @@ class TestParallelFailure:
                 assert len(spawned) == busy, (p, partition)
                 assert np.array_equal(ref.values, got.values), (p, partition)
         assert idle > 0
+
+    def test_first_failure_raises_without_waiting_for_other_slices(self, monkeypatch):
+        def first_fails_rest_sleep(spec_set, cfg, start, stop):
+            if start == 0:
+                raise RuntimeError("injected worker failure")
+            time.sleep(3)
+
+        monkeypatch.setattr(parallel, "smoothed_values", first_fails_rest_sleep)
+        series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
+        cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.EFFICIENT)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            parallel_estimate(series, cfg, WorkerConfig(p=2))
+        assert time.perf_counter() - t0 < 1.5
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_without_result_names_slice_and_exit_code(self, monkeypatch):
+        real = parallel.smoothed_values
+
+        def first_exits(spec_set, cfg, start, stop):
+            if start == 0:
+                os._exit(3)
+            return real(spec_set, cfg, start, stop)
+
+        monkeypatch.setattr(parallel, "smoothed_values", first_exits)
+        series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
+        cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.EFFICIENT)
+        workers = WorkerConfig(p=2)
+        stop = partition_domain(principal_domain(3, 128), workers)[1]
+        with pytest.raises(RuntimeError, match=rf"slice \[0, {stop}\) exited with code 3"):
+            parallel_estimate(series, cfg, workers)
+        assert multiprocessing.active_children() == []
+
+
+def _live_session_members(sid):
+    """Pids of the non-zombie processes whose session id is ``sid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                state, _ppid, _pgrp, session = f.read().rsplit(")", 1)[1].split()[:4]
+        except OSError:
+            continue
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def _children(pid):
+    with open(f"/proc/{pid}/task/{pid}/children") as f:
+        return f.read().split()
+
+
+def _shm_segments():
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def test_sigterm_to_parent_leaves_no_worker_or_segment():
+    """A SIGTERM runs no ``finally`` in the parent, so what outlives it must
+    end by itself: each worker finishes its one slice and exits."""
+    if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+        pytest.skip("this kernel does not list a process's children in /proc")
+    loop = textwrap.dedent("""
+        from hospectra import (EstimationConfig, SegmentConfig, SmoothingPlan,
+                               WorkerConfig, generate_qpc, parallel_estimate)
+        series = generate_qpc(0.1, 0.15, 8192, 0.4, seed=11)
+        cfg = EstimationConfig(3, SegmentConfig(m=8192), 279, SmoothingPlan.EFFICIENT)
+        while True:
+            parallel_estimate(series, cfg, WorkerConfig(p=2))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    before = _shm_segments()
+    proc = subprocess.Popen([sys.executable, "-c", loop], env=env, start_new_session=True,
+                            stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and len(_children(proc.pid)) < 2:  # both workers are up
+            assert time.monotonic() < deadline, "the loop never forked its workers"
+            time.sleep(0.005)
+        assert proc.poll() is None, "the loop exited before it was signalled"
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while _live_session_members(proc.pid) or _shm_segments() - before:
+            assert time.monotonic() < deadline, (
+                f"left after SIGTERM: processes {_live_session_members(proc.pid)}, "
+                f"segments {sorted(_shm_segments() - before)}"
+            )
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+        for name in _shm_segments() - before:  # what the killed processes could not unlink
+            os.unlink(os.path.join("/dev/shm", name))
