@@ -20,7 +20,10 @@ cannot inflate. ``tools/grid_digest.golden`` holds the committed output:
 
 Cells: order 3 at m=64, w in {1,2,3,5,8}; order 4 at m=32, w in {1,2,3,5};
 every plan, K in {1,3}, conjugation on and off; the lean plans also at P in
-{2,3} with both partition modes. Uses the public API only.
+{2,3} with both partition modes. Order 3 also at m=512, w in {9,49}, K=1,
+conjugation on: FAST and EFFICIENT at P in {1,2}, after their NAIVE
+reference; there a band holds several EFFICIENT column units and the P=2
+cut falls inside a band. Uses the public API only.
 """
 
 import hashlib
@@ -41,6 +44,7 @@ from hospectra import (
 
 LEAN = (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING)
 CELLS = ((3, 64, (1, 2, 3, 5, 8)), (4, 32, (1, 2, 3, 5)))
+LARGE = (3, 512, (9, 49))
 
 
 def cells():
@@ -50,6 +54,11 @@ def cells():
             if plan in LEAN:
                 for p, part in itertools.product((2, 3), ("row_blocks", "point_blocks")):
                     yield order, m, w, k, conj, plan, WorkerConfig(p, part)
+    order, m, windows = LARGE
+    for w in windows:
+        yield order, m, w, 1, True, SmoothingPlan.NAIVE, WorkerConfig()
+        for plan, p in itertools.product((SmoothingPlan.FAST, SmoothingPlan.EFFICIENT), (1, 2)):
+            yield order, m, w, 1, True, plan, WorkerConfig(p)
 
 
 def main():
