@@ -1,13 +1,14 @@
 """Deterministic data-parallel estimation.
 
-The parent forks one worker per non-empty slice of the principal domain.
-Each inherits the spectra, the config and one anonymous shared mapping, so
-nothing is pickled; it writes :func:`hospectra.spectra.smoothed_values` of
-its slice (bit-identical to the whole-domain sweep) into its own part of
-the mapping, which is the grid's values, then sends its working-set peak or
-its exception through its own pipe and exits. The first failure is raised
-at once; on every exit the parent kills and joins all workers. The fork
-context is explicit (Python 3.14 changes the default); Linux is assumed.
+The parent cuts the principal domain from its run table, without building
+it, and forks one worker per non-empty slice. Each inherits the spectra, the
+config and two anonymous shared mappings, so nothing is pickled; it writes its
+slice's index tuples and :func:`hospectra.spectra.smoothed_values` (bit-identical
+to the whole-domain sweep) straight into the mappings, which are the grid's
+indices and values, then sends its working-set peak or its exception through
+its own pipe and exits. The parent only waits: the first failure is raised at
+once, and on every exit it kills and joins all workers. The fork context is
+explicit (Python 3.14 changes the default); Linux is assumed.
 
 The materialized plans (NAIVE, WS, PREFIX) run single-worker whatever the
 requested count: any slice of theirs is bit-identical too, but each worker
@@ -31,6 +32,7 @@ from .spectra import (
     EstimationConfig,
     SpectrumGrid,
     estimate_from_spectra,
+    domain_rows,
     principal_domain,
     smoothed_values,
 )
@@ -67,22 +69,26 @@ def partition_domain(domain, workers: WorkerConfig) -> list[int]:
 
     ``point_blocks`` parts differ in size by at most one; ``row_blocks``
     parts are balanced at whole-row granularity."""
-    total, p = len(domain), workers.p
+    starts = np.flatnonzero(np.diff(domain[:, 0], prepend=-1))  # first point of each row
+    return _cuts(np.append(starts, len(domain)), workers)
+
+
+def _cuts(rows, workers: WorkerConfig) -> list[int]:
+    """:func:`partition_domain` from ``rows``, each row's first position and then the
+    domain's size: a row-block cut is the first row start at or past its share."""
+    total, p = int(rows[-1]), workers.p
     if workers.partition == "point_blocks":
         q, r = divmod(total, p)
         return [0] + np.cumsum([q + 1] * r + [q] * (p - r)).tolist()
-    starts = np.flatnonzero(np.diff(domain[:, 0], prepend=-1))  # first point of each row
-    targets = np.arange(1, p) * (total / p)
-    group_bounds = np.searchsorted(np.append(starts[1:], total), targets, side="left") + 1
-    cuts = [int(starts[b]) if b < len(starts) else total for b in group_bounds]
-    return [0] + cuts + [total]
+    return [0] + rows[np.searchsorted(rows, np.arange(1, p) * (total / p))].tolist() + [total]
 
 
-def _worker_run(spec_set, cfg, start, stop, values, conn) -> None:
-    """Fill ``values[start:stop]``; send the working-set peak or the exception."""
+def _worker_run(spec_set, cfg, start, stop, indices, values, conn) -> None:
+    """Fill the slice of ``indices`` and ``values``; send the working-set peak or the exception."""
     try:
         WORKSPACE.reset()
-        values[start:stop] = smoothed_values(spec_set, cfg, start, stop)
+        principal_domain(cfg.order, spec_set.m, start, stop, out=indices[start:stop])
+        smoothed_values(spec_set, cfg, start, stop, out=values[start:stop])
         conn.send(WORKSPACE.peak)
     except Exception as exc:
         conn.send(exc)
@@ -96,17 +102,17 @@ def parallel_estimate(
     spec_set = dft_segments(segment_and_demean(series, cfg.segment))
     if workers.p == 1 or cfg.plan in MATERIALIZED_PLANS:
         return estimate_from_spectra(spec_set, cfg)
-    dom = principal_domain(cfg.order, spec_set.m)
-    cuts = partition_domain(dom, workers)
-    fork = multiprocessing.get_context("fork")
-    values = np.frombuffer(mmap.mmap(-1, 16 * len(dom)), np.complex128)
+    cuts = _cuts(domain_rows(cfg.order, spec_set.m), workers)
+    axes, fork = cfg.order - 1, multiprocessing.get_context("fork")
+    indices = np.frombuffer(mmap.mmap(-1, 4 * axes * cuts[-1]), np.int32).reshape(-1, axes)
+    values = np.frombuffer(mmap.mmap(-1, 16 * cuts[-1]), np.complex128)
     workers_of, peaks = {}, []
     try:
         for start, stop in zip(cuts, cuts[1:]):
             if start < stop:
                 reader, writer = fork.Pipe(duplex=False)
                 proc = fork.Process(target=_worker_run,
-                                     args=(spec_set, cfg, start, stop, values, writer))
+                                     args=(spec_set, cfg, start, stop, indices, values, writer))
                 proc.start()
                 writer.close()
                 workers_of[reader] = (proc, start, stop)
@@ -130,4 +136,4 @@ def parallel_estimate(
             proc.join()
     WORKSPACE.absorb_concurrent(peaks)
     return SpectrumGrid(order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
-                        indices=dom, values=values)
+                        indices=indices, values=values)

@@ -47,6 +47,7 @@ __all__ = [
     "raw_bispectrum_value",
     "raw_trispectrum_value",
     "principal_domain",
+    "domain_rows",
     "smoothed_values",
     "estimate_spectrum",
     "estimate_from_spectra",
@@ -178,11 +179,11 @@ def _domain_runs(order: int, m: int, start: int = 0, stop: int | None = None) ->
     return _Runs(lead[r0:r1], first, cut - first, offs + first - start)
 
 
-def _expand(runs: _Runs) -> np.ndarray:
+def _expand(runs: _Runs, out=None) -> np.ndarray:
     """Index tuples of a run table, written column by column into one
-    ``int32`` array with no temporary larger than one column."""
+    ``int32`` array (``out`` if given) with no temporary larger than one column."""
     n = int(runs.lens.sum())
-    out = np.empty((n, runs.lead.shape[1] + 1), dtype=np.int32)
+    out = np.empty((n, runs.lead.shape[1] + 1), dtype=np.int32) if out is None else out
     for j in range(runs.lead.shape[1]):
         out[:, j] = np.repeat(runs.lead[:, j].astype(np.int32), runs.lens)
     out[:, -1] = np.arange(n, dtype=np.int32)
@@ -190,14 +191,22 @@ def _expand(runs: _Runs) -> np.ndarray:
     return out
 
 
-def principal_domain(order: int, m: int) -> np.ndarray:
-    """Lexicographically ordered principal-domain index tuples.
+def principal_domain(order: int, m: int, start: int = 0, stop: int | None = None, out=None):
+    """Lexicographically ordered principal-domain index tuples, positions
+    ``[start, stop)`` of them (all by default), written into ``out`` if given.
 
     Order 3: all ``(k1, k2)`` with ``0 <= k2 <= k1`` and ``k1 + k2 < m/2``.
     Order 4: all ``(k1, k2, k3)`` with ``0 <= k3 <= k2 <= k1`` and
     ``k1 + k2 + k3 < m/2`` (the ordered-simplex generalization).
     """
-    return _expand(_domain_runs(order, m))
+    return _expand(_domain_runs(order, m, start, stop), out)
+
+
+def domain_rows(order: int, m: int) -> np.ndarray:
+    """Where each leading index starts in ``principal_domain(order, m)``, then its size."""
+    runs = _domain_runs(order, m)
+    new = np.flatnonzero(np.diff(runs.lead[:, 0], prepend=-1))
+    return np.append(runs.offsets[new], runs.offsets[-1] + runs.lens[-1])
 
 
 # -- raw products ------------------------------------------------------------
@@ -253,16 +262,17 @@ def _make_fetch(spectra: np.ndarray, order: int, h: int, conjugate_last: bool):
 # -- smoothing paths ---------------------------------------------------------
 
 
-def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, idx) -> np.ndarray:
-    """Smoothed, segment-averaged values at the index tuples ``idx`` by a
-    materialized plan: each segment's raw products are smoothed, and their
-    values at ``idx`` added (smooth first, then average, as the direct method
+def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, idx, acc=None):
+    """Smoothed, segment-averaged values at the index tuples ``idx`` (into
+    ``acc`` if given) by a materialized plan: each segment's raw products are
+    smoothed, and their values at ``idx`` added (smooth first, then average, as the direct method
     states it). WS and PREFIX smooth the whole periodic grid; NAIVE re-sums
     the box from the origin to ``idx``'s maxima plus the window, no more."""
     w, axes = cfg.m3, cfg.order - 1
     naive = cfg.plan is SmoothingPlan.NAIVE
     shape = tuple(int(n) + w for n in idx.max(axis=0)) if naive else (spec_set.m,) * axes
-    acc = np.zeros(len(idx), dtype=np.complex128)
+    acc = np.zeros(len(idx), dtype=np.complex128) if acc is None else acc
+    acc.fill(0)
     with WORKSPACE.held(acc, idx):
         for f in spec_set.spectra:
             raw = _raw_block(f[None], cfg.order, (-(w // 2),) * axes, shape, cfg.conjugate_last)
@@ -279,19 +289,19 @@ def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, id
 
 
 def smoothed_values(
-    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int
+    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int, out=None
 ) -> np.ndarray:
-    """Smoothed, segment-averaged values at principal-domain positions
-    ``[start, stop)``. Any split of the domain into slices reproduces the
+    """Smoothed, segment-averaged values at principal-domain positions ``[start, stop)``,
+    into ``out`` if given. Any split of the domain into slices reproduces the
     whole-domain values bit for bit, which the parallel workers rely on."""
     m = spec_set.m
     w = cfg.m3
     runs = _domain_runs(cfg.order, m, start, stop)
+    out = np.empty(int(runs.lens.sum()), dtype=np.complex128) if out is None else out
     if len(runs.lens) == 0:
-        return np.empty(0, dtype=np.complex128)
+        return out
     if cfg.plan in MATERIALIZED_PLANS:
-        return _materialized_values(spec_set, cfg, _expand(runs))
-    out = np.empty(int(runs.lens.sum()), dtype=np.complex128)
+        return _materialized_values(spec_set, cfg, _expand(runs), out)
     fetch = _make_fetch(spec_set.spectra, cfg.order, w // 2, cfg.conjugate_last)
     stops = runs.first + runs.lens
     smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)

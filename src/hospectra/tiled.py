@@ -16,9 +16,9 @@ aligned to a fixed grid in output coordinates:
               ``2w-1``-row source patch (O(cols*w) memory, each source cell
               fetched at most twice).
 * EFFICIENT - square blocks of ``B = max(S, w)`` output cells per side,
-              :func:`box_sums` over one fetched ``(B+w-1)^2`` source patch
-              (O(max(S, w)^2) memory, each source cell fetched at most 4
-              times).
+              :func:`box_sums` over a ``(B+w-1)^2`` patch, the row sums of
+              its first ``w-1`` columns carried from the unit to its left
+              (O(max(S, w)^2) memory, each source cell fetched at most twice).
 * STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over the sums
               of ``2w-1`` source columns of ``w`` cells, fetched one column
               at a time (O(w) memory, each source cell fetched O(w) times).
@@ -100,16 +100,19 @@ def running_sums(a, w, axes=(0, 1)):
     return a
 
 
-def _box_sums_2d(a, w):
-    # box_sums(a, w) bit for bit, the columns summed on the transposed view:
-    # a difference along an inner axis makes NumPy buffer about three times
-    # its result, one along a leading axis nothing
-    part = box_sums(a, w, axes=(0,))
+def _column_sums(part, w):
+    # the column pass of box_sums(a, w) on row sums, bit for bit, run on the
+    # transposed view: a difference along an inner axis makes NumPy buffer
+    # about three times its result, one along a leading axis nothing
     nbytes = WORKSPACE.note(part)
     try:
         return box_sums(part.T, w, axes=(0,)).T
     finally:
         WORKSPACE.drop(nbytes)
+
+
+def _box_sums_2d(a, w):
+    return _column_sums(box_sums(a, w, axes=(0,)), w)
 
 
 def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
@@ -127,6 +130,38 @@ def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
         WORKSPACE.drop(nbytes)
 
 
+def _carried(fetch, r0, rows, c0s, m, w):
+    """EFFICIENT units along a band, each as :func:`_block` computes it alone: the row
+    pass keeps each column's bits, so the row sums of the ``w-1`` source columns a
+    unit shares with the next are carried (a copy, not a view pinning its part)."""
+    if w == 1:  # the identity: each unit is its patch
+        yield from _alone(_block)(fetch, r0, rows, c0s, m, w)
+        return
+    carry, held = None, 0  # the carried row sums and their bytes
+    try:
+        for c0 in c0s:
+            cols = min(c0s.step, m - c0)
+            skip = 0 if carry is None else w - 1
+            part = _block(fetch, r0, c0 + skip, rows, cols - skip, w,
+                          kernel=partial(box_sums, axes=(0,)))  # the row pass
+            if carry is not None:
+                part = np.concatenate([carry, part], axis=1)
+            WORKSPACE.drop(held)
+            carry = part[:, cols:].copy()
+            held = WORKSPACE.note(carry)
+            vals = _column_sums(part, w)
+            del part  # before the next unit's fetch
+            yield vals
+    finally:
+        WORKSPACE.drop(held)
+
+
+def _alone(unit):
+    """A band walker that computes each unit by ``unit`` alone."""
+    return lambda fetch, r0, rows, c0s, m, w: (
+        unit(fetch, r0, c0, rows, min(c0s.step, m - c0), w) for c0 in c0s)
+
+
 def _strip(fetch, r0, c0, rows, cols, w):
     src = np.arange(r0, r0 + w)
     sums = np.array([fetch(src, c).sum() for c in range(c0, c0 + cols + w - 1)])
@@ -137,14 +172,14 @@ def _strip(fetch, r0, c0, rows, cols, w):
         WORKSPACE.drop(nbytes)
 
 
-#: plan -> (unit shape from (output columns, w), unit function). A unit
-#: function ``unit(fetch, r0, c0, rows, cols, w)`` returns the ``rows x
-#: cols`` output values whose windows are anchored at ``(r0, c0)`` onwards.
-#: The unit shape is also the face of an order-4 block.
+#: plan -> (unit shape from (output columns, w), band walker). A band walker
+#: ``walk(fetch, r0, rows, c0s, m, w)`` yields per unit origin ``c0`` in ``c0s``
+#: the ``rows x min(c0s.step, m - c0)`` output values whose windows are anchored
+#: at ``(r0, c0)`` onwards. The unit shape is also the face of an order-4 block.
 _UNITS = {
-    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=running_sums)),
-    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, _block),
-    "STREAMING": (lambda cols, w: (1, w), _strip),
+    "FAST": (lambda cols, w: (w, cols), _alone(partial(_block, kernel=running_sums))),
+    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, _carried),
+    "STREAMING": (lambda cols, w: (1, w), _alone(_strip)),
 }
 
 
@@ -157,21 +192,20 @@ def _groups(lead, face):
 
 def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
     """:func:`smoothed_runs` for one lead column, yielding after every unit."""
-    shape, unit = _UNITS[plan_name]
+    shape, walk = _UNITS[plan_name]
     uh, uw = shape(m, w)
     held = 0  # the bytes of the unit values held until the next unit lands
     try:
         for (r0,), u in _groups(lead, (uh,)):
             rows, pos = lead[u, 0].tolist(), (offsets[u] - first[u]).tolist()
             lo, hi = first[u].tolist(), stops[u].tolist()
-            for c0 in range(min(lo) // uw * uw, max(hi), uw):  # the band's column units
-                cols = min(uw, m - c0)
-                # rows up to the last run's: by the own-line property, a shorter unit has the same bits
-                vals = unit(fetch, r0, c0, rows[-1] - r0 + 1, cols, w)
+            c0s = range(min(lo) // uw * uw, max(hi), uw)  # the band's column units
+            # rows up to the last run's: by the own-line property, a shorter unit has the same bits
+            for vals, c0 in zip(walk(fetch, r0, rows[-1] - r0 + 1, c0s, m, w), c0s):
                 WORKSPACE.drop(held)
                 held = WORKSPACE.note(vals)
                 for row, s, e, p in zip(rows, lo, hi, pos):
-                    s, e = max(s, c0), min(e, c0 + cols)
+                    s, e = max(s, c0), min(e, c0 + vals.shape[1])
                     if s < e:
                         out[p + s : p + e] = vals[row - r0, s - c0 : e - c0]
                 yield

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import signal
@@ -23,6 +24,7 @@ from hospectra import (
     principal_domain,
 )
 from hospectra.bench import measure_peak_memory
+from hospectra.spectra import domain_rows
 
 
 class TestPartitionDomain:
@@ -56,6 +58,17 @@ class TestPartitionDomain:
         dom = principal_domain(3, 4)  # 2 points
         cuts = partition_domain(dom, WorkerConfig(p=6, partition="point_blocks"))
         assert cuts == [0, 1, 2, 2, 2, 2, 2]
+
+    def test_run_table_cuts_match_partition_domain(self):
+        # the parent cuts from the run table's rows, never from the domain
+        for order, ms in ((3, [*range(2, 40, 3), 64, 129, 8192]), (4, [*range(2, 40, 3), 65, 512])):
+            for m in ms:
+                dom, rows = principal_domain(order, m), domain_rows(order, m)
+                assert rows[-1] == len(dom), (order, m)
+                for p, mode in itertools.product(range(1, 10), ("row_blocks", "point_blocks")):
+                    workers = WorkerConfig(p, mode)
+                    assert parallel._cuts(rows, workers) == partition_domain(dom, workers), (
+                        order, m, p, mode)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -97,6 +110,18 @@ class TestParallelEstimate:
                 got = parallel_estimate(series, cfg, workers)
                 assert np.array_equal(ref.values, got.values), (p, partition)
 
+    def test_workers_write_the_domain_indices(self):
+        # m=8 leaves some slices empty at P >= 3; at order 4, m=32, point
+        # blocks cut inside (k1, k2) runs
+        for order, m in ((3, 8), (3, 64), (4, 8), (4, 32)):
+            series = generate_qpc(0.1, 0.15, m, 0.4, seed=12)
+            cfg = EstimationConfig(order, SegmentConfig(m=m), 3, SmoothingPlan.EFFICIENT)
+            dom = principal_domain(order, m)
+            for p, partition in itertools.product(range(2, 6), ("row_blocks", "point_blocks")):
+                got = parallel_estimate(series, cfg, WorkerConfig(p, partition)).indices
+                assert got.dtype == dom.dtype and got.shape == dom.shape, (order, m, p, partition)
+                assert got.tobytes() == dom.tobytes(), (order, m, p, partition)
+
     def test_materialized_plan_runs_serial_any_worker_count(self):
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=6)
         cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.WS)
@@ -127,7 +152,7 @@ class TestParallelFailure:
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm to inspect")
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             raise RuntimeError("injected worker failure")
 
         monkeypatch.setattr(parallel, "smoothed_values", failing)
@@ -167,7 +192,7 @@ class TestParallelFailure:
         assert idle > 0
 
     def test_first_failure_raises_without_waiting_for_other_slices(self, monkeypatch):
-        def first_fails_rest_sleep(spec_set, cfg, start, stop):
+        def first_fails_rest_sleep(spec_set, cfg, start, stop, out):
             if start == 0:
                 raise RuntimeError("injected worker failure")
             time.sleep(3)
@@ -184,10 +209,10 @@ class TestParallelFailure:
     def test_worker_dying_without_result_names_slice_and_exit_code(self, monkeypatch):
         real = parallel.smoothed_values
 
-        def first_exits(spec_set, cfg, start, stop):
+        def first_exits(spec_set, cfg, start, stop, out):
             if start == 0:
                 os._exit(3)
-            return real(spec_set, cfg, start, stop)
+            return real(spec_set, cfg, start, stop, out=out)
 
         monkeypatch.setattr(parallel, "smoothed_values", first_exits)
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)

@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -16,6 +17,7 @@ from hospectra import (
     principal_domain,
     window_sums_2d,
 )
+from hospectra import tiled
 from hospectra.dft import dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import segment_and_demean
@@ -410,6 +412,42 @@ class TestSmoothedCells2d:
         ratio = traced / WORKSPACE.peak
         assert 0.8 <= ratio <= 1.25, (w, ratio)
         assert WORKSPACE.current == 0
+
+    @pytest.mark.parametrize("w", [2, 9, 47, 48, 49, 100])
+    def test_efficient_carried_sweep_matches_units_alone(self, w):
+        # each unit after a band's first takes its w-1 leading row-summed
+        # columns from the unit to its left; the sweep must equal every unit
+        # computed alone by tiled._block, bit for bit. B > w at w <= 47 and
+        # B = w above; m is no multiple of B, so a band has 3 full column
+        # units and a narrower fourth, and the last band is shorter too.
+        b = max(S, w)
+        m, n_rows = 3 * b + 7, 2 * b + 5
+        rng = np.random.default_rng(w)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+        def fetch(r, c):
+            return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
+
+        expect = np.empty((n_rows, m), dtype=a.dtype)
+        for r0, c0 in itertools.product(range(0, n_rows, b), range(0, m, b)):
+            unit = tiled._block(fetch, r0, c0, b, min(b, m - c0), w)
+            expect[r0 : r0 + b, c0 : c0 + b] = unit[: n_rows - r0]
+        # runs of ragged extent, so bands start and end on different units
+        lead = np.arange(n_rows)[:, None]
+        first = lead[:, 0] % 7 * (b // 4)
+        stops = m - lead[:, 0] % 5 * (b // 3)
+        offsets = lead[:, 0] * m + first
+        whole = np.empty(n_rows * m, dtype=a.dtype)
+        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", lead, first, stops, offsets, whole)
+        split = np.empty_like(whole)
+        cut = b + b // 2  # mid-band, as a P=2 cut on a row boundary falls
+        for part in (slice(None, cut), slice(cut, None)):
+            tiled.smoothed_runs(fetch, m, w, "EFFICIENT", lead[part], first[part], stops[part],
+                                offsets[part], split)
+        for r in range(n_rows):
+            cells = slice(r * m + first[r], r * m + stops[r])
+            assert np.array_equal(whole[cells], expect[r, first[r] : stops[r]]), (w, r)
+            assert np.array_equal(split[cells], whole[cells]), (w, r)
 
 
 def direct_fetch(spectra, w):
