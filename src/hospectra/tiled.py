@@ -134,9 +134,6 @@ def _carried(fetch, r0, rows, c0s, m, w):
     """EFFICIENT units along a band, each as :func:`_block` computes it alone: the row
     pass keeps each column's bits, so the row sums of the ``w-1`` source columns a
     unit shares with the next are carried (a copy, not a view pinning its part)."""
-    if w == 1:  # the identity: each unit is its patch
-        yield from _alone(_block)(fetch, r0, rows, c0s, m, w)
-        return
     carry, held = None, 0  # the carried row sums and their bytes
     try:
         for c0 in c0s:
@@ -144,12 +141,12 @@ def _carried(fetch, r0, rows, c0s, m, w):
             skip = 0 if carry is None else w - 1
             part = _block(fetch, r0, c0 + skip, rows, cols - skip, w,
                           kernel=partial(box_sums, axes=(0,)))  # the row pass
-            if carry is not None:
+            if skip:
                 part = np.concatenate([carry, part], axis=1)
             WORKSPACE.drop(held)
             carry = part[:, cols:].copy()
             held = WORKSPACE.note(carry)
-            vals = _column_sums(part, w)
+            vals = _column_sums(part, w) if w > 1 else part  # w = 1: the identity
             del part  # before the next unit's fetch
             yield vals
     finally:
