@@ -262,16 +262,15 @@ def _make_fetch(spectra: np.ndarray, order: int, h: int, conjugate_last: bool):
 # -- smoothing paths ---------------------------------------------------------
 
 
-def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, idx, acc=None):
-    """Smoothed, segment-averaged values at the index tuples ``idx`` (into
-    ``acc`` if given) by a materialized plan: each segment's raw products are
-    smoothed, and their values at ``idx`` added (smooth first, then average, as the direct method
-    states it). WS and PREFIX smooth the whole periodic grid; NAIVE re-sums
-    the box from the origin to ``idx``'s maxima plus the window, no more."""
+def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, idx, acc):
+    """Smoothed, segment-averaged values at the index tuples ``idx``, into
+    ``acc``, by a materialized plan: each segment's raw products are smoothed,
+    and their values at ``idx`` added (smooth first, then average, as the
+    direct method states it). WS and PREFIX smooth the whole periodic grid;
+    NAIVE re-sums the box from the origin to ``idx``'s maxima plus the window, no more."""
     w, axes = cfg.m3, cfg.order - 1
     naive = cfg.plan is SmoothingPlan.NAIVE
     shape = tuple(int(n) + w for n in idx.max(axis=0)) if naive else (spec_set.m,) * axes
-    acc = np.zeros(len(idx), dtype=np.complex128) if acc is None else acc
     acc.fill(0)
     with WORKSPACE.held(acc, idx):
         for f in spec_set.spectra:

@@ -113,14 +113,19 @@ class TestParallelEstimate:
     def test_workers_write_the_domain_indices(self):
         # m=8 leaves some slices empty at P >= 3; at order 4, m=32, point
         # blocks cut inside (k1, k2) runs
+        empty = 0
         for order, m in ((3, 8), (3, 64), (4, 8), (4, 32)):
             series = generate_qpc(0.1, 0.15, m, 0.4, seed=12)
             cfg = EstimationConfig(order, SegmentConfig(m=m), 3, SmoothingPlan.EFFICIENT)
             dom = principal_domain(order, m)
             for p, partition in itertools.product(range(2, 6), ("row_blocks", "point_blocks")):
-                got = parallel_estimate(series, cfg, WorkerConfig(p, partition)).indices
+                workers = WorkerConfig(p, partition)
+                cuts = partition_domain(dom, workers)
+                empty += sum(a == b for a, b in zip(cuts, cuts[1:]))
+                got = parallel_estimate(series, cfg, workers).indices
                 assert got.dtype == dom.dtype and got.shape == dom.shape, (order, m, p, partition)
                 assert got.tobytes() == dom.tobytes(), (order, m, p, partition)
+        assert empty > 0
 
     def test_materialized_plan_runs_serial_any_worker_count(self):
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=6)

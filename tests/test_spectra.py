@@ -235,7 +235,8 @@ class TestEstimateSpectrum:
         series = generate_qpc(0.1, 0.15, 64, 0.4, seed=8)
         spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=64, k=1)))
         every_cell = np.indices((64, 64)).reshape(2, -1).T
-        full = _materialized_values(spec_set, cfg3(64, 5, SmoothingPlan.WS), every_cell)
+        full = np.empty(64 * 64, dtype=complex)
+        _materialized_values(spec_set, cfg3(64, 5, SmoothingPlan.WS), every_cell, full)
         full = full.reshape(64, 64)
         assert max_rel_dev(full, full.T) < 1e-9
 
