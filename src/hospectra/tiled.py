@@ -16,9 +16,10 @@ aligned to a fixed grid in output coordinates:
               ``2w-1``-row source patch (O(cols*w) memory, each source cell
               fetched at most twice).
 * EFFICIENT - square blocks of ``B = max(S, w)`` output cells per side,
-              :func:`box_sums` over a ``(B+w-1)^2`` patch, the row sums of
-              its first ``w-1`` columns carried from the unit to its left
-              (O(max(S, w)^2) memory, each source cell fetched at most twice).
+              :func:`box_sums` over a ``(B+w-1)^2`` patch; along an order-3
+              band the row sums of its first ``w-1`` columns are carried from
+              the unit to its left (O(max(S, w)^2) memory, each source cell
+              fetched at most twice; 4 times by the faces of an order-4 ring).
 * STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over the sums
               of ``2w-1`` source columns of ``w`` cells, fetched one column
               at a time (O(w) memory, each source cell fetched O(w) times).
