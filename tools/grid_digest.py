@@ -23,7 +23,9 @@ every plan, K in {1,3}, conjugation on and off; the lean plans also at P in
 {2,3} with both partition modes. Order 3 also at m=512, w in {9,49}, K=1,
 conjugation on: FAST and EFFICIENT at P in {1,2}, after their NAIVE
 reference; there a band holds several EFFICIENT column units and the P=2
-cut falls inside a band. Uses the public API only.
+cut falls inside a band. At w=9, EFFICIENT also runs at P=3 with both
+partitions: its bands hold units that every run covers, and the
+point_blocks cuts fall mid-row. Uses the public API only.
 """
 
 import hashlib
@@ -59,6 +61,9 @@ def cells():
         yield order, m, w, 1, True, SmoothingPlan.NAIVE, WorkerConfig()
         for plan, p in itertools.product((SmoothingPlan.FAST, SmoothingPlan.EFFICIENT), (1, 2)):
             yield order, m, w, 1, True, plan, WorkerConfig(p)
+        if w == windows[0]:
+            for part in ("row_blocks", "point_blocks"):
+                yield order, m, w, 1, True, SmoothingPlan.EFFICIENT, WorkerConfig(3, part)
 
 
 def main():
