@@ -25,12 +25,14 @@ aligned to a fixed grid in output coordinates:
               at a time (O(w) memory, each source cell fetched O(w) times).
 
 One engine, :func:`smoothed_runs`, serves both orders from one run table:
-with one lead index, each band of units is walked column unit by column
-unit; with two, each block of the leading axes, of the plan's unit shape,
-sweeps the run axis with a ring of ``w`` planes. Units depend only on
-(fetch, w, unit origin) and a kernel's cell depends only on its own lines,
-so splitting the output across workers reproduces a serial sweep bit for
-bit.
+with one lead index, each band of units is walked column unit by column unit
+and a unit lands in ``out`` by one indexed write if all the band's runs cover
+its columns, else (a diagonal or tail unit) one slice per row, the chunks
+:func:`smoothed_cells_2d` yields; with two, each block of the leading axes, of
+the plan's unit shape, sweeps the run axis with a ring of ``w`` planes. Units
+depend only on (fetch, w, unit origin) and a kernel's cell depends only on its
+own lines, so splitting the output across workers reproduces a serial sweep
+bit for bit.
 """
 
 from __future__ import annotations
@@ -188,27 +190,45 @@ def _groups(lead, face):
     return zip((keys[starts] * face).tolist(), map(slice, starts, starts[1:] + [len(keys)]))
 
 
-def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
-    """:func:`smoothed_runs` for one lead column, yielding after every unit."""
+def _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
+    """Yield ``(r0, c0, vals, runs)`` per unit, ``runs`` as (rows, first, stops, pos) lists."""
     shape, walk = _UNITS[plan_name]
     uh, uw = shape(m, w)
     held = 0  # the bytes of the unit values held until the next unit lands
     try:
         for (r0,), u in _groups(lead, (uh,)):
-            rows, pos = lead[u, 0].tolist(), (offsets[u] - first[u]).tolist()
-            lo, hi = first[u].tolist(), stops[u].tolist()
-            c0s = range(min(lo) // uw * uw, max(hi), uw)  # the band's column units
+            runs = [a.tolist() for a in (lead[u, 0], first[u], stops[u], offsets[u] - first[u])]
+            c0s = range(min(runs[1]) // uw * uw, max(runs[2]), uw)  # the band's column units
             # rows up to the last run's: by the own-line property, a shorter unit has the same bits
-            for vals, c0 in zip(walk(fetch, r0, rows[-1] - r0 + 1, c0s, m, w), c0s):
+            for vals, c0 in zip(walk(fetch, r0, runs[0][-1] - r0 + 1, c0s, m, w), c0s):
                 WORKSPACE.drop(held)
                 held = WORKSPACE.note(vals)
-                for row, s, e, p in zip(rows, lo, hi, pos):
-                    s, e = max(s, c0), min(e, c0 + vals.shape[1])
-                    if s < e:
-                        out[p + s : p + e] = vals[row - r0, s - c0 : e - c0]
-                yield
+                yield r0, c0, vals, runs
     finally:
         WORKSPACE.drop(held)
+
+
+def _pieces(r0, c0, vals, runs):
+    """Yield ``(pos + col, values)`` per run row of a unit from :func:`_bands`."""
+    for row, s, e, p in zip(*runs):
+        s, e = max(s, c0), min(e, c0 + vals.shape[1])
+        if s < e:
+            yield p + s, vals[row - r0, s - c0 : e - c0]
+
+
+def _land(out, r0, c0, vals, runs):
+    """Write a unit from :func:`_bands` into ``out``, at once if its band's runs cover it."""
+    rows, lo, hi, pos = runs
+    if max(lo) <= c0 and c0 + vals.shape[1] <= min(hi) and rows[-1] - rows[0] == len(rows) - 1:
+        vals = vals[rows[0] - r0 :]
+        # intp, in the unit's memory order: else NumPy copies the index or the unit
+        at = np.empty_like(vals, dtype=np.intp)
+        np.add.outer(np.array(pos, dtype=np.intp) + c0, np.arange(vals.shape[1]), out=at)
+        with WORKSPACE.held(at):
+            out[at] = vals
+    else:
+        for p, v in _pieces(r0, c0, vals, runs):
+            out[p : p + v.size] = v
 
 
 def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
@@ -220,8 +240,8 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
     if lead.shape[1] == 1:
-        for _ in _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
-            pass
+        for unit in _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
+            _land(out, *unit)  # the unit stays alive until the next lands, as in the meter
         return
     face = _UNITS[plan_name][0](m, w)
     order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
@@ -254,18 +274,6 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
             WORKSPACE.drop(nbytes)
 
 
-class _Chunks(list):
-    """An ``out`` that keeps each span written to it as a ``(position, view)`` chunk."""
-
-    def __setitem__(self, span, vals):
-        self.append((span.start, vals))
-
-    def drain(self):
-        chunks = self.copy()
-        self.clear()
-        return chunks
-
-
 def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
     """Yield ``(row, col_start, values)`` per span and unit, one unit at a time, over
     sorted ``(row, col_start, col_stop)`` spans, at most one per row (``n_rows_out`` unused)."""
@@ -273,10 +281,10 @@ def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
         raise ValueError(f"window must be >= 1, got {w}")
     # int32 halves this table, which the meter does not model; a larger index raises
     spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int32).reshape(-1, 3)
-    out = _Chunks()  # a cell's position is row * n_cols_out + col
+    # a cell's position is row * n_cols_out + col
     sweep = _bands(fetch, n_cols_out, w, plan_name, spans[:, :1], spans[:, 1], spans[:, 2],
-                   spans[:, 0] * np.int64(n_cols_out) + spans[:, 1], out)
-    return ((*divmod(p, n_cols_out), v) for _ in sweep for p, v in out.drain())
+                   spans[:, 0] * np.int64(n_cols_out) + spans[:, 1])
+    return ((*divmod(p, n_cols_out), v) for unit in sweep for p, v in _pieces(*unit))
 
 
 def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):

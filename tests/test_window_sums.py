@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -478,10 +479,12 @@ class HitCounter:
     def __init__(self, n):
         self.values = np.full(n, np.nan, dtype=complex)
         self.hits = np.zeros(n, dtype=int)
+        self.kinds = Counter()  # writes per index type: slice or ndarray
 
     def __setitem__(self, where, vals):
         self.values[where] = vals
         self.hits[where] += 1
+        self.kinds[type(where).__name__] += 1
 
 
 class TestEngineEntryPoints:
@@ -529,6 +532,96 @@ class TestEngineEntryPoints:
                 "EFFICIENT", [(r, 0, 6) for r in range(6)],
             )
             assert {vals.dtype for _, _, vals in chunks} == {np.dtype(dtype)}
+
+
+class TestIndexedWrite:
+    """With one lead column, ``smoothed_runs`` writes a unit whose band's runs
+    all cover its columns by one indexed write and every other unit one row
+    slice at a time; both land the bits of ``smoothed_cells_2d``'s chunks."""
+
+    @staticmethod
+    def table(b, m):
+        # a slice of a ragged triangle over three bands of five column units:
+        # the first run starts mid-row and the last stops short, the second
+        # band misses two rows, first = row puts a partial unit on each band's
+        # diagonal and the ragged stops leave partial tail units. The first
+        # band's second unit is full; its third is partial only because row 7
+        # stops one column short, and the third band's fourth only because
+        # row 2b+2 starts one column late, so a write one column too wide hits
+        # a neighbouring run's cell.
+        rows = np.array([r for r in range(2 * b + 5) if r not in (b + 3, b + 4)])
+        first = rows.copy()
+        first[0] = 5
+        first[rows == 2 * b + 2] = 3 * b + 1
+        stops = m - rows % 3 * (b // 4)
+        stops[rows == 7] = 3 * b - 1
+        stops[-1] = 5 * b - 3
+        offsets = np.cumsum(stops - first) - (stops - first)
+        return rows, first, stops, offsets
+
+    @pytest.mark.parametrize("w", [1, 9, 49])
+    def test_bit_identical_to_row_chunks_each_cell_once(self, w):
+        b = max(S, w)
+        m = 5 * b + 7
+        rng = np.random.default_rng(w)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+
+        def fetch(r, c):
+            return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
+
+        rows, first, stops, offsets = self.table(b, m)
+        total = int((stops - first).sum())
+        out = np.full(total, np.nan, dtype=complex)
+        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", rows[:, None], first, stops, offsets, out)
+        counter = HitCounter(total)
+        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", rows[:, None], first, stops, offsets,
+                            counter)
+        assert np.array_equal(counter.hits, np.ones(total, dtype=int)), w
+        assert set(counter.kinds) == {"slice", "ndarray"}, counter.kinds  # both write paths
+        expect = np.full(total, np.nan, dtype=complex)
+        base = dict(zip(rows.tolist(), (offsets - first).tolist()))
+        spans = zip(rows.tolist(), first.tolist(), stops.tolist())
+        for row, c0, vals in smoothed_cells_2d(fetch, m, m, w, "EFFICIENT", spans):
+            expect[base[row] + c0 : base[row] + c0 + vals.size] = vals
+        assert np.array_equal(out, expect), w  # NaN nowhere: every cell written
+        assert np.array_equal(counter.values, expect), w
+
+    @pytest.mark.parametrize("w", [9, 49])
+    def test_meter_matches_traced_peak(self, w):
+        # as TestSmoothedCells2d's EFFICIENT case, on the path an estimate
+        # takes: order 3's domain runs (k2 <= k1) written into an ndarray,
+        # so the index array of a unit's write is traced where it is made
+        # (measured 1.09 at w=9 and 1.04 at w=49). Not at w=1: there the
+        # unit is the fetched patch, and the previous unit is still alive
+        # while the next is fetched, so two units are live where the meter
+        # counts one (1.87); freeing it first costs FAST and large EFFICIENT
+        # windows a heap trim and refault per unit
+        rng = np.random.default_rng(w)
+        n = 400
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pad = 2 * max(w, S)
+        ext = np.pad(a, ((0, pad), (0, pad)), mode="wrap")
+
+        def fetch(r, c):  # a slice: no index temporaries in the trace
+            r, c = np.ravel(r), np.ravel(c)
+            return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
+
+        rows = np.arange(n)
+        first, stops = np.zeros(n, dtype=np.int64), rows + 1
+        offsets = np.cumsum(stops) - stops
+        out = np.empty(int(stops.sum()), dtype=a.dtype)
+        args = fetch, n, w, "EFFICIENT", rows[:, None], first, stops, offsets, out
+        tiled.smoothed_runs(*args)  # untraced: a fresh process's one-time allocations
+        WORKSPACE.reset()
+        tracemalloc.start()
+        try:
+            tiled.smoothed_runs(*args)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = traced / WORKSPACE.peak
+        assert 0.8 <= ratio <= 1.25, (w, ratio)
+        assert WORKSPACE.current == 0
 
 
 class TestMemoryTiers:
