@@ -217,7 +217,8 @@ def _pieces(r0, c0, vals, runs):
 
 
 def _land(out, r0, c0, vals, runs):
-    """Write a unit from :func:`_bands` into ``out``, at once if its band's runs cover it."""
+    """Write a unit from :func:`_bands` into ``out``: by one indexed write if its band's runs
+    cover its columns and skip no row, else one slice per run row."""
     rows, lo, hi, pos = runs
     if max(lo) <= c0 and c0 + vals.shape[1] <= min(hi) and rows[-1] - rows[0] == len(rows) - 1:
         vals = vals[rows[0] - r0 :]
