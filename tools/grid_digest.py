@@ -25,7 +25,9 @@ conjugation on: FAST and EFFICIENT at P in {1,2}, after their NAIVE
 reference; there a band holds several EFFICIENT column units and the P=2
 cut falls inside a band. At w=9, EFFICIENT also runs at P=3 with both
 partitions: its bands hold units that every run covers, and the
-point_blocks cuts fall mid-row. Uses the public API only.
+point_blocks cuts fall mid-row; STREAMING runs at P in {1,2}, so its bands
+hold many 1 x w units and the P=2 cut falls inside one. Uses the public API
+only.
 """
 
 import hashlib
@@ -64,6 +66,8 @@ def cells():
         if w == windows[0]:
             for part in ("row_blocks", "point_blocks"):
                 yield order, m, w, 1, True, SmoothingPlan.EFFICIENT, WorkerConfig(3, part)
+            for p in (1, 2):
+                yield order, m, w, 1, True, SmoothingPlan.STREAMING, WorkerConfig(p)
 
 
 def main():
