@@ -52,7 +52,8 @@ def reference_window(n: int) -> int:
     if n in REFERENCE_WINDOWS:
         return REFERENCE_WINDOWS[n]
     w = int(round(21.0 * (n / 128.0) ** 0.622)) | 1
-    return max(1, min(w, (n - 1) // 2))
+    # clamp to the largest odd window below n / 2: (x - 1) | 1 is the largest odd <= x
+    return max(1, min(w, ((n - 1) // 2 - 1) | 1))
 
 
 @dataclass

@@ -10,19 +10,21 @@ ascending ranges. Index wrapping for periodic boundaries lives inside
 Two kernels do the summing, one pass per axis: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
 cumsum difference). The lean plans apply them to units of the output
-aligned to a fixed grid in output coordinates:
+aligned to a fixed grid in output coordinates, each a row pass (sums of
+``w`` source rows per source column) then a column pass; along an order-3
+band a unit carries the row sums of the ``w-1`` source columns it shares
+with the next:
 
-* FAST      - ``w`` x full-width bands, :func:`running_sums` over a
-              ``2w-1``-row source patch (O(cols*w) memory, each source cell
-              fetched at most twice).
+* FAST      - ``w`` x full-width bands of one unit, :func:`running_sums`
+              over a ``2w-1``-row source patch (O(cols*w) memory, each source
+              cell fetched at most twice).
 * EFFICIENT - square blocks of ``B = max(S, w)`` output cells per side,
-              :func:`box_sums` over a ``(B+w-1)^2`` patch; along an order-3
-              band the row sums of its first ``w-1`` columns are carried from
-              the unit to its left (O(max(S, w)^2) memory, each source cell
-              fetched at most twice; 4 times by the faces of an order-4 ring).
-* STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over the sums
-              of ``2w-1`` source columns of ``w`` cells, fetched one column
-              at a time (O(w) memory, each source cell fetched O(w) times).
+              :func:`box_sums` over a ``(B+w-1)^2`` patch (O(max(S, w)^2)
+              memory, each source cell fetched at most twice; 4 times by the
+              faces of an order-4 ring).
+* STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over sums of
+              ``w`` source cells fetched one column at a time (O(w) memory,
+              each source cell fetched ``w`` times).
 
 One engine, :func:`smoothed_runs`, serves both orders from one run table:
 with one lead index, each band of units is walked column unit by column unit
@@ -107,15 +109,16 @@ def _column_sums(part, w):
     # the column pass of box_sums(a, w) on row sums, bit for bit, run on the
     # transposed view: a difference along an inner axis makes NumPy buffer
     # about three times its result, one along a leading axis nothing
-    nbytes = WORKSPACE.note(part)
-    try:
-        return box_sums(part.T, w, axes=(0,)).T
-    finally:
-        WORKSPACE.drop(nbytes)
+    return box_sums(part.T, w, axes=(0,)).T
 
 
 def _box_sums_2d(a, w):
-    return _column_sums(box_sums(a, w, axes=(0,)), w)
+    part = box_sums(a, w, axes=(0,))
+    nbytes = WORKSPACE.note(part)  # not a held scope: the ring calls this once per plane
+    try:
+        return _column_sums(part, w)
+    finally:
+        WORKSPACE.drop(nbytes)
 
 
 def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
@@ -133,53 +136,23 @@ def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
         WORKSPACE.drop(nbytes)
 
 
-def _carried(fetch, r0, rows, c0s, m, w):
-    """EFFICIENT units along a band, each as :func:`_block` computes it alone: the row
-    pass keeps each column's bits, so the row sums of the ``w-1`` source columns a
-    unit shares with the next are carried (a copy, not a view pinning its part)."""
-    carry, held = None, 0  # the carried row sums and their bytes
-    try:
-        for c0 in c0s:
-            cols = min(c0s.step, m - c0)
-            skip = 0 if carry is None else w - 1
-            part = _block(fetch, r0, c0 + skip, rows, cols - skip, w,
-                          kernel=partial(box_sums, axes=(0,)))  # the row pass
-            if skip:
-                part = np.concatenate([carry, part], axis=1)
-            WORKSPACE.drop(held)
-            carry = part[:, cols:].copy()
-            held = WORKSPACE.note(carry)
-            vals = _column_sums(part, w) if w > 1 else part  # w = 1: the identity
-            del part  # before the next unit's fetch
-            yield vals
-    finally:
-        WORKSPACE.drop(held)
-
-
-def _alone(unit):
-    """A band walker that computes each unit by ``unit`` alone."""
-    return lambda fetch, r0, rows, c0s, m, w: (
-        unit(fetch, r0, c0, rows, min(c0s.step, m - c0), w) for c0 in c0s)
-
-
-def _strip(fetch, r0, c0, rows, cols, w):
+def _column_fetches(fetch, r0, c0, rows, cols, w):
+    # STREAMING's row pass (rows = 1): one fetch of w cells per source column, summed
     src = np.arange(r0, r0 + w)
-    sums = np.array([fetch(src, c).sum() for c in range(c0, c0 + cols + w - 1)])
-    nbytes = WORKSPACE.note(sums, src)
-    try:
-        return running_sums(sums, w, axes=(0,))[None]
-    finally:
-        WORKSPACE.drop(nbytes)
+    return np.array([[fetch(src, c).sum() for c in range(c0, c0 + cols + w - 1)]])
 
 
-#: plan -> (unit shape from (output columns, w), band walker). A band walker
-#: ``walk(fetch, r0, rows, c0s, m, w)`` yields per unit origin ``c0`` in ``c0s``
-#: the ``rows x min(c0s.step, m - c0)`` output values whose windows are anchored
-#: at ``(r0, c0)`` onwards. The unit shape is also the face of an order-4 block.
+#: plan -> (unit shape from (output columns, w), row pass, column pass). A row pass
+#: ``row_pass(fetch, r0, c0, rows, cols, w)`` gives the ``rows x (cols + w - 1)`` sums
+#: of ``w`` source rows from ``r0`` on, per source column from ``c0`` on; the column
+#: pass sums ``w`` of those columns per output cell. The unit shape is also the face of
+#: an order-4 block.
 _UNITS = {
-    "FAST": (lambda cols, w: (w, cols), _alone(partial(_block, kernel=running_sums))),
-    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, _carried),
-    "STREAMING": (lambda cols, w: (1, w), _alone(_strip)),
+    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=partial(running_sums, axes=(0,))),
+             partial(running_sums, axes=(1,))),
+    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2,
+                  partial(_block, kernel=partial(box_sums, axes=(0,))), _column_sums),
+    "STREAMING": (lambda cols, w: (1, w), _column_fetches, partial(running_sums, axes=(1,))),
 }
 
 
@@ -191,21 +164,37 @@ def _groups(lead, face):
 
 
 def _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
-    """Yield ``(r0, c0, vals, runs)`` per unit, ``runs`` as (rows, first, stops, pos) lists."""
-    shape, walk = _UNITS[plan_name]
+    """Yield ``(r0, c0, vals, runs)`` per unit, ``runs`` as (rows, first, stops, pos) lists.
+
+    A unit is its plan's column pass over its row pass. The row pass keeps each
+    column's bits, so the row sums of the ``w-1`` source columns a unit shares with
+    the next unit of its band are carried (a copy, not a view pinning the part)."""
+    shape, row_pass, column_pass = _UNITS[plan_name]
     uh, uw = shape(m, w)
-    held = 0  # the bytes of the unit values held until the next unit lands
+    held = carried = 0  # the bytes of the unit held until the next lands, and of the carry
     try:
         for (r0,), u in _groups(lead, (uh,)):
             runs = [a.tolist() for a in (lead[u, 0], first[u], stops[u], offsets[u] - first[u])]
             c0s = range(min(runs[1]) // uw * uw, max(runs[2]), uw)  # the band's column units
             # rows up to the last run's: by the own-line property, a shorter unit has the same bits
-            for vals, c0 in zip(walk(fetch, r0, runs[0][-1] - r0 + 1, c0s, m, w), c0s):
-                WORKSPACE.drop(held)
-                held = WORKSPACE.note(vals)
-                yield r0, c0, vals, runs
+            rows, carry = runs[0][-1] - r0 + 1, None
+            for c0 in c0s:
+                cols = min(uw, m - c0)
+                skip = 0 if carry is None else w - 1
+                part = row_pass(fetch, r0, c0 + skip, rows, cols - skip, w)
+                if skip:
+                    part = np.concatenate([carry, part], axis=1)
+                WORKSPACE.drop(carried)  # carry on only if the band has a next unit
+                carry = part[:, cols:].copy() if c0 + uw < c0s.stop else None
+                carried = 0 if carry is None else WORKSPACE.note(carry)
+                if w > 1:  # else the identity
+                    held += WORKSPACE.note(part)  # the part, during the column pass
+                    part = column_pass(part, w)
+                WORKSPACE.drop(held)  # the part and the previous unit
+                held = WORKSPACE.note(part)
+                yield r0, c0, part, runs
     finally:
-        WORKSPACE.drop(held)
+        WORKSPACE.drop(held + carried)
 
 
 def _pieces(r0, c0, vals, runs):

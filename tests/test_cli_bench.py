@@ -276,7 +276,7 @@ class TestReferenceWindow:
         assert reference_window(8192) == 279
 
     def test_interpolated_values_are_odd_and_feasible(self):
-        for n in (200, 3000, 2**14):
+        for n in (*range(5, 41), 200, 3000, 2**14):
             w = reference_window(n)
             assert w % 2 == 1
             assert 1 <= w < n / 2

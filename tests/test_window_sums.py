@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -415,40 +416,105 @@ class TestSmoothedCells2d:
         assert WORKSPACE.current == 0
 
     @pytest.mark.parametrize("w", [2, 9, 47, 48, 49, 100])
-    def test_efficient_carried_sweep_matches_units_alone(self, w):
-        # each unit after a band's first takes its w-1 leading row-summed
-        # columns from the unit to its left; the sweep must equal every unit
-        # computed alone by tiled._block, bit for bit. B > w at w <= 47 and
-        # B = w above; m is no multiple of B, so a band has 3 full column
-        # units and a narrower fourth, and the last band is shorter too.
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
+    def test_carried_sweep_matches_units_alone(self, plan, w):
+        # each unit after a band's first takes the row sums of its w-1 leading
+        # source columns from the unit to its left; the sweep must equal every
+        # unit computed alone by the public kernels over its own fetched source,
+        # bit for bit. EFFICIENT's B > w at w <= 47 and B = w above; m is no
+        # multiple of B, so its band has 3 full column units and a narrower
+        # fourth, and the last band of B or w rows is shorter too. A FAST band
+        # is one unit, a STREAMING band one row of 1 x w units.
         b = max(S, w)
-        m, n_rows = 3 * b + 7, 2 * b + 5
+        m = 3 * b + 7
+        uh, uw = {"FAST": (w, m), "EFFICIENT": (b, b), "STREAMING": (1, w)}[plan]
+        n_rows = 2 * uh + 5
         rng = np.random.default_rng(w)
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
 
         def fetch(r, c):
             return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
 
+        def alone(r0, c0, cols):
+            if plan == "STREAMING":  # running sums over column sums of w cells
+                src = np.arange(r0, r0 + w)
+                sums = np.array([fetch(src, c).sum() for c in range(c0, c0 + cols + w - 1)])
+                return running_sums(sums, w, axes=(0,))[None]
+            patch = fetch(np.arange(r0, r0 + uh + w - 1), np.arange(c0, c0 + cols + w - 1))
+            return (box_sums if plan == "EFFICIENT" else running_sums)(patch, w)
+
         expect = np.empty((n_rows, m), dtype=a.dtype)
-        for r0, c0 in itertools.product(range(0, n_rows, b), range(0, m, b)):
-            unit = tiled._block(fetch, r0, c0, b, min(b, m - c0), w)
-            expect[r0 : r0 + b, c0 : c0 + b] = unit[: n_rows - r0]
+        for r0, c0 in itertools.product(range(0, n_rows, uh), range(0, m, uw)):
+            expect[r0 : r0 + uh, c0 : c0 + uw] = alone(r0, c0, min(uw, m - c0))[: n_rows - r0]
         # runs of ragged extent, so bands start and end on different units
         lead = np.arange(n_rows)[:, None]
         first = lead[:, 0] % 7 * (b // 4)
         stops = m - lead[:, 0] % 5 * (b // 3)
         offsets = lead[:, 0] * m + first
         whole = np.empty(n_rows * m, dtype=a.dtype)
-        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", lead, first, stops, offsets, whole)
+        tiled.smoothed_runs(fetch, m, w, plan, lead, first, stops, offsets, whole)
         split = np.empty_like(whole)
-        cut = b + b // 2  # mid-band, as a P=2 cut on a row boundary falls
+        cut = uh + uh // 2  # mid-band where a band has rows to cut, as a P=2 cut may fall
         for part in (slice(None, cut), slice(cut, None)):
-            tiled.smoothed_runs(fetch, m, w, "EFFICIENT", lead[part], first[part], stops[part],
+            tiled.smoothed_runs(fetch, m, w, plan, lead[part], first[part], stops[part],
                                 offsets[part], split)
         for r in range(n_rows):
             cells = slice(r * m + first[r], r * m + stops[r])
             assert np.array_equal(whole[cells], expect[r, first[r] : stops[r]]), (w, r)
             assert np.array_equal(split[cells], whole[cells]), (w, r)
+
+    def test_streaming_fetches_each_source_column_once_per_band(self):
+        # a band's first 1 x w unit fetches 2w-1 source columns and each later
+        # unit only its w new ones, the other w-1 column sums being carried
+        n, w = 512, 9
+        a = np.random.default_rng(w).standard_normal((n, n))
+        calls = Counter()  # per band, i.e. per output row
+
+        def fetch(r, c):
+            calls[int(np.ravel(r)[0])] += 1
+            return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
+
+        lead, first, stops, offsets = domain_runs(n)
+        out = np.empty(int((stops - first).sum()))
+        tiled.smoothed_runs(fetch, n, w, "STREAMING", lead, first, stops, offsets, out)
+        assert set(calls) == set(lead[:, 0].tolist())
+        for row, s, e in zip(lead[:, 0].tolist(), first.tolist(), stops.tolist()):
+            lo = s // w * w
+            unit_cols = min(n, lo + -(-(e - lo) // w) * w) - lo  # the band's units' columns
+            assert calls[row] <= unit_cols + w - 1, (row, calls[row], unit_cols)
+        assert sum(calls.values()) <= 1.25 * out.size, sum(calls.values()) / out.size
+
+    @pytest.mark.parametrize("w", [9, 77])
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT"])
+    def test_previous_unit_alive_during_next_fetch(self, plan, w):
+        # freeing each unit before the next unit's fetch lets glibc trim the heap
+        # top and fault it back in for every unit: minor page faults per call
+        # rose 1,668 -> 8,167 for FAST at m=1024, w=77 (24 -> 39 ms), and no
+        # timing test sees it
+        n = 320
+        a = np.random.default_rng(w).standard_normal((n, n))
+        landed = []  # a weak reference to the unit each write came from
+        alive = []  # per fetch once a unit has landed: is the last one alive?
+
+        class Out:
+            def __setitem__(self, where, vals):
+                landed.append(weakref.ref(vals if vals.base is None else vals.base))
+
+        def fetch(r, c):
+            if landed:
+                alive.append(landed[-1]() is not None)
+            return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
+
+        tiled.smoothed_runs(fetch, n, w, plan, *domain_runs(n), Out())
+        assert len(alive) >= 2 and all(alive), alive
+
+
+def domain_runs(n):
+    """Order 3's principal-domain runs as ``smoothed_runs`` takes them: one per k1."""
+    dom = principal_domain(3, n)
+    starts = np.flatnonzero(np.r_[True, dom[1:, 0] != dom[:-1, 0]])
+    ends = np.r_[starts[1:], len(dom)]
+    return dom[starts, :1], dom[starts, 1], dom[ends - 1, 1] + 1, starts
 
 
 def direct_fetch(spectra, w):
