@@ -212,21 +212,32 @@ def domain_rows(order: int, m: int) -> np.ndarray:
 # -- raw products ------------------------------------------------------------
 
 
-def _raw_block(spectra, order, origin, shape, conjugate_last):
+def _raw_block(spectra, order, origin, shape, conjugate_last, depth=0):
     """Unscaled raw products ``(f[k1]*f[k2]) * (f[k3]*...*last[k1+...])``
     over the box ``origin + [0, shape)`` of the periodic grid, summed over
     the segments (rows of ``spectra``) in order. Each axis's factor is one
     wrapped take; the last factor is a Hankel view of one more, over the
-    range of index sums, so no index array as large as the box is built."""
+    range of index sums, so no index array as large as the box is built.
+    At order 4 a ``depth`` sums a plane over ``depth`` third indices: since
+    ``f[k3+l] * last[s+k3+l]`` depends on ``(k1, k2)`` only through ``s =
+    k1+k2``, it is summed over ``l`` into the last factor first."""
     k, axes, lo = len(spectra), order - 1, sum(origin)
     f1, f2, *mid = (
         spectra.take(np.arange(o, o + n).reshape((1,) * a + (n,) + (1,) * (axes - 1 - a)),
                      axis=1, mode="wrap")
         for a, (o, n) in enumerate(zip(origin, shape))
     )
-    last = spectra.take(np.arange(lo, lo + sum(shape) - axes + 1), axis=1, mode="wrap")
+    sums = sum(shape) - axes + 1
+    last = spectra.take(np.arange(lo, lo + sums + max(depth, 1) - 1), axis=1, mode="wrap")
     if conjugate_last:
         np.conj(last, out=last)
+    if depth:  # one segment's (depth, sums) windows of its last factor at a time, in place
+        f3 = spectra.take(np.arange(origin[2], origin[2] + depth), axis=1, mode="wrap")
+        s1, mid = last.strides[1], []
+        for f, row in zip(f3, last):
+            terms = f[:, None] * np.ndarray((depth, sums), row.dtype, row, 0, (s1, s1))
+            with WORKSPACE.held(terms):
+                terms.sum(axis=0, out=row[:sums])
     s0, s1 = last.strides
     hank = np.ndarray((k, *shape), last.dtype, last, 0, (s0,) + (s1,) * axes)  # a view of last
     acc = None
@@ -241,18 +252,19 @@ def _raw_block(spectra, order, origin, shape, conjugate_last):
     return acc
 
 
-def _make_fetch(spectra: np.ndarray, order: int, h: int, conjugate_last: bool):
+def _make_fetch(spectra: np.ndarray, order: int, w: int, conjugate_last: bool):
     """Segment-averaged raw products at ``fetch(rows, cols, *rest)``, indices
-    shifted by the window offset ``h``. Rows and columns are consecutive
+    shifted by the window offset ``w // 2``. Rows and columns are consecutive
     ascending ranges (the ``tiled`` contract), so only their first values and
-    sizes are read; one scalar per further axis."""
-    scale = 1.0 / spectra.size
+    sizes are read; one scalar per further axis. At order 4 the plane is summed
+    over the third index's ``w`` values from ``rest[0]`` on."""
+    scale, h, depth = 1.0 / spectra.size, w // 2, w * (order == 4)
 
     def fetch(rows, cols, *rest):
         rows, cols = np.asarray(rows), np.asarray(cols)
         origin = [int(x) - h for x in (rows.flat[0], cols.flat[0], *rest)]
         shape = (rows.size, cols.size) + (1,) * len(rest)
-        block = _raw_block(spectra, order, origin, shape, conjugate_last)
+        block = _raw_block(spectra, order, origin, shape, conjugate_last, depth)
         block *= scale
         return block.reshape(np.broadcast(rows, cols).shape)
 
@@ -301,7 +313,7 @@ def smoothed_values(
         return out
     if cfg.plan in MATERIALIZED_PLANS:
         return _materialized_values(spec_set, cfg, _expand(runs), out)
-    fetch = _make_fetch(spec_set.spectra, cfg.order, w // 2, cfg.conjugate_last)
+    fetch = _make_fetch(spec_set.spectra, cfg.order, w, cfg.conjugate_last)
     stops = runs.first + runs.lens
     smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)
     out /= float(w) ** (cfg.order - 1)
@@ -349,9 +361,7 @@ def write_grid_csv(grid: SpectrumGrid, path) -> None:
     domain point per row in lexicographic order, bins as ``%d`` and both
     parts as ``%.17g``.
 
-    Rows are formatted in chunks of ``series.CSV_CHUNK_ROWS`` (4096) by
-    :func:`~hospectra.series.write_csv_rows`; the bytes are unchanged from
-    one f-string per row.
+    Rows are formatted in chunks by :func:`~hospectra.series.write_csv_rows`.
     """
     nbins = grid.order - 1
     names = [f"k{i + 1}" for i in range(nbins)]

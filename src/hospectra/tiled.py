@@ -1,11 +1,10 @@
 """Source-on-demand window-sum engines and the two shared 1-D window-sum kernels.
 
 The engines compute sliding box sums along runs of cells without
-materializing the source: values are pulled through ``fetch(rows, cols,
-*scalars)``, which takes broadcastable integer row and column index arrays
-and one index per further axis; rows and columns are always consecutive
-ascending ranges. Index wrapping for periodic boundaries lives inside
-``fetch``, so the engines themselves are boundary-agnostic.
+materializing the source: values are pulled through ``fetch(rows, cols)``,
+broadcastable consecutive ascending index ranges, or at order 4 ``fetch(rows,
+cols, k3)``, that plane summed over ``k3 .. k3+w-1``. Periodic index wrapping
+lives inside ``fetch``, so the engines themselves are boundary-agnostic.
 
 Two kernels do the summing, one pass per axis: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
@@ -20,18 +19,19 @@ with the next:
               cell fetched at most twice).
 * EFFICIENT - square blocks of ``B = max(S, w)`` output cells per side,
               :func:`box_sums` over a ``(B+w-1)^2`` patch (O(max(S, w)^2)
-              memory, each source cell fetched at most twice; 4 times by the
-              faces of an order-4 ring).
+              memory, each source cell fetched at most twice; at order 4,
+              each summed cell at most 4 times, by the halos of its blocks).
 * STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over sums of
               ``w`` source cells fetched one column at a time (O(w) memory,
-              each source cell fetched ``w`` times).
+              O(w^2) at order 4; each source cell fetched ``w`` times).
 
 One engine, :func:`smoothed_runs`, serves both orders from one run table:
 with one lead index, each band of units is walked column unit by column unit
 and a unit lands in ``out`` by one indexed write if all the band's runs cover
 its columns, else (a diagonal or tail unit) one slice per row, the chunks
 :func:`smoothed_cells_2d` yields; with two, each block of the leading axes, of
-the plan's unit shape, sweeps the run axis with a ring of ``w`` planes. Units
+the plan's unit shape, is one 2-D box sum of a summed plane per third index
+its runs cover, cut at the far corner of the runs active there. Units
 depend only on (fetch, w, unit origin) and a kernel's cell depends only on its
 own lines, so splitting the output across workers reproduces a serial sweep
 bit for bit.
@@ -39,7 +39,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def _column_sums(part, w):
 
 def _box_sums_2d(a, w):
     part = box_sums(a, w, axes=(0,))
-    nbytes = WORKSPACE.note(part)  # not a held scope: the ring calls this once per plane
+    nbytes = WORKSPACE.note(part)  # not a held scope: order 4 calls this per block and k3
     try:
         return _column_sums(part, w)
     finally:
@@ -226,7 +226,7 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
     ``t`` holds the cells with leading indices ``lead[t]`` (one or two
     columns) and last index ``k`` in ``[first[t], stops[t])``, and cell ``k``
     lands in ``out[offsets[t] + (k - first[t])]``. Every axis has extent ``m``;
-    runs with one lead column come sorted by it."""
+    runs with one lead column come sorted by it; with two, ``fetch`` sums planes."""
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
     if lead.shape[1] == 1:
@@ -237,31 +237,17 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
     order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
     lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
     for (b0, c0), u in _groups(lead, face):
-        bh, bw = min(face[0], m - b0), min(face[1], m - c0)
         ii, jj = (lead[u] - (b0, c0)).T
         st, sp, bb = first[u], stops[u], offsets[u]
-        a0 = w * (int(st.min()) // w)
-        ring = None  # free the previous block's ring before building this one
-        ring = np.stack([_block(fetch, b0, c0, bh, bw, w, a0 + t) for t in range(w)])
-        acc = ring.sum(axis=0)
-        nbytes = WORKSPACE.note(ring, acc)
-        try:
-            for k3 in range(a0, int(sp.max())):
-                if k3 > a0:
-                    new = _block(fetch, b0, c0, bh, bw, w, k3 + w - 1)
-                    slot = (k3 - 1) % w
-                    if k3 % w == 0:
-                        ring[slot] = new
-                        acc = ring.sum(axis=0)
-                    else:
-                        acc -= ring[slot]
-                        acc += new
-                        ring[slot] = new
-                active = (st <= k3) & (k3 < sp)
-                if active.any():
-                    out[bb[active] + (k3 - st[active])] = acc[ii[active], jj[active]]
-        finally:
-            WORKSPACE.drop(nbytes)
+        for k3 in range(int(st.min()), int(sp.max())):
+            on = (st <= k3) & (k3 < sp)
+            if on.any():  # a slice's first run may start after its block's others stop
+                i, j = ii[on], jj[on]
+                # cut at the active runs' far corner: a cell depends only on its own lines
+                vals = _block(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w, k3)
+                nbytes = WORKSPACE.note(vals)
+                out[bb[on] + (k3 - st[on])] = vals[i, j]
+                WORKSPACE.drop(nbytes)
 
 
 def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
@@ -278,5 +264,8 @@ def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
 
 
 def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
-    """:func:`smoothed_runs` with lead ``(k1s, k2s)``, first ``starts``, offsets ``bases``."""
-    smoothed_runs(fetch3, m, w, plan_name, np.column_stack([k1s, k2s]), starts, stops, bases, out)
+    """:func:`smoothed_runs` with lead ``(k1s, k2s)``, first ``starts``, offsets ``bases``,
+    for a ``fetch3(rows, cols, k3)`` of one plane: each request sums its ``w`` planes."""
+    def summed(rows, cols, k3):
+        return reduce(np.add, (fetch3(rows, cols, k3 + t) for t in range(w)))
+    smoothed_runs(summed, m, w, plan_name, np.column_stack([k1s, k2s]), starts, stops, bases, out)

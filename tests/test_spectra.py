@@ -24,7 +24,7 @@ from hospectra import (
 from hospectra.dft import SegmentSpectrumSet, dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
-from hospectra.spectra import _materialized_values, smoothed_values
+from hospectra.spectra import _materialized_values, _raw_block, smoothed_values
 
 
 def cfg3(m, m3, plan=SmoothingPlan.EFFICIENT, k=1, conj=True):
@@ -71,6 +71,34 @@ class TestRawValues:
         assert abs(
             raw_bispectrum_value(f, 5, 6) - f[5] * f[6] * np.conj(f[3]) / 8
         ) < 1e-12
+
+
+
+class TestRawBlockDepth:
+    """An order-4 block of depth ``w`` is the sum of the ``w`` planes of depth
+    one from its third index on: the lean plans' fetch contract."""
+
+    M = 32
+    # (origin, shape): negative origins, and third indices near m that wrap
+    BLOCKS = [((-3, -7, -2), (5, 9, 1)), ((4, 29, M - 2), (11, 6, 1)),
+              ((M - 1, 0, M - 1), (1, 1, 1)), ((0, 0, 0), (M, M, 1))]
+
+    @pytest.mark.parametrize("w", [1, 2, 5, 9])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("conj", [True, False])
+    def test_depth_sums_its_planes(self, w, k, conj):
+        rng = np.random.default_rng(10 * w + k)
+        spectra = rng.standard_normal((k, self.M)) + 1j * rng.standard_normal((k, self.M))
+        for origin, shape in self.BLOCKS:
+            got = _raw_block(spectra, 4, origin, shape, conj, depth=w)
+            planes = [_raw_block(spectra, 4, origin[:2] + (origin[2] + t,), shape, conj)
+                      for t in range(w)]
+            expect = sum(planes)
+            assert got.shape == expect.shape == shape, (origin, got.shape)
+            scale = float(np.abs(expect).max())
+            assert np.abs(got - expect).max() <= 1e-13 * scale, (origin, w)
+            if w == 1:  # the fold of one plane moves no bit
+                assert got.tobytes() == planes[0].tobytes(), origin
 
 
 class TestPrincipalDomain:
@@ -304,6 +332,36 @@ class TestMaterializedMeter:
     def test_naive_holds_less_than_one_grid(self):
         modelled, _ = metered_values(4, 64, 5, 1, SmoothingPlan.NAIVE)
         assert modelled < 16 * 64**3
+
+
+
+class TestLeanTiersOrder4:
+    """A lean order-4 sweep holds one summed block at a time, so FAST and
+    EFFICIENT hold no more than at order 3 (a ring of ``w`` planes held 5.0x
+    order 3's EFFICIENT and 9.1x its FAST peak at w=33) and STREAMING's
+    ``1 x w`` blocks stay O(w^2)."""
+
+    M = 256
+
+    def peak(self, order, w, plan):
+        series = generate_qpc(0.1, 0.15, self.M, 0.5, seed=3)
+        spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=self.M, k=1)))
+        cfg = EstimationConfig(order, SegmentConfig(m=self.M, k=1), w, plan)
+        WORKSPACE.reset()
+        smoothed_values(spec_set, cfg, 0, len(principal_domain(order, self.M)))
+        assert WORKSPACE.current == 0
+        return WORKSPACE.peak
+
+    @pytest.mark.parametrize("plan", [SmoothingPlan.FAST, SmoothingPlan.EFFICIENT])
+    def test_no_more_than_order_3(self, plan):
+        for w in (9, 33, 65):
+            peak3, peak4 = self.peak(3, w, plan), self.peak(4, w, plan)
+            assert peak4 <= peak3, (plan.name, w, peak4 / peak3)
+
+    def test_streaming_quadratic_in_window(self):
+        peaks = [self.peak(4, w, SmoothingPlan.STREAMING) for w in (17, 33, 65)]
+        for small, big in zip(peaks, peaks[1:]):
+            assert big / small <= 4.2, peaks
 
 
 class TestSpectrumGrid:

@@ -23,6 +23,7 @@ from hospectra import tiled
 from hospectra.dft import dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import segment_and_demean
+from hospectra.spectra import smoothed_values
 from hospectra.tiled import S, box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
 from hospectra.window_sums import smooth
 
@@ -509,12 +510,13 @@ class TestSmoothedCells2d:
         assert len(alive) >= 2 and all(alive), alive
 
 
-def domain_runs(n):
-    """Order 3's principal-domain runs as ``smoothed_runs`` takes them: one per k1."""
-    dom = principal_domain(3, n)
-    starts = np.flatnonzero(np.r_[True, dom[1:, 0] != dom[:-1, 0]])
+def domain_runs(n, order=3):
+    """The principal domain's runs as ``smoothed_runs`` takes them: one per
+    leading index (order 3) or pair of them (order 4)."""
+    dom = principal_domain(order, n)
+    starts = np.flatnonzero(np.r_[True, (dom[1:, :-1] != dom[:-1, :-1]).any(axis=1)])
     ends = np.r_[starts[1:], len(dom)]
-    return dom[starts, :1], dom[starts, 1], dom[ends - 1, 1] + 1, starts
+    return dom[starts, :-1], dom[starts, -1], dom[ends - 1, -1] + 1, starts
 
 
 def direct_fetch(spectra, w):
@@ -688,6 +690,69 @@ class TestIndexedWrite:
         ratio = traced / WORKSPACE.peak
         assert 0.8 <= ratio <= 1.25, (w, ratio)
         assert WORKSPACE.current == 0
+
+
+class TestOrder4Sweep:
+    """With two lead columns, ``smoothed_runs`` asks the fetch for each block
+    of the leading axes once per third index its runs cover, each answer
+    already summed over the ``w`` third indices from there on, and cuts the
+    block at the far corner of the runs active at that index."""
+
+    @staticmethod
+    def face(plan, m, w):
+        return {"FAST": (w, m), "EFFICIENT": (max(S, w),) * 2, "STREAMING": (1, w)}[plan]
+
+    @pytest.mark.parametrize("w", [1, 4, 5])
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
+    def test_one_summed_fetch_per_block_and_covered_index(self, plan, w):
+        m = 32
+        rng = np.random.default_rng(w)
+        a = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+        calls = Counter()
+
+        def fetch(rows, cols, k3):  # the plane summed over k3 .. k3 + w - 1
+            r, c = np.ravel(rows), np.ravel(cols)
+            calls[int(r[0]), int(c[0]), k3, r.size, c.size] += 1
+            return a[r[:, None] % m, c[None, :] % m][..., (k3 + np.arange(w)) % m].sum(axis=-1)
+
+        lead, first, stops, offsets = domain_runs(m, order=4)
+        out = np.empty(int((stops - first).sum()), dtype=a.dtype)
+        tiled.smoothed_runs(fetch, m, w, plan, lead, first, stops, offsets, out)
+        fh, fw = self.face(plan, m, w)
+        seen = Counter((b0, c0, k3) for b0, c0, k3, _, _ in calls)
+        assert max(seen.values()) == 1, seen.most_common(1)  # no plane fetched twice: no ring
+        for b0, c0, k3, rows, cols in calls:
+            on = ((lead // (fh, fw) == (b0 // fh, c0 // fw)).all(axis=1)
+                  & (first <= k3) & (k3 < stops))
+            assert on.any(), (b0, c0, k3)  # some run of the block covers k3
+            far = lead[on].max(axis=0) - (b0, c0) + w  # the active runs' far corner
+            assert (rows, cols) == tuple(far.tolist()), (b0, c0, k3, rows, cols)
+        expect = smooth(a, w, SmoothingPlan.PREFIX, periodic=True)
+        dom = principal_domain(4, m)
+        assert_window_equal(out, expect[tuple(dom.T)], context=f"{plan} w={w}")
+
+    @pytest.mark.parametrize("w", [3, 5])
+    def test_slice_past_its_blocks_other_runs_bit_identical(self, w):
+        # a slice [a, b) whose first run starts at k3 >= 2 and whose one other
+        # run in that run's block is cut after its first point (k3 = 0): the
+        # block's sweep then passes k3 = 1 with no run active
+        m = 32
+        series = generate_qpc(0.1, 0.15, m, noise_sigma=0.4, seed=w)
+        spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=m, k=1)))
+        dom = principal_domain(4, m)
+        for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
+            blocks = dom[:, :2] // self.face(plan.name, m, w)
+            for a in np.flatnonzero(dom[:, 2] >= 2).tolist():
+                # the block's next run after the one at a; it starts at k3 = 0
+                mates = np.flatnonzero((blocks[a:] == blocks[a]).all(axis=1)
+                                       & (dom[a:, :2] != dom[a, :2]).any(axis=1))
+                if len(mates):
+                    b = a + int(mates[0]) + 1
+                    break
+            cfg = EstimationConfig(4, SegmentConfig(m=m, k=1), w, plan)
+            full = smoothed_values(spec_set, cfg, 0, len(dom))
+            got = smoothed_values(spec_set, cfg, a, b)
+            assert np.array_equal(got, full[a:b]), (plan.name, a, b)
 
 
 class TestMemoryTiers:
