@@ -5,8 +5,8 @@ box sums are carried: brute-force re-summation (NAIVE), running sums
 along each axis of a materialized grid (WS), prefix sums with differencing
 along each axis (PREFIX), WS's running sums over bands of w source rows
 (FAST), PREFIX's box sums over square blocks of max(48, w) output cells
-(EFFICIENT), or running sums over column sums fetched w cells at a time
-(STREAMING). The working-set meter shows the memory tiers; the wall clock
+(EFFICIENT), or FAST's running sums over one row of 48 output cells at a
+time, fetched at most 48 source columns per call (STREAMING). The working-set meter shows the memory tiers; the wall clock
 shows the work tiers.
 """
 

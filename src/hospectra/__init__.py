@@ -20,7 +20,7 @@ from .bench import (
 from .dft import SegmentSpectrumSet, dft_segments, naive_dft
 from .errors import DataError, ParameterError
 from .meter import WORKSPACE, AllocationMeter
-from .parallel import WorkerConfig, parallel_estimate, partition_domain
+from .parallel import WorkerConfig, parallel_estimate
 from .series import (
     SegmentConfig,
     SegmentSet,
@@ -79,7 +79,6 @@ __all__ = [
     "naive_dft",
     "reference_window",
     "parallel_estimate",
-    "partition_domain",
     "principal_domain",
     "raw_bispectrum_value",
     "raw_trispectrum_value",

@@ -38,7 +38,7 @@ from .spectra import (
 )
 from .window_sums import MATERIALIZED_PLANS
 
-__all__ = ["WorkerConfig", "partition_domain", "parallel_estimate"]
+__all__ = ["WorkerConfig", "parallel_estimate"]
 
 
 @dataclass(frozen=True)
@@ -63,19 +63,11 @@ class WorkerConfig:
             )
 
 
-def partition_domain(domain, workers: WorkerConfig) -> list[int]:
-    """Cut offsets ``[0, c1, ..., len(domain)]`` of a lex-ordered domain:
-    worker ``i`` gets ``domain[cuts[i]:cuts[i + 1]]``, which may be empty.
-
-    ``point_blocks`` parts differ in size by at most one; ``row_blocks``
-    parts are balanced at whole-row granularity."""
-    starts = np.flatnonzero(np.diff(domain[:, 0], prepend=-1))  # first point of each row
-    return _cuts(np.append(starts, len(domain)), workers)
-
-
 def _cuts(rows, workers: WorkerConfig) -> list[int]:
-    """:func:`partition_domain` from ``rows``, each row's first position and then the
-    domain's size: a row-block cut is the first row start at or past its share."""
+    """Cut offsets ``[0, ..., size]`` of a lex-ordered domain from ``rows``, each leading
+    index's first position and then the domain's size: worker ``i`` gets ``[cuts[i],
+    cuts[i + 1])``, maybe empty. ``point_blocks`` parts differ in size by at most one; a
+    ``row_blocks`` cut is the first row start at or past its share."""
     total, p = int(rows[-1]), workers.p
     if workers.partition == "point_blocks":
         q, r = divmod(total, p)

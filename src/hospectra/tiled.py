@@ -21,9 +21,9 @@ with the next:
               :func:`box_sums` over a ``(B+w-1)^2`` patch (O(max(S, w)^2)
               memory, each source cell fetched at most twice; at order 4,
               each summed cell at most 4 times, by the halos of its blocks).
-* STREAMING - ``1 x w`` pieces of a row, :func:`running_sums` over sums of
-              ``w`` source cells fetched one column at a time (O(w) memory,
-              O(w^2) at order 4; each source cell fetched ``w`` times).
+* STREAMING - ``1 x S`` pieces of a row, FAST's kernels over a ``w``-row
+              source patch fetched at most ``S`` columns per call (O(w)
+              memory, O(w^2) at order 4; each source cell fetched ``w`` times).
 
 One engine, :func:`smoothed_runs`, serves both orders from one run table:
 with one lead index, each band of units is walked column unit by column unit
@@ -47,7 +47,7 @@ from .meter import WORKSPACE
 
 __all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d", "smoothed_runs"]
 
-#: An EFFICIENT unit is a square block of ``max(S, w)`` output cells per side.
+#: EFFICIENT units are square blocks of ``max(S, w)`` output cells a side; STREAMING's, ``1 x S``.
 S = 48
 
 
@@ -122,11 +122,8 @@ def _box_sums_2d(a, w):
 
 
 def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
-    patch = fetch(
-        np.arange(r0, r0 + rows + w - 1)[:, None],
-        np.arange(c0, c0 + cols + w - 1)[None, :],
-        *plane,
-    )
+    patch = fetch(np.arange(r0, r0 + rows + w - 1)[:, None],
+                  np.arange(c0, c0 + cols + w - 1)[None, :], *plane)
     if w == 1:  # the identity
         return patch
     nbytes = WORKSPACE.note(patch)
@@ -136,31 +133,39 @@ def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
         WORKSPACE.drop(nbytes)
 
 
-def _column_fetches(fetch, r0, c0, rows, cols, w):
-    # STREAMING's row pass (rows = 1): one fetch of w cells per source column, summed
-    src = np.arange(r0, r0 + w)
-    return np.array([[fetch(src, c).sum() for c in range(c0, c0 + cols + w - 1)]])
+_fast_rows = partial(_block, kernel=partial(running_sums, axes=(0,)))
+
+
+def _streamed(fetch, r0, c0, rows, cols, w):
+    # FAST's row pass, at most S source columns per fetch (the O(w) tier); no piece is a lone
+    # column, whose w rows NumPy sums pairwise where it sums a wider piece's in sequence
+    n = max(cols + w - 1, 2)
+    cuts = [*range(c0, c0 + n, S), c0 + n]
+    if cuts[-1] - cuts[-2] == 1:
+        cuts[-2] -= 1
+    parts = [_fast_rows(fetch, r0, a, rows, b - a - w + 1, w) for a, b in zip(cuts, cuts[1:])]
+    return np.concatenate(parts, axis=1)[:, : cols + w - 1]
 
 
 #: plan -> (unit shape from (output columns, w), row pass, column pass). A row pass
-#: ``row_pass(fetch, r0, c0, rows, cols, w)`` gives the ``rows x (cols + w - 1)`` sums
-#: of ``w`` source rows from ``r0`` on, per source column from ``c0`` on; the column
-#: pass sums ``w`` of those columns per output cell. The unit shape is also the face of
-#: an order-4 block.
+#: ``row_pass(fetch, r0, c0, rows, cols, w)`` gives the ``rows x (cols + w - 1)`` sums of
+#: ``w`` source rows from ``r0`` on, per source column from ``c0`` on; the column pass sums
+#: ``w`` of those per output cell. The unit shape is also the face of an order-4 block.
 _UNITS = {
-    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=partial(running_sums, axes=(0,))),
-             partial(running_sums, axes=(1,))),
+    "FAST": (lambda cols, w: (w, cols), _fast_rows, partial(running_sums, axes=(1,))),
     "EFFICIENT": (lambda cols, w: (max(S, w),) * 2,
                   partial(_block, kernel=partial(box_sums, axes=(0,))), _column_sums),
-    "STREAMING": (lambda cols, w: (1, w), _column_fetches, partial(running_sums, axes=(1,))),
+    "STREAMING": (lambda cols, w: (1, S), _streamed, partial(running_sums, axes=(1,))),
 }
 
 
 def _groups(lead, face):
-    """Yield (unit origin, slice of its runs) for runs sorted by unit of the leading axes."""
-    keys = lead // face
-    starts = np.flatnonzero(np.diff(keys, axis=0, prepend=keys[:1] - 1).any(axis=1)).tolist()
-    return zip((keys[starts] * face).tolist(), map(slice, starts, starts[1:] + [len(keys)]))
+    """Yield (unit origin, slice of its runs) for runs sorted by unit of the leading axes,
+    lazily from arrays: a STREAMING band is one run, and lists would grow with the runs."""
+    new = np.diff(lead // face, axis=0, prepend=lead[:1] // face - 1).any(axis=1)
+    starts = np.flatnonzero(new)
+    origins, ends = lead[starts] // face * face, np.append(starts[1:], len(lead))
+    return ((o.tolist(), slice(s, e)) for o, s, e in zip(origins, starts, ends))
 
 
 def _bands(fetch, m, w, plan_name, lead, first, stops, offsets):

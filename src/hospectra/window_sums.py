@@ -21,8 +21,8 @@ cumulative sums (:func:`~hospectra.tiled.box_sums`). FAST, EFFICIENT and
 STREAMING are source-on-demand engines that apply the same kernels to
 pieces of the output, pulling values through a fetch callable instead of
 reading a materialized matrix: FAST is WS over bands of rows, EFFICIENT is
-PREFIX over square blocks of ``max(S, w)`` output cells, STREAMING is WS
-over column sums.
+PREFIX over square blocks of ``max(S, w)`` output cells, STREAMING is FAST
+over rows of ``S`` output cells, fetched at most ``S`` source columns at a time.
 
 :func:`smooth` is the materialized plans' one entry point, valid or
 periodic, for arrays of any number of axes (order-3 and order-4 boxes of

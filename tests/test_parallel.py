@@ -20,35 +20,44 @@ from hospectra import (
     estimate_spectrum,
     generate_qpc,
     parallel_estimate,
-    partition_domain,
     principal_domain,
 )
 from hospectra.bench import measure_peak_memory
 from hospectra.spectra import domain_rows
 
 
+def domain_row_starts(dom):
+    """Each leading index's first position in a lex-ordered domain, then its size,
+    derived from the points themselves (``domain_rows`` derives it from the run table)."""
+    return np.append(np.flatnonzero(np.diff(dom[:, 0], prepend=-1)), len(dom))
+
+
+def cuts_of(dom, workers):
+    return parallel._cuts(domain_row_starts(dom), workers)
+
+
 class TestPartitionDomain:
     def test_single_worker_gets_everything(self):
         dom = principal_domain(3, 16)
         for mode in ("row_blocks", "point_blocks"):
-            assert partition_domain(dom, WorkerConfig(p=1, partition=mode)) == [0, len(dom)]
+            assert cuts_of(dom, WorkerConfig(p=1, partition=mode)) == [0, len(dom)]
 
     def test_point_blocks_sizes_differ_by_at_most_one(self):
         dom = principal_domain(3, 8)  # 6 points
-        cuts = partition_domain(dom, WorkerConfig(p=4, partition="point_blocks"))
+        cuts = cuts_of(dom, WorkerConfig(p=4, partition="point_blocks"))
         assert sorted(np.diff(cuts)) == [1, 1, 2, 2]
 
     def test_every_point_appears_exactly_once(self):
         dom = principal_domain(3, 64)
         for mode in ("row_blocks", "point_blocks"):
-            cuts = partition_domain(dom, WorkerConfig(p=8, partition=mode))
+            cuts = cuts_of(dom, WorkerConfig(p=8, partition=mode))
             assert len(cuts) == 9
             assert cuts[0] == 0 and cuts[-1] == len(dom), mode
             assert all(a <= b for a, b in zip(cuts, cuts[1:])), mode
 
     def test_row_blocks_keep_rows_whole(self):
         dom = principal_domain(3, 64)
-        cuts = partition_domain(dom, WorkerConfig(p=5, partition="row_blocks"))
+        cuts = cuts_of(dom, WorkerConfig(p=5, partition="row_blocks"))
         inner = [c for c in cuts if 0 < c < len(dom)]
         assert inner
         for c in inner:
@@ -56,7 +65,7 @@ class TestPartitionDomain:
 
     def test_more_workers_than_points(self):
         dom = principal_domain(3, 4)  # 2 points
-        cuts = partition_domain(dom, WorkerConfig(p=6, partition="point_blocks"))
+        cuts = cuts_of(dom, WorkerConfig(p=6, partition="point_blocks"))
         assert cuts == [0, 1, 2, 2, 2, 2, 2]
 
     def test_run_table_cuts_match_partition_domain(self):
@@ -65,9 +74,10 @@ class TestPartitionDomain:
             for m in ms:
                 dom, rows = principal_domain(order, m), domain_rows(order, m)
                 assert rows[-1] == len(dom), (order, m)
+                assert np.array_equal(rows, domain_row_starts(dom)), (order, m)
                 for p, mode in itertools.product(range(1, 10), ("row_blocks", "point_blocks")):
                     workers = WorkerConfig(p, mode)
-                    assert parallel._cuts(rows, workers) == partition_domain(dom, workers), (
+                    assert parallel._cuts(rows, workers) == cuts_of(dom, workers), (
                         order, m, p, mode)
 
     def test_config_validation(self):
@@ -105,7 +115,7 @@ class TestParallelEstimate:
                 workers = WorkerConfig(p=p, partition=partition)
                 if partition == "point_blocks":
                     # some worker's slice begins inside a (k1, k2) run
-                    cuts = partition_domain(ref.indices, workers)
+                    cuts = cuts_of(ref.indices, workers)
                     assert any(ref.indices[c, 2] > 0 for c in cuts[1:-1]), p
                 got = parallel_estimate(series, cfg, workers)
                 assert np.array_equal(ref.values, got.values), (p, partition)
@@ -120,7 +130,7 @@ class TestParallelEstimate:
             dom = principal_domain(order, m)
             for p, partition in itertools.product(range(2, 6), ("row_blocks", "point_blocks")):
                 workers = WorkerConfig(p, partition)
-                cuts = partition_domain(dom, workers)
+                cuts = cuts_of(dom, workers)
                 empty += sum(a == b for a, b in zip(cuts, cuts[1:]))
                 got = parallel_estimate(series, cfg, workers).indices
                 assert got.dtype == dom.dtype and got.shape == dom.shape, (order, m, p, partition)
@@ -187,7 +197,7 @@ class TestParallelFailure:
         for p in range(2, 9):
             for partition in ("row_blocks", "point_blocks"):
                 workers = WorkerConfig(p=p, partition=partition)
-                cuts = partition_domain(ref.indices, workers)
+                cuts = cuts_of(ref.indices, workers)
                 busy = sum(a < b for a, b in zip(cuts, cuts[1:]))
                 idle += p - busy
                 spawned.clear()
@@ -223,7 +233,7 @@ class TestParallelFailure:
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
         cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.EFFICIENT)
         workers = WorkerConfig(p=2)
-        stop = partition_domain(principal_domain(3, 128), workers)[1]
+        stop = cuts_of(principal_domain(3, 128), workers)[1]
         with pytest.raises(RuntimeError, match=rf"slice \[0, {stop}\) exited with code 3"):
             parallel_estimate(series, cfg, workers)
         assert multiprocessing.active_children() == []

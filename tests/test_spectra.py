@@ -338,8 +338,10 @@ class TestMaterializedMeter:
 class TestLeanTiersOrder4:
     """A lean order-4 sweep holds one summed block at a time, so FAST and
     EFFICIENT hold no more than at order 3 (a ring of ``w`` planes held 5.0x
-    order 3's EFFICIENT and 9.1x its FAST peak at w=33) and STREAMING's
-    ``1 x w`` blocks stay O(w^2)."""
+    order 3's EFFICIENT and 9.1x its FAST peak at w=33). STREAMING's ``1 x S``
+    units stay O(w) at order 3, a band's first fetched in pieces of at most
+    ``S`` columns (whole, it read 2.3x and 2.7x per doubling of w), and its
+    ``1 x S`` blocks O(w^2) at order 4."""
 
     M = 256
 
@@ -358,10 +360,11 @@ class TestLeanTiersOrder4:
             peak3, peak4 = self.peak(3, w, plan), self.peak(4, w, plan)
             assert peak4 <= peak3, (plan.name, w, peak4 / peak3)
 
-    def test_streaming_quadratic_in_window(self):
-        peaks = [self.peak(4, w, SmoothingPlan.STREAMING) for w in (17, 33, 65)]
+    @pytest.mark.parametrize("order, bound", [(3, 2.2), (4, 4.2)])
+    def test_streaming_quadratic_in_window(self, order, bound):
+        peaks = [self.peak(order, w, SmoothingPlan.STREAMING) for w in (17, 33, 65)]
         for small, big in zip(peaks, peaks[1:]):
-            assert big / small <= 4.2, peaks
+            assert big / small <= bound, peaks
 
 
 class TestSpectrumGrid:

@@ -416,7 +416,7 @@ class TestSmoothedCells2d:
         assert 0.8 <= ratio <= 1.25, (w, ratio)
         assert WORKSPACE.current == 0
 
-    @pytest.mark.parametrize("w", [2, 9, 47, 48, 49, 100])
+    @pytest.mark.parametrize("w", [2, 9, 47, 48, 49, 50, 100])
     @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
     def test_carried_sweep_matches_units_alone(self, plan, w):
         # each unit after a band's first takes the row sums of its w-1 leading
@@ -425,10 +425,12 @@ class TestSmoothedCells2d:
         # bit for bit. EFFICIENT's B > w at w <= 47 and B = w above; m is no
         # multiple of B, so its band has 3 full column units and a narrower
         # fourth, and the last band of B or w rows is shorter too. A FAST band
-        # is one unit, a STREAMING band one row of 1 x w units.
+        # is one unit, a STREAMING band one row of 1 x S units; at w=50 its
+        # first unit's 2S+1 source columns, fetched S at a time, would leave
+        # one alone, and NumPy sums a lone column pairwise.
         b = max(S, w)
         m = 3 * b + 7
-        uh, uw = {"FAST": (w, m), "EFFICIENT": (b, b), "STREAMING": (1, w)}[plan]
+        uh, uw = {"FAST": (w, m), "EFFICIENT": (b, b), "STREAMING": (1, S)}[plan]
         n_rows = 2 * uh + 5
         rng = np.random.default_rng(w)
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -437,10 +439,6 @@ class TestSmoothedCells2d:
             return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
 
         def alone(r0, c0, cols):
-            if plan == "STREAMING":  # running sums over column sums of w cells
-                src = np.arange(r0, r0 + w)
-                sums = np.array([fetch(src, c).sum() for c in range(c0, c0 + cols + w - 1)])
-                return running_sums(sums, w, axes=(0,))[None]
             patch = fetch(np.arange(r0, r0 + uh + w - 1), np.arange(c0, c0 + cols + w - 1))
             return (box_sums if plan == "EFFICIENT" else running_sums)(patch, w)
 
@@ -463,6 +461,25 @@ class TestSmoothedCells2d:
             cells = slice(r * m + first[r], r * m + stops[r])
             assert np.array_equal(whole[cells], expect[r, first[r] : stops[r]]), (w, r)
             assert np.array_equal(split[cells], whole[cells]), (w, r)
+
+    def test_streaming_lone_tail_column_bit_identical(self):
+        # at m = 2S + 1 a band's last 1 x S unit is one column wide, so after
+        # the carry it needs one new source column; a sweep that starts in that
+        # unit fetches the column among w others. NumPy sums a lone column's w
+        # rows pairwise, so neither may fetch it alone.
+        m, w, rows = 2 * S + 1, 50, 8
+        a = np.random.default_rng(1).standard_normal((m, m, 2)).view(complex)[..., 0]
+
+        def fetch(r, c):
+            return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
+
+        lead = np.arange(rows)[:, None]
+        whole, tail = np.empty(rows * m, dtype=complex), np.empty(rows, dtype=complex)
+        tiled.smoothed_runs(fetch, m, w, "STREAMING", lead, np.zeros(rows, dtype=int),
+                            np.full(rows, m), lead[:, 0] * m, whole)
+        tiled.smoothed_runs(fetch, m, w, "STREAMING", lead, np.full(rows, m - 1),
+                            np.full(rows, m), lead[:, 0], tail)
+        assert np.array_equal(tail, whole[m - 1 :: m])
 
     def test_streaming_fetches_each_source_column_once_per_band(self):
         # a band's first 1 x w unit fetches 2w-1 source columns and each later
@@ -700,7 +717,7 @@ class TestOrder4Sweep:
 
     @staticmethod
     def face(plan, m, w):
-        return {"FAST": (w, m), "EFFICIENT": (max(S, w),) * 2, "STREAMING": (1, w)}[plan]
+        return {"FAST": (w, m), "EFFICIENT": (max(S, w),) * 2, "STREAMING": (1, S)}[plan]
 
     @pytest.mark.parametrize("w", [1, 4, 5])
     @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
@@ -798,6 +815,37 @@ class TestMemoryTiers:
             peaks = [peak(n, 8, plan) for n in (64, 128, 256)]
             for small, big in zip(peaks, peaks[1:]):
                 assert big / small < 1.3, (plan, peaks)
+
+    def test_streaming_sweep_holds_no_list_per_run(self):
+        # a STREAMING band is one run, so the sweep's traced memory grows with
+        # the runs by what it keeps per band: three arrays take 24 B a run,
+        # Python lists of each band's origin and slice about 150 B. Each run
+        # is one cell, so each band one unit, whatever n is.
+        w = 9
+
+        def sweep(n):
+            ext = np.random.default_rng(n).standard_normal((n + w, S + w))
+
+            def fetch(r, c):  # a slice: no index temporaries in the trace
+                r, c = np.ravel(r), np.ravel(c)
+                return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
+
+            lead = np.arange(n)[:, None]
+            first, stops = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+            return fetch, n, w, "STREAMING", lead, first, stops, lead[:, 0], np.empty(n)
+
+        def traced(args):
+            tracemalloc.start()
+            try:
+                tiled.smoothed_runs(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, big = sweep(400), sweep(1600)
+        tiled.smoothed_runs(*small)  # untraced: a fresh process's one-time allocations
+        small, big = traced(small), traced(big)
+        assert (big - small) / (1600 - 400) <= 40, (small, big)
 
 
 class TestWorkTiers:

@@ -26,7 +26,7 @@ reference; there a band holds several EFFICIENT column units and the P=2
 cut falls inside a band. At w=9, EFFICIENT also runs at P=3 with both
 partitions: its bands hold units that every run covers, and the
 point_blocks cuts fall mid-row; STREAMING runs at P in {1,2}, so its bands
-hold many 1 x w units and the P=2 cut falls inside one. Uses the public API
+hold several 1 x S units and the P=2 cut falls inside one. Uses the public API
 only.
 """
 
