@@ -13,7 +13,6 @@ from .bench import (
     measure_peak_memory,
     measure_run,
     reference_window,
-    reports_from_json,
     reports_to_json,
     run_benchmarks,
 )
@@ -39,8 +38,7 @@ from .spectra import (
     estimate_from_spectra,
     estimate_spectrum,
     principal_domain,
-    raw_bispectrum_value,
-    raw_trispectrum_value,
+    raw_product_value,
     write_grid_csv,
 )
 from .window_sums import (
@@ -80,9 +78,7 @@ __all__ = [
     "reference_window",
     "parallel_estimate",
     "principal_domain",
-    "raw_bispectrum_value",
-    "raw_trispectrum_value",
-    "reports_from_json",
+    "raw_product_value",
     "reports_to_json",
     "run_benchmarks",
     "save_series",

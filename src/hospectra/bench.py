@@ -37,7 +37,6 @@ __all__ = [
     "measure_peak_memory",
     "run_benchmarks",
     "reports_to_json",
-    "reports_from_json",
 ]
 
 #: Reference smoothing-window ladder keyed by series length (the sizes
@@ -75,10 +74,6 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchReport":
-        return cls(**data)
 
 
 def peak_rss_bytes() -> int:
@@ -190,7 +185,3 @@ def run_benchmarks(
 
 def reports_to_json(reports) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def reports_from_json(text: str) -> list[BenchReport]:
-    return [BenchReport.from_dict(d) for d in json.loads(text)]

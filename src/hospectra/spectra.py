@@ -28,6 +28,7 @@ within rounding (the test suite pins this). All plans but NAIVE share two
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,8 +45,7 @@ __all__ = [
     "EstimationConfig",
     "SpectrumPoint",
     "SpectrumGrid",
-    "raw_bispectrum_value",
-    "raw_trispectrum_value",
+    "raw_product_value",
     "principal_domain",
     "domain_rows",
     "smoothed_values",
@@ -104,26 +104,16 @@ class SpectrumGrid:
         return SpectrumPoint(tuple(int(v) for v in self.indices[t]), complex(self.values[t]))
 
 
-def raw_bispectrum_value(f, k1: int, k2: int, conjugate_last: bool = True) -> complex:
-    """Raw third-order product for one segment spectrum ``f`` at bins
-    ``(k1, k2)``: ``f[k1] * f[k2] * conj(f[(k1+k2) % m]) / m`` (the
-    conjugate is dropped when ``conjugate_last`` is false)."""
+def raw_product_value(f, *bins, conjugate_last: bool = True) -> complex:
+    """Raw product of order ``len(bins) + 1`` for one segment spectrum ``f`` at
+    ``bins``: ``f[k1] * ... * f[kn] * conj(f[(k1 + ... + kn) % m]) / m``,
+    multiplied left to right (the conjugate is dropped when ``conjugate_last``
+    is false)."""
     f = np.asarray(f)
-    m = f.size
-    third = f[(int(k1) + int(k2)) % m]
-    if conjugate_last:
-        third = np.conj(third)
-    return complex(f[int(k1)] * f[int(k2)] * third / m)
-
-
-def raw_trispectrum_value(f, k1: int, k2: int, k3: int, conjugate_last: bool = True) -> complex:
-    """Fourth-order analogue over three bins."""
-    f = np.asarray(f)
-    m = f.size
-    last = f[(int(k1) + int(k2) + int(k3)) % m]
+    last = f[sum(map(int, bins)) % f.size]
     if conjugate_last:
         last = np.conj(last)
-    return complex(f[int(k1)] * f[int(k2)] * f[int(k3)] * last / m)
+    return complex(math.prod((f[k] for k in bins[1:]), start=f[bins[0]]) * last / f.size)
 
 
 def _check_order(order: int) -> None:

@@ -29,12 +29,13 @@ One engine, :func:`smoothed_runs`, serves both orders from one run table:
 with one lead index, each band of units is walked column unit by column unit
 and a unit lands in ``out`` by one indexed write if all the band's runs cover
 its columns, else (a diagonal or tail unit) one slice per row, the chunks
-:func:`smoothed_cells_2d` yields; with two, each block of the leading axes, of
-the plan's unit shape, is one 2-D box sum of a summed plane per third index
-its runs cover, cut at the far corner of the runs active there. Units
-depend only on (fetch, w, unit origin) and a kernel's cell depends only on its
-own lines, so splitting the output across workers reproduces a serial sweep
-bit for bit.
+:func:`smoothed_cells_2d` yields; with two, each block of the leading axes, the
+plan's unit shape (its face), is EFFICIENT's row pass and column pass over a
+summed plane per third index its runs cover, cut at the far corner of the runs
+active there. Units depend only on (fetch, w, unit origin) and a kernel's cell
+only on its own lines (but NumPy sums the first window along axis 0 of a
+one-column array pairwise, see :func:`running_sums`), so splitting the output
+across workers reproduces a serial sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def running_sums(a, w, axes=(0, 1)):
 
     Per axis, the first window is summed, and each later one is the first
     plus the cumulative sum of the cells entering minus the cells leaving,
-    computed in place in the pass's output. A cell's value depends only on
-    the input along its own line. A window of 1 is an exact copy.
+    computed in place in the pass's output. A cell depends only on its own
+    line, bar axis 0 of a one-column array, whose first window NumPy sums
+    pairwise (``_streamed`` never passes one). A window of 1 is an exact copy.
     """
     if w == 1:
         return a.copy()
@@ -112,16 +114,7 @@ def _column_sums(part, w):
     return box_sums(part.T, w, axes=(0,)).T
 
 
-def _box_sums_2d(a, w):
-    part = box_sums(a, w, axes=(0,))
-    nbytes = WORKSPACE.note(part)  # not a held scope: order 4 calls this per block and k3
-    try:
-        return _column_sums(part, w)
-    finally:
-        WORKSPACE.drop(nbytes)
-
-
-def _block(fetch, r0, c0, rows, cols, w, *plane, kernel=_box_sums_2d):
+def _block(fetch, r0, c0, rows, cols, w, *plane, kernel):
     patch = fetch(np.arange(r0, r0 + rows + w - 1)[:, None],
                   np.arange(c0, c0 + cols + w - 1)[None, :], *plane)
     if w == 1:  # the identity
@@ -239,6 +232,7 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
             _land(out, *unit)  # the unit stays alive until the next lands, as in the meter
         return
     face = _UNITS[plan_name][0](m, w)
+    _, row_pass, column_pass = _UNITS["EFFICIENT"]  # every plan's order-4 block
     order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
     lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
     for (b0, c0), u in _groups(lead, face):
@@ -249,7 +243,11 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
             if on.any():  # a slice's first run may start after its block's others stop
                 i, j = ii[on], jj[on]
                 # cut at the active runs' far corner: a cell depends only on its own lines
-                vals = _block(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w, k3)
+                vals = row_pass(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w, k3)
+                if w > 1:  # else the identity
+                    nbytes = WORKSPACE.note(vals)  # the row sums, during the column pass
+                    vals = column_pass(vals, w)
+                    WORKSPACE.drop(nbytes)
                 nbytes = WORKSPACE.note(vals)
                 out[bb[on] + (k3 - st[on])] = vals[i, j]
                 WORKSPACE.drop(nbytes)

@@ -17,8 +17,7 @@ from hospectra import (
     estimate_spectrum,
     generate_qpc,
     principal_domain,
-    raw_bispectrum_value,
-    raw_trispectrum_value,
+    raw_product_value,
     write_grid_csv,
 )
 from hospectra.dft import SegmentSpectrumSet, dft_segments
@@ -37,39 +36,46 @@ def cfg4(m, m3, plan=SmoothingPlan.EFFICIENT, k=1):
 
 class TestRawValues:
     def test_zero_spectrum(self):
-        assert raw_bispectrum_value(np.zeros(8, complex), 2, 3) == 0.0
-        assert raw_trispectrum_value(np.zeros(8, complex), 1, 2, 3) == 0.0
+        assert raw_product_value(np.zeros(8, complex), 2, 3) == 0.0
+        assert raw_product_value(np.zeros(8, complex), 1, 2, 3) == 0.0
 
     def test_argument_symmetry(self):
         rng = np.random.default_rng(1)
         f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        assert raw_bispectrum_value(f, 3, 5) == raw_bispectrum_value(f, 5, 3)
-        base = raw_trispectrum_value(f, 2, 4, 7)
+        assert raw_product_value(f, 3, 5) == raw_product_value(f, 5, 3)
+        base = raw_product_value(f, 2, 4, 7)
         for perm in itertools.permutations((2, 4, 7)):
-            got = raw_trispectrum_value(f, *perm)
+            got = raw_product_value(f, *perm)
             assert abs(got - base) <= 1e-12 * abs(base)
 
     def test_flat_spectrum_quarter(self):
         f = np.ones(4, complex)
         for k1 in range(4):
             for k2 in range(4):
-                assert abs(raw_bispectrum_value(f, k1, k2) - 0.25) < 1e-15
+                assert abs(raw_product_value(f, k1, k2) - 0.25) < 1e-15
         for k in itertools.product(range(4), repeat=3):
-            assert abs(raw_trispectrum_value(f, *k) - 0.25) < 1e-15
+            assert abs(raw_product_value(f, *k) - 0.25) < 1e-15
 
     def test_conjugate_toggle_matches_defining_product(self):
         rng = np.random.default_rng(2)
         f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        v_conj = raw_bispectrum_value(f, 2, 3, conjugate_last=True)
-        v_plain = raw_bispectrum_value(f, 2, 3, conjugate_last=False)
+        v_conj = raw_product_value(f, 2, 3, conjugate_last=True)
+        v_plain = raw_product_value(f, 2, 3, conjugate_last=False)
         assert abs(v_conj - f[2] * f[3] * np.conj(f[5]) / 8) < 1e-12
         assert abs(v_plain - f[2] * f[3] * f[5] / 8) < 1e-12
+
+    def test_multiplies_left_to_right_at_any_order(self):
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        assert raw_product_value(f, 2, 4, 7) == f[2] * f[4] * f[7] * np.conj(f[13]) / 16
+        got = raw_product_value(f, 2, 4, 7, 9, conjugate_last=False)
+        assert got == f[2] * f[4] * f[7] * f[9] * f[6] / 16
 
     def test_index_wrapping(self):
         rng = np.random.default_rng(3)
         f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert abs(
-            raw_bispectrum_value(f, 5, 6) - f[5] * f[6] * np.conj(f[3]) / 8
+            raw_product_value(f, 5, 6) - f[5] * f[6] * np.conj(f[3]) / 8
         ) < 1e-12
 
 
@@ -193,13 +199,13 @@ class TestEstimateSpectrum:
             cfg3(64, 32)
 
     def test_smoothing_window_of_one_is_identity_on_raw_grid(self):
-        for make_cfg, m, raw_value in ((cfg3, 64, raw_bispectrum_value), (cfg4, 32, raw_trispectrum_value)):
+        for make_cfg, m in ((cfg3, 64), (cfg4, 32)):
             series = generate_qpc(0.1, 0.15, m, 0.4, seed=5)
             segs = segment_and_demean(series, SegmentConfig(m=m, k=1))
             f = dft_segments(segs).spectra[0]
             grid = estimate_spectrum(series, make_cfg(m, 1, SmoothingPlan.FAST))
             for idx, val in zip(grid.indices, grid.values):
-                raw = raw_value(f, *(int(k) for k in idx))
+                raw = raw_product_value(f, *idx)
                 assert abs(val - raw) <= 1e-9 * max(abs(raw), 1e-12)
 
     @pytest.mark.parametrize("order, m", [(3, 64), (4, 32)])
@@ -238,7 +244,7 @@ class TestEstimateSpectrum:
         segs = segment_and_demean(series, SegmentConfig(m=m, k=1))
         f = dft_segments(segs).spectra[0]
         raw = np.array(
-            [[raw_bispectrum_value(f, a, b) for b in range(m)] for a in range(m)]
+            [[raw_product_value(f, a, b) for b in range(m)] for a in range(m)]
         )
         h = m3 // 2
         offsets = range(-h, m3 - h)

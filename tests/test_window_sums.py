@@ -482,25 +482,25 @@ class TestSmoothedCells2d:
         assert np.array_equal(tail, whole[m - 1 :: m])
 
     def test_streaming_fetches_each_source_column_once_per_band(self):
-        # a band's first 1 x w unit fetches 2w-1 source columns and each later
-        # unit only its w new ones, the other w-1 column sums being carried
+        # a band's first 1 x S unit fetches its S + w - 1 source columns and each
+        # later unit only its S new ones, the other w - 1 column sums being carried
         n, w = 512, 9
         a = np.random.default_rng(w).standard_normal((n, n))
-        calls = Counter()  # per band, i.e. per output row
+        columns = Counter()  # source columns fetched per band, i.e. per output row
 
         def fetch(r, c):
-            calls[int(np.ravel(r)[0])] += 1
+            columns[int(np.ravel(r)[0])] += np.size(c)
             return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
 
         lead, first, stops, offsets = domain_runs(n)
         out = np.empty(int((stops - first).sum()))
         tiled.smoothed_runs(fetch, n, w, "STREAMING", lead, first, stops, offsets, out)
-        assert set(calls) == set(lead[:, 0].tolist())
+        assert set(columns) == set(lead[:, 0].tolist())
         for row, s, e in zip(lead[:, 0].tolist(), first.tolist(), stops.tolist()):
-            lo = s // w * w
-            unit_cols = min(n, lo + -(-(e - lo) // w) * w) - lo  # the band's units' columns
-            assert calls[row] <= unit_cols + w - 1, (row, calls[row], unit_cols)
-        assert sum(calls.values()) <= 1.25 * out.size, sum(calls.values()) / out.size
+            lo = s // S * S
+            unit_cols = min(n, lo + -(-(e - lo) // S) * S) - lo  # the band's units' columns
+            assert columns[row] == unit_cols + w - 1, (row, columns[row], unit_cols)
+        assert max(columns.values()) == 152
 
     @pytest.mark.parametrize("w", [9, 77])
     @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT"])
