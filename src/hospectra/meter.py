@@ -1,12 +1,13 @@
 """High-water accounting of the smoothing working set.
 
-The smoothing engines register every working buffer they allocate (strip
-arrays, row bands, square blocks, materialized boxes and the values gathered
-from them, and transients as large as a buffer) with a process-global meter.
-It models the working set deterministically: smaller NumPy temporaries and
-what lies outside the smoothing stage (input series, segment DFTs, the lean
-plans' output) are not counted, so plan comparisons isolate the engines.
-OS-level peak RSS is reported separately by the benchmark harness.
+The smoothing engines register every working buffer they allocate (row
+bands, square blocks, materialized boxes and the values gathered from them,
+and transients as large as a buffer) with a process-global meter. It models
+the working set deterministically, so plan comparisons isolate the engines.
+It leaves out smaller NumPy temporaries and what lies outside the engines'
+buffers: the input series, the segment DFTs, the principal domain's run table
+and order 4's lexsorted copy of it, the output, and the lean path's per-band
+run lists. OS-level peak RSS is reported separately by the benchmark harness.
 """
 
 from __future__ import annotations
@@ -48,17 +49,6 @@ class AllocationMeter:
             yield
         finally:
             self.drop(nbytes)
-
-    def absorb_concurrent(self, peaks) -> None:
-        """Fold in peaks measured by concurrent workers.
-
-        Workers run in their own processes with their own meters; the sum of
-        their individual peaks, on top of what is currently registered here,
-        is the deterministic model of the joint high-water mark.
-        """
-        total = sum(int(p) for p in peaks)
-        if self.current + total > self.peak:
-            self.peak = self.current + total
 
 
 #: Process-global meter used by the smoothing engines.

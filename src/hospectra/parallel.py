@@ -126,6 +126,8 @@ def parallel_estimate(
             reader.close()
             proc.kill()
             proc.join()
-    WORKSPACE.absorb_concurrent(peaks)
+    # the workers ran at once, each with its own meter: the sum of their peaks on top of
+    # what is registered here is the deterministic model of the joint high-water mark
+    WORKSPACE.drop(WORKSPACE.note_bytes(sum(peaks)))
     return SpectrumGrid(order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
                         indices=indices, values=values)

@@ -18,12 +18,14 @@ slice of it, the index arrays are read from that table, and the one
 source-on-demand engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
 
 The materialized plans (NAIVE, WS, PREFIX) smooth each segment's box and
-then average the values at the domain's points, in that order. The lean
-plans average the raw products inside the fetch function and smooth once;
-box sums and segment averages are both linear, so the two orderings agree
-within rounding (the test suite pins this). All plans but NAIVE share two
-1-D kernels from :mod:`hospectra.tiled`: :func:`~hospectra.tiled.running_sums`
-(WS, FAST, STREAMING) and :func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
+then sum the values at the domain's points, in that order. The lean plans
+sum the raw products over the segments inside the fetch function and smooth
+once; box sums and segment sums are both linear, so the two orderings agree
+within rounding (the test suite pins this). Neither path scales: one true
+division by ``K * M * M3**(order-1)`` follows either, so at ``M3 = 1`` every
+plan returns the same bytes. All plans but NAIVE share two 1-D kernels from
+:mod:`hospectra.tiled`: :func:`~hospectra.tiled.running_sums` (WS, FAST,
+STREAMING) and :func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
 """
 
 from __future__ import annotations
@@ -243,19 +245,18 @@ def _raw_block(spectra, order, origin, shape, conjugate_last, depth=0):
 
 
 def _make_fetch(spectra: np.ndarray, order: int, w: int, conjugate_last: bool):
-    """Segment-averaged raw products at ``fetch(rows, cols, *rest)``, indices
-    shifted by the window offset ``w // 2``. Rows and columns are consecutive
-    ascending ranges (the ``tiled`` contract), so only their first values and
-    sizes are read; one scalar per further axis. At order 4 the plane is summed
-    over the third index's ``w`` values from ``rest[0]`` on."""
-    scale, h, depth = 1.0 / spectra.size, w // 2, w * (order == 4)
+    """Raw products summed over the segments, unscaled, at ``fetch(rows, cols, *rest)``,
+    indices shifted by the window offset ``w // 2``. Rows and columns are consecutive
+    ascending ranges (the ``tiled`` contract), so only their first values and sizes
+    are read; one scalar per further axis. At order 4 the plane is summed over the
+    third index's ``w`` values from ``rest[0]`` on."""
+    h, depth = w // 2, w * (order == 4)
 
     def fetch(rows, cols, *rest):
         rows, cols = np.asarray(rows), np.asarray(cols)
         origin = [int(x) - h for x in (rows.flat[0], cols.flat[0], *rest)]
         shape = (rows.size, cols.size) + (1,) * len(rest)
         block = _raw_block(spectra, order, origin, shape, conjugate_last, depth)
-        block *= scale
         return block.reshape(np.broadcast(rows, cols).shape)
 
     return fetch
@@ -265,10 +266,10 @@ def _make_fetch(spectra: np.ndarray, order: int, w: int, conjugate_last: bool):
 
 
 def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, idx, acc):
-    """Smoothed, segment-averaged values at the index tuples ``idx``, into
-    ``acc``, by a materialized plan: each segment's raw products are smoothed,
-    and their values at ``idx`` added (smooth first, then average, as the
-    direct method states it). WS and PREFIX smooth the whole periodic grid;
+    """Unscaled smoothed values summed over the segments at the index tuples
+    ``idx``, into ``acc``, by a materialized plan: each segment's raw products
+    are smoothed, and their values at ``idx`` added (smooth first, then sum, as
+    the direct method states it). WS and PREFIX smooth the whole periodic grid;
     NAIVE re-sums the box from the origin to ``idx``'s maxima plus the window, no more."""
     w, axes = cfg.m3, cfg.order - 1
     naive = cfg.plan is SmoothingPlan.NAIVE
@@ -279,22 +280,20 @@ def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, id
             raw = _raw_block(f[None], cfg.order, (-(w // 2),) * axes, shape, cfg.conjugate_last)
             with WORKSPACE.held(raw):
                 WORKSPACE.drop(WORKSPACE.note_bytes(raw.nbytes))  # the product chain's other box
-                raw /= spec_set.m
                 sm = smooth(raw, w, cfg.plan, periodic=not naive)
                 vals = sm[tuple(idx.T)]
                 with WORKSPACE.held(sm, vals):
                     acc += vals
             del raw, sm, vals
-    acc /= spec_set.k * float(w) ** axes
-    return acc
 
 
 def smoothed_values(
     spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int, out=None
 ) -> np.ndarray:
     """Smoothed, segment-averaged values at principal-domain positions ``[start, stop)``,
-    into ``out`` if given. Any split of the domain into slices reproduces the
-    whole-domain values bit for bit, which the parallel workers rely on."""
+    into ``out`` if given: either path's unscaled sums over the ``K`` segments, divided once
+    by ``K*M*M3**(order-1)``. Any split of the domain into slices reproduces the whole-domain
+    values bit for bit, which the parallel workers rely on."""
     m = spec_set.m
     w = cfg.m3
     runs = _domain_runs(cfg.order, m, start, stop)
@@ -302,11 +301,12 @@ def smoothed_values(
     if len(runs.lens) == 0:
         return out
     if cfg.plan in MATERIALIZED_PLANS:
-        return _materialized_values(spec_set, cfg, _expand(runs), out)
-    fetch = _make_fetch(spec_set.spectra, cfg.order, w, cfg.conjugate_last)
-    stops = runs.first + runs.lens
-    smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)
-    out /= float(w) ** (cfg.order - 1)
+        _materialized_values(spec_set, cfg, _expand(runs), out)
+    else:
+        fetch = _make_fetch(spec_set.spectra, cfg.order, w, cfg.conjugate_last)
+        stops = runs.first + runs.lens
+        smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)
+    out /= float(spec_set.k * m * w ** (cfg.order - 1))
     return out
 
 

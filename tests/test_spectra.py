@@ -208,13 +208,14 @@ class TestEstimateSpectrum:
                 raw = raw_product_value(f, *idx)
                 assert abs(val - raw) <= 1e-9 * max(abs(raw), 1e-12)
 
-    @pytest.mark.parametrize("order, m", [(3, 64), (4, 32)])
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("order, m", [(3, 64), (4, 32), (3, 60), (4, 30)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("conj", [True, False])
     def test_window_of_one_is_byte_identical_across_plans(self, order, m, k, conj):
-        # every plan smooths the same raw products, and at a power-of-two m
-        # the 1/m scaling is exact, so smoothing a window of one before or
-        # after averaging the segments moves no bit
+        # every plan sums the same unscaled raw products over the segments in
+        # the same order, and the estimate divides by k * m * m3**(order-1)
+        # once, so smoothing a window of one before or after summing the
+        # segments moves no bit, whatever m and k
         series = generate_qpc(0.11, 0.23, k * m, noise_sigma=0.5, seed=10 * order + k)
         grids = [
             estimate_spectrum(
