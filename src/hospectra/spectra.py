@@ -353,9 +353,7 @@ def write_grid_csv(grid: SpectrumGrid, path) -> None:
 
     Rows are formatted in chunks by :func:`~hospectra.series.write_csv_rows`.
     """
-    nbins = grid.order - 1
-    names = [f"k{i + 1}" for i in range(nbins)]
-    with open(str(path), "w", encoding="utf-8") as fh:
-        fh.write(",".join(names + ["re", "im"]) + "\n")
-        columns = [*grid.indices.T, grid.values.real, grid.values.imag]
-        write_csv_rows(fh, "%d," * nbins + "%.17g,%.17g\n", columns)
+    names = [f"k{i + 1}" for i in range(grid.order - 1)]
+    with open(str(path), "wb") as fh:
+        fh.write((",".join(names + ["re", "im"]) + "\n").encode())
+        write_csv_rows(fh, [*grid.indices.T, grid.values.real, grid.values.imag])

@@ -1,17 +1,24 @@
+import io
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from hospectra import (
     DataError,
+    EstimationConfig,
     ParameterError,
     SegmentConfig,
     TimeSeries,
+    estimate_spectrum,
     generate_gaussian_ar,
     generate_qpc,
     load_series,
     save_series,
     segment_and_demean,
 )
+from hospectra import csvformat
+from hospectra.series import write_csv_rows
 
 
 class TestLoadSeries:
@@ -197,3 +204,97 @@ class TestGenerateGaussianAr:
         x = ts.samples - ts.samples.mean()
         rho = float(np.dot(x[:-1], x[1:]) / np.dot(x, x))
         assert abs(rho - 0.5) < 0.02
+
+
+def written(columns):
+    fh = io.BytesIO()
+    write_csv_rows(fh, columns)
+    return fh.getvalue()
+
+
+def per_value(columns):
+    """The bytes of one ``'%d'`` or ``'%.17g'`` per value, joined row by row."""
+    fmts = ["%d" if col.dtype.kind in "iu" else "%.17g" for col in columns]
+    rows = zip(*(col.tolist() for col in columns))
+    return "".join(",".join(f % v for f, v in zip(fmts, row)) + "\n" for row in rows).encode()
+
+
+def powers_of_ten():
+    return np.array([float(f"1e{p}") for p in range(-324, 309)])
+
+
+def hard_floats():
+    """Every decade, both neighbours of each power of ten, subnormals, signed
+    zeros, non-finite values and exact 17th-digit ties."""
+    rng = np.random.default_rng(21)
+    p10 = powers_of_ten()
+    decades = np.concatenate([p10, 10.0 ** np.arange(-324, 309),
+                              np.nextafter(p10, 0.0), np.nextafter(p10, np.inf)])
+    subnormal = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, 1234567890123456.75, 0.5, 1.0, 2.5, 1e16, 1e17]
+    # odd / 2**j has j fractional digits ending in 5; with 18 significant
+    # digits in all, it lies exactly halfway between two 17-digit decimals
+    ties = [rng.integers(10 ** (17 - j) << j, min(10 ** (18 - j) << j, 2**53), 500) | 1
+            for j in range(2, 18)]
+    ties = np.concatenate(ties).astype(np.float64) / 2.0 ** np.repeat(np.arange(2, 18), 500)
+    values = np.concatenate([decades, subnormal, special, ties])
+    return np.concatenate([values, -values])
+
+
+class TestCsvWriterExactness:
+    """``write_csv_rows`` against Python's own ``%``, value by value."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        assert written([values]) == per_value([values])
+
+    def test_decades_neighbours_subnormals_and_ties(self):
+        values = hard_floats()
+        assert written([values]) == per_value([values])
+
+    def test_exact_ties_go_to_python(self):
+        # an exact tie is within any margin, so rint never decides one
+        ties = np.array([1234567890123456.75, 1234567890123456.25, 0.5, 2.5e-5])
+        slow = csvformat._decimal(ties)[2]
+        if np.finfo(np.longdouble).nmant >= 63:
+            assert slow[:2].all()
+        assert written([ties]) == per_value([ties])
+
+    def test_integer_extremes_between_float_columns(self):
+        ints = np.array([0, 1, -1, 9, -10, 12345, -99999, 2**31 - 1, -(2**31)], np.int32)
+        big = np.array([0, 2**63 - 1, -(2**63), -(10**18), 10**17, 7, -7, 5, 10], np.int64)
+        huge = np.array([2**64 - 1, 2**63, 0, 1, 9, 10, 10**19, 99, 12345], np.uint64)
+        floats = hard_floats()[: len(ints)]
+        columns = [ints, floats, big, floats[::-1], huge, ints[::-1]]
+        assert written(columns) == per_value(columns)
+
+    def test_double_long_double_sends_every_value_to_python(self, monkeypatch):
+        # where long double is double, the margin from finfo exceeds 0.5
+        with np.errstate(over="ignore"):
+            scale = csvformat._SCALE.astype(np.float64)
+        monkeypatch.setattr(csvformat, "_SCALE", scale)
+        monkeypatch.setattr(csvformat, "_MARGIN", 2.01 * np.finfo(np.float64).eps / 2 * 1e17)
+        noise = np.random.default_rng(3).standard_normal(999)
+        values = np.concatenate([hard_floats()[::7], noise])
+        assert csvformat._decimal(values)[2].all()
+        assert written([values, values]) == per_value([values, values])
+
+    def test_power_table_is_correctly_rounded(self):
+        for p, value in zip((16 - csvformat._E).tolist(), csvformat._SCALE):
+            if not np.isfinite(value):
+                continue  # past double's range where long double is double
+            error = abs(Fraction(*value.as_integer_ratio()) - Fraction(10) ** p)
+            assert error <= Fraction(*np.spacing(value).as_integer_ratio()) / 2, p
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="long double is no wider than double: every value takes "
+                               "Python's % by design")
+    def test_fast_path_share_on_an_estimated_grid(self):
+        # a margin bug would send more values to the slow path, silently
+        grid = estimate_spectrum(generate_qpc(0.1, 0.15, 256, 0.5, seed=8),
+                                 EstimationConfig(3, SegmentConfig(m=256), 9))
+        values = np.concatenate([grid.values.real, grid.values.imag])
+        assert csvformat._decimal(values)[2].mean() <= 0.05
