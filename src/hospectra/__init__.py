@@ -1,11 +1,11 @@
 """Higher-order spectrum estimation with interchangeable smoothing engines.
 
-The direct method for the bispectrum (order 3) and trispectrum (order 4):
-partition, demean, transform, raw frequency-products, box smoothing, and
-segment averaging. Six window-sum plans cover the time/memory trade-off
-space from brute-force re-summation to O(w)-memory streaming, all
-producing the same values; a process-based parallel layer scales the lean
-plans with bit-identical output for any worker count.
+The direct method for the bispectrum (order 3), the trispectrum (order 4)
+and any higher order: partition, demean, transform, raw frequency-products,
+box smoothing, and segment averaging. Six window-sum plans cover the
+time/memory trade-off space from brute-force re-summation to O(w)-memory
+streaming, all producing the same values; a process-based parallel layer
+scales the lean plans with bit-identical output for any worker count.
 """
 
 from .bench import (

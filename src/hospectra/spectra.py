@@ -1,7 +1,7 @@
-"""Bispectrum and trispectrum estimation via the direct method.
+"""Higher-order spectrum estimation via the direct method, at any order >= 3.
 
-Pipeline: segment and demean, per-segment DFT, raw triple (or quadruple)
-products over boxes of the periodic frequency grid (the whole grid for WS
+Pipeline: segment and demean, per-segment DFT, raw products of ``order``
+factors over boxes of the periodic frequency grid (the whole grid for WS
 and PREFIX), box smoothing through a window-sum plan, averaging over
 segments, and restriction to the principal domain.
 
@@ -10,12 +10,13 @@ Smoothing is centered: a window of side ``m3`` covers offsets
 longer on the trailing side for even ``m3``), with periodic index wrapping
 so every window is full and the normalization is exactly ``m3**(order-1)``.
 
-Order 3 and order 4 run one pipeline; only the number of frequency axes,
-``order - 1``, differs. The principal domain is kept as a run table: a run
-is the set of points sharing their leading ``order - 2`` indices, and its
-last index takes consecutive values. For the whole domain or any contiguous
-slice of it, the index arrays are read from that table, and the one
-source-on-demand engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
+Every order runs one pipeline; only the number of frequency axes, ``n =
+order - 1``, differs. The principal domain, the ordered simplex ``0 <= kn <=
+... <= k1`` with ``k1 + ... + kn < m/2``, is kept as a run table: a run is
+the set of points sharing their first ``n - 1`` indices, whose last index
+takes consecutive values. For the whole domain or any contiguous slice of it,
+the index arrays are read from that table, and the one source-on-demand
+engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
 
 The materialized plans (NAIVE, WS, PREFIX) smooth each segment's box and
 then sum the values at the domain's points, in that order. The lean plans
@@ -119,8 +120,8 @@ def raw_product_value(f, *bins, conjugate_last: bool = True) -> complex:
 
 
 def _check_order(order: int) -> None:
-    if order not in (3, 4):
-        raise ParameterError(f"order must be 3 or 4, got {order}")
+    if order < 3:
+        raise ParameterError(f"order must be >= 3, got {order}")
 
 
 class _Runs(NamedTuple):
@@ -187,9 +188,9 @@ def principal_domain(order: int, m: int, start: int = 0, stop: int | None = None
     """Lexicographically ordered principal-domain index tuples, positions
     ``[start, stop)`` of them (all by default), written into ``out`` if given.
 
-    Order 3: all ``(k1, k2)`` with ``0 <= k2 <= k1`` and ``k1 + k2 < m/2``.
-    Order 4: all ``(k1, k2, k3)`` with ``0 <= k3 <= k2 <= k1`` and
-    ``k1 + k2 + k3 < m/2`` (the ordered-simplex generalization).
+    All ``(k1, ..., kn)``, ``n = order - 1``, with ``0 <= kn <= ... <= k1``
+    and ``k1 + ... + kn < m/2``, the ordered simplex: at order 3 the
+    ``(k1, k2)`` with ``0 <= k2 <= k1`` and ``k1 + k2 < m/2``.
     """
     return _expand(_domain_runs(order, m, start, stop), out)
 
@@ -204,33 +205,32 @@ def domain_rows(order: int, m: int) -> np.ndarray:
 # -- raw products ------------------------------------------------------------
 
 
-def _raw_block(spectra, order, origin, shape, conjugate_last, depth=0):
+def _raw_block(spectra, origin, shape, conjugate_last, depth=0):
     """Unscaled raw products ``(f[k1]*f[k2]) * (f[k3]*...*last[k1+...])``
     over the box ``origin + [0, shape)`` of the periodic grid, summed over
     the segments (rows of ``spectra``) in order. Each axis's factor is one
     wrapped take; the last factor is a Hankel view of one more, over the
     range of index sums, so no index array as large as the box is built.
-    At order 4 a ``depth`` sums a plane over ``depth`` third indices: since
-    ``f[k3+l] * last[s+k3+l]`` depends on ``(k1, k2)`` only through ``s =
-    k1+k2``, it is summed over ``l`` into the last factor first."""
-    k, axes, lo = len(spectra), order - 1, sum(origin)
+    Each index of ``origin`` past the box sums it over ``depth`` values: since
+    ``f[k+l] * last[s+k+l]`` depends on the box only through its index sum
+    ``s``, it is summed over ``l`` into the last factor first, last index first."""
+    k, axes, lo = len(spectra), len(shape), sum(origin)
     f1, f2, *mid = (
         spectra.take(np.arange(o, o + n).reshape((1,) * a + (n,) + (1,) * (axes - 1 - a)),
                      axis=1, mode="wrap")
         for a, (o, n) in enumerate(zip(origin, shape))
     )
-    sums = sum(shape) - axes + 1
-    last = spectra.take(np.arange(lo, lo + sums + max(depth, 1) - 1), axis=1, mode="wrap")
+    n = sum(shape) - axes + 1 + (len(origin) - axes) * (depth - 1)  # index sums, a halo per fold
+    last = spectra.take(np.arange(lo, lo + n), axis=1, mode="wrap")
     if conjugate_last:
         np.conj(last, out=last)
-    if depth:  # one segment's (depth, sums) windows of its last factor at a time, in place
-        f3 = spectra.take(np.arange(origin[2], origin[2] + depth), axis=1, mode="wrap")
-        s1, mid = last.strides[1], []
-        for f, row in zip(f3, last):
-            terms = f[:, None] * np.ndarray((depth, sums), row.dtype, row, 0, (s1, s1))
-            with WORKSPACE.held(terms):
-                terms.sum(axis=0, out=row[:sums])
     s0, s1 = last.strides
+    for o in origin[axes:][::-1]:  # one segment's (depth, n) windows at a time, in place
+        n -= depth - 1
+        for f, row in zip(spectra.take(np.arange(o, o + depth), axis=1, mode="wrap"), last):
+            terms = f[:, None] * np.ndarray((depth, n), row.dtype, row, 0, (s1, s1))
+            with WORKSPACE.held(terms):
+                terms.sum(axis=0, out=row[:n])
     hank = np.ndarray((k, *shape), last.dtype, last, 0, (s0,) + (s1,) * axes)  # a view of last
     acc = None
     for tail, a, b, *rest in zip(hank, f1, f2, *mid):
@@ -244,19 +244,18 @@ def _raw_block(spectra, order, origin, shape, conjugate_last, depth=0):
     return acc
 
 
-def _make_fetch(spectra: np.ndarray, order: int, w: int, conjugate_last: bool):
-    """Raw products summed over the segments, unscaled, at ``fetch(rows, cols, *rest)``,
+def _make_fetch(spectra: np.ndarray, w: int, conjugate_last: bool):
+    """Raw products summed over the segments, unscaled, at ``fetch(rows, cols, *planes)``,
     indices shifted by the window offset ``w // 2``. Rows and columns are consecutive
     ascending ranges (the ``tiled`` contract), so only their first values and sizes
-    are read; one scalar per further axis. At order 4 the plane is summed over the
-    third index's ``w`` values from ``rest[0]`` on."""
-    h, depth = w // 2, w * (order == 4)
+    are read; one scalar per further index, and the plane is summed over each such
+    index's ``w`` values from that scalar on."""
+    h = w // 2
 
-    def fetch(rows, cols, *rest):
+    def fetch(rows, cols, *planes):
         rows, cols = np.asarray(rows), np.asarray(cols)
-        origin = [int(x) - h for x in (rows.flat[0], cols.flat[0], *rest)]
-        shape = (rows.size, cols.size) + (1,) * len(rest)
-        block = _raw_block(spectra, order, origin, shape, conjugate_last, depth)
+        origin = [int(x) - h for x in (rows.flat[0], cols.flat[0], *planes)]
+        block = _raw_block(spectra, origin, (rows.size, cols.size), conjugate_last, w)
         return block.reshape(np.broadcast(rows, cols).shape)
 
     return fetch
@@ -277,7 +276,7 @@ def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, id
     acc.fill(0)
     with WORKSPACE.held(acc, idx):
         for f in spec_set.spectra:
-            raw = _raw_block(f[None], cfg.order, (-(w // 2),) * axes, shape, cfg.conjugate_last)
+            raw = _raw_block(f[None], (-(w // 2),) * axes, shape, cfg.conjugate_last)
             with WORKSPACE.held(raw):
                 WORKSPACE.drop(WORKSPACE.note_bytes(raw.nbytes))  # the product chain's other box
                 sm = smooth(raw, w, cfg.plan, periodic=not naive)
@@ -303,7 +302,7 @@ def smoothed_values(
     if cfg.plan in MATERIALIZED_PLANS:
         _materialized_values(spec_set, cfg, _expand(runs), out)
     else:
-        fetch = _make_fetch(spec_set.spectra, cfg.order, w, cfg.conjugate_last)
+        fetch = _make_fetch(spec_set.spectra, w, cfg.conjugate_last)
         stops = runs.first + runs.lens
         smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)
     out /= float(spec_set.k * m * w ** (cfg.order - 1))

@@ -1,10 +1,10 @@
 """Source-on-demand window-sum engines and the two shared 1-D window-sum kernels.
 
 The engines compute sliding box sums along runs of cells without
-materializing the source: values are pulled through ``fetch(rows, cols)``,
-broadcastable consecutive ascending index ranges, or at order 4 ``fetch(rows,
-cols, k3)``, that plane summed over ``k3 .. k3+w-1``. Periodic index wrapping
-lives inside ``fetch``, so the engines themselves are boundary-agnostic.
+materializing the source: values are pulled through ``fetch(rows, cols,
+*planes)``, broadcastable consecutive ascending index ranges and one index
+``k`` per further axis, that plane summed over ``k .. k+w-1`` of each.
+Periodic index wrapping lives in ``fetch``: the engines are boundary-agnostic.
 
 Two kernels do the summing, one pass per axis: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
@@ -19,23 +19,24 @@ with the next:
               cell fetched at most twice).
 * EFFICIENT - square blocks of ``B = max(S, w)`` output cells per side,
               :func:`box_sums` over a ``(B+w-1)^2`` patch (O(max(S, w)^2)
-              memory, each source cell fetched at most twice; at order 4,
+              memory, each source cell fetched at most twice; from order 4 on,
               each summed cell at most 4 times, by the halos of its blocks).
 * STREAMING - ``1 x S`` pieces of a row, FAST's kernels over a ``w``-row
               source patch fetched at most ``S`` columns per call (O(w)
-              memory, O(w^2) at order 4; each source cell fetched ``w`` times).
+              memory, O(w^2) from order 4 on; each source cell fetched ``w`` times).
 
-One engine, :func:`smoothed_runs`, serves both orders from one run table:
-with one lead index, each band of units is walked column unit by column unit
+One engine, :func:`smoothed_runs`, serves every order from one run table:
+with one lead column, each band of units is walked column unit by column unit
 and a unit lands in ``out`` by one indexed write if all the band's runs cover
 its columns, else (a diagonal or tail unit) one slice per row, the chunks
-:func:`smoothed_cells_2d` yields; with two, each block of the leading axes, the
-plan's unit shape (its face), is EFFICIENT's row pass and column pass over a
-summed plane per third index its runs cover, cut at the far corner of the runs
-active there. Units depend only on (fetch, w, unit origin) and a kernel's cell
-only on its own lines (but NumPy sums the first window along axis 0 of a
-one-column array pairwise, see :func:`running_sums`), so splitting the output
-across workers reproduces a serial sweep bit for bit.
+:func:`smoothed_cells_2d` yields; with two or more lead columns, each block of
+the first two, the plan's unit shape (its face), at each value of the others
+is EFFICIENT's row pass and column pass over a summed plane per last index its
+runs cover, cut at the far corner of the runs active there. Units depend only
+on (fetch, w, unit origin) and a kernel's cell only on its own lines (but NumPy
+sums the first window along axis 0 of a one-column array pairwise, see
+:func:`running_sums`), so splitting the output across workers reproduces a
+serial sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _streamed(fetch, r0, c0, rows, cols, w):
 #: plan -> (unit shape from (output columns, w), row pass, column pass). A row pass
 #: ``row_pass(fetch, r0, c0, rows, cols, w)`` gives the ``rows x (cols + w - 1)`` sums of
 #: ``w`` source rows from ``r0`` on, per source column from ``c0`` on; the column pass sums
-#: ``w`` of those per output cell. The unit shape is also the face of an order-4 block.
+#: ``w`` of those per output cell. The unit shape is also the face of a block.
 _UNITS = {
     "FAST": (lambda cols, w: (w, cols), _fast_rows, partial(running_sums, axes=(1,))),
     "EFFICIENT": (lambda cols, w: (max(S, w),) * 2,
@@ -221,35 +222,35 @@ def _land(out, r0, c0, vals, runs):
 
 def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
     """Periodic ``w``-box sums along runs of cells, written in place: run
-    ``t`` holds the cells with leading indices ``lead[t]`` (one or two
+    ``t`` holds the cells with leading indices ``lead[t]`` (one or more
     columns) and last index ``k`` in ``[first[t], stops[t])``, and cell ``k``
     lands in ``out[offsets[t] + (k - first[t])]``. Every axis has extent ``m``;
-    runs with one lead column come sorted by it; with two, ``fetch`` sums planes."""
+    runs with one lead column come sorted by it; with more, ``fetch`` sums planes."""
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
     if lead.shape[1] == 1:
         for unit in _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
             _land(out, *unit)  # the unit stays alive until the next lands, as in the meter
         return
-    face = _UNITS[plan_name][0](m, w)
-    _, row_pass, column_pass = _UNITS["EFFICIENT"]  # every plan's order-4 block
+    face = _UNITS[plan_name][0](m, w) + (1,) * (lead.shape[1] - 2)  # a plane per further index
+    _, row_pass, column_pass = _UNITS["EFFICIENT"]  # every plan's block
     order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
     lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
-    for (b0, c0), u in _groups(lead, face):
-        ii, jj = (lead[u] - (b0, c0)).T
+    for (b0, c0, *planes), u in _groups(lead, face):
+        ii, jj = (lead[u, :2] - (b0, c0)).T
         st, sp, bb = first[u], stops[u], offsets[u]
-        for k3 in range(int(st.min()), int(sp.max())):
-            on = (st <= k3) & (k3 < sp)
+        for k in range(int(st.min()), int(sp.max())):
+            on = (st <= k) & (k < sp)
             if on.any():  # a slice's first run may start after its block's others stop
                 i, j = ii[on], jj[on]
                 # cut at the active runs' far corner: a cell depends only on its own lines
-                vals = row_pass(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w, k3)
+                vals = row_pass(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w, *planes, k)
                 if w > 1:  # else the identity
                     nbytes = WORKSPACE.note(vals)  # the row sums, during the column pass
                     vals = column_pass(vals, w)
                     WORKSPACE.drop(nbytes)
                 nbytes = WORKSPACE.note(vals)
-                out[bb[on] + (k3 - st[on])] = vals[i, j]
+                out[bb[on] + (k - st[on])] = vals[i, j]
                 WORKSPACE.drop(nbytes)
 
 

@@ -25,8 +25,8 @@ PREFIX over square blocks of ``max(S, w)`` output cells, STREAMING is FAST
 over rows of ``S`` output cells, fetched at most ``S`` source columns at a time.
 
 :func:`smooth` is the materialized plans' one entry point, valid or
-periodic, for arrays of any number of axes (order-3 and order-4 boxes of
-the frequency grid); :func:`window_sums_2d` runs any plan on a 2-D matrix
+periodic, for arrays of any number of axes (boxes of the frequency grid at
+any order); :func:`window_sums_2d` runs any plan on a 2-D matrix
 with either boundary rule.
 
 All plans agree within a relative 1e-9 tolerance with an absolute floor of

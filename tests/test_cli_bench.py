@@ -150,6 +150,15 @@ class TestCmdEstimate:
         for name in ("NAIVE", "WS", "PREFIX", "FAST", "EFFICIENT", "STREAMING"):
             assert name in stderr
 
+    def test_order_past_4_exits_2(self, capsys):
+        # the library takes any order >= 3; the CLI keeps 3 and 4 until it can
+        # refuse a run that cannot fit (order-5 PREFIX at m=64 models 1.15 GB)
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--order", "5", "--input", "x", "--seg-len", "64",
+                  "--window", "5", "--out", "y"])
+        assert err.value.code == 2
+        assert "--order" in capsys.readouterr().err
+
     def test_missing_input_exits_1(self, tmp_path):
         code = main(
             ["estimate", "--input", str(tmp_path / "nope.csv"), "--seg-len", "64",

@@ -13,9 +13,11 @@ from hospectra import (
     SmoothingPlan,
     SpectrumGrid,
     TimeSeries,
+    WorkerConfig,
     compare_grids,
     estimate_spectrum,
     generate_qpc,
+    parallel_estimate,
     principal_domain,
     raw_product_value,
     write_grid_csv,
@@ -81,13 +83,16 @@ class TestRawValues:
 
 
 class TestRawBlockDepth:
-    """An order-4 block of depth ``w`` is the sum of the ``w`` planes of depth
-    one from its third index on: the lean plans' fetch contract."""
+    """A block of depth ``w`` is the sum of the ``w**j`` single planes at the
+    ``j`` indices of its origin past the box, each from its own value on: the
+    lean plans' fetch contract (one index at order 4, two at order 5)."""
 
     M = 32
-    # (origin, shape): negative origins, and third indices near m that wrap
-    BLOCKS = [((-3, -7, -2), (5, 9, 1)), ((4, 29, M - 2), (11, 6, 1)),
-              ((M - 1, 0, M - 1), (1, 1, 1)), ((0, 0, 0), (M, M, 1))]
+    # (origin, shape): negative origins, and indices past the box near m that wrap
+    BLOCKS = [((-3, -7, -2), (5, 9)), ((4, 29, M - 2), (11, 6)),
+              ((M - 1, 0, M - 1), (1, 1)), ((0, 0, 0), (M, M)),
+              ((-3, -7, -2, 5), (5, 9)), ((4, 29, M - 2, M - 1), (11, 6)),
+              ((M - 1, 0, M - 1, -1), (1, 1)), ((0, 0, 0, 0), (M, M))]
 
     @pytest.mark.parametrize("w", [1, 2, 5, 9])
     @pytest.mark.parametrize("k", [1, 3])
@@ -96,9 +101,13 @@ class TestRawBlockDepth:
         rng = np.random.default_rng(10 * w + k)
         spectra = rng.standard_normal((k, self.M)) + 1j * rng.standard_normal((k, self.M))
         for origin, shape in self.BLOCKS:
-            got = _raw_block(spectra, 4, origin, shape, conj, depth=w)
-            planes = [_raw_block(spectra, 4, origin[:2] + (origin[2] + t,), shape, conj)
-                      for t in range(w)]
+            got = _raw_block(spectra, origin, shape, conj, depth=w)
+            folded = origin[len(shape):]
+            planes = [
+                _raw_block(spectra, origin[:2] + tuple(o + d for o, d in zip(folded, t)),
+                           shape + (1,) * len(folded), conj).reshape(shape)
+                for t in itertools.product(range(w), repeat=len(folded))
+            ]
             expect = sum(planes)
             assert got.shape == expect.shape == shape, (origin, got.shape)
             scale = float(np.abs(expect).max())
@@ -305,6 +314,79 @@ class TestEstimateSpectrum:
         for plan in SmoothingPlan:
             got = estimate_spectrum(series, cfg4(32, 3, plan))
             assert compare_grids(ref, got) < 1e-9, plan
+
+
+def defining_sum(spectra, point, w, conj):
+    """The smoothed estimate at ``point`` by brute force: ``raw_product_value``
+    over every segment and every offset of the centred window, averaged."""
+    m, offsets = spectra.shape[1], range(-(w // 2), w - w // 2)
+    total = sum(raw_product_value(f, *((k + o) % m for k, o in zip(point, off)),
+                                  conjugate_last=conj)
+                for f in spectra for off in itertools.product(offsets, repeat=len(point)))
+    return total / (len(spectra) * w ** len(point))
+
+
+class TestOrdersFiveAndSix:
+    """Orders past 4 take the same two branches: each index past the second
+    is one more plane coordinate of the block branch, folded into the fetch's
+    last factor. Every plan agrees with NAIVE and the defining sum, all six
+    give the same bytes at w=1, and any worker count the same grid."""
+
+    # order 6 boxes are m**5 cells: WS and PREFIX run there only at these (w, K)
+    BOX_CELLS = ((1, 1), (1, 3), (5, 1))
+
+    @staticmethod
+    def series(order, m, k):
+        return generate_qpc(0.11, 0.23, k * m, noise_sigma=0.5, seed=10 * order + k)
+
+    def test_order_two_is_refused(self):
+        with pytest.raises(ParameterError, match=">= 3"):
+            EstimationConfig(2, SegmentConfig(m=16), 3)
+        with pytest.raises(ParameterError, match=">= 3"):
+            principal_domain(2, 16)
+
+    def test_principal_domain_matches_enumeration(self):
+        for order, m in ((5, 2), (5, 7), (5, 16), (6, 3), (6, 12)):
+            expect = [k for k in itertools.product(range(m), repeat=order - 1)
+                      if list(k) == sorted(k, reverse=True) and 2 * sum(k) < m]
+            assert [tuple(p) for p in principal_domain(order, m)] == expect, (order, m)
+
+    @pytest.mark.parametrize("order, m, w", [(5, 24, w) for w in (1, 2, 3, 5, 9)]
+                             + [(6, 16, w) for w in (1, 2, 3, 5)])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("conj", [True, False])
+    def test_plans_agree_with_naive_and_the_defining_sum(self, order, m, w, k, conj):
+        series = self.series(order, m, k)
+        boxes = order == 5 or (w, k) in self.BOX_CELLS
+        plans = [p for p in SmoothingPlan if boxes or p.name not in ("WS", "PREFIX")]
+        seg = SegmentConfig(m=m, k=k)
+        grids = [estimate_spectrum(series, EstimationConfig(order, seg, w, p, conjugate_last=conj))
+                 for p in plans]
+        naive = grids[0].values
+        scale = float(np.abs(naive).max())
+        for plan, grid in zip(plans, grids):
+            assert np.abs(grid.values - naive).max() <= 1e-9 * scale, plan
+            if w >= 5:  # below, near-zero bins dominate the per-point measure
+                assert compare_grids(grids[0], grid) < 1e-9, plan
+            if w == 1:
+                assert grid.values.tobytes() == naive.tobytes(), plan
+        spectra = dft_segments(segment_and_demean(series, SegmentConfig(m=m, k=k))).spectra
+        rng = np.random.default_rng(w + k)
+        for t in [int(np.argmax(np.abs(naive))), *rng.integers(0, len(naive), 2)]:
+            expect = defining_sum(spectra, grids[0].indices[t], w, conj)
+            for plan, grid in zip(plans, grids):
+                assert abs(grid.values[t] - expect) <= 1e-9 * scale, (plan, t)
+
+    @pytest.mark.parametrize("w, k, conj", [(2, 1, False), (5, 3, True)])
+    def test_two_workers_give_the_serial_grid(self, w, k, conj):
+        series = self.series(5, 24, k)
+        for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
+            cfg = EstimationConfig(5, SegmentConfig(m=24, k=k), w, plan, conjugate_last=conj)
+            ref = parallel_estimate(series, cfg, WorkerConfig(1))
+            for partition in ("row_blocks", "point_blocks"):
+                got = parallel_estimate(series, cfg, WorkerConfig(2, partition))
+                assert got.indices.tobytes() == ref.indices.tobytes(), (plan, partition)
+                assert got.values.tobytes() == ref.values.tobytes(), (plan, partition)
 
 
 def metered_values(order, m, w, k, plan):

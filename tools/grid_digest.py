@@ -18,16 +18,16 @@ cannot inflate. ``tools/grid_digest.golden`` holds the committed output:
 
     PYTHONPATH=src python tools/grid_digest.py | diff tools/grid_digest.golden -
 
-Cells: order 3 at m=64, w in {1,2,3,5,8}; order 4 at m=32, w in {1,2,3,5};
-every plan, K in {1,3}, conjugation on and off; the lean plans also at P in
-{2,3} with both partition modes. Order 3 also at m=512, w in {9,49}, K=1,
-conjugation on: FAST and EFFICIENT at P in {1,2}, after their NAIVE
-reference; there a band holds several EFFICIENT column units and the P=2
-cut falls inside a band. At w=9, EFFICIENT also runs at P=3 with both
-partitions: its bands hold units that every run covers, and the
-point_blocks cuts fall mid-row; STREAMING runs at P in {1,2}, so its bands
-hold several 1 x S units and the P=2 cut falls inside one. Uses the public API
-only.
+Cells: order 3 at m=64, w in {1,2,3,5,8}; order 4 at m=32 and order 5 at
+m=24, w in {1,2,3,5}; every plan, K in {1,3}, conjugation on and off; the
+lean plans also at P in {2,3} with both partition modes. Order 3 also at
+m=512, w in {9,49}, K=1, conjugation on: FAST and EFFICIENT at P in {1,2},
+after their NAIVE reference; there a band holds several EFFICIENT column
+units and the P=2 cut falls inside a band. At w=9, EFFICIENT also runs at
+P=3 with both partitions: its bands hold units that every run covers, and
+the point_blocks cuts fall mid-row; STREAMING runs at P in {1,2}, so its
+bands hold several 1 x S units and the P=2 cut falls inside one. Uses the
+public API only.
 """
 
 import hashlib
@@ -47,7 +47,7 @@ from hospectra import (
 )
 
 LEAN = (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING)
-CELLS = ((3, 64, (1, 2, 3, 5, 8)), (4, 32, (1, 2, 3, 5)))
+CELLS = ((3, 64, (1, 2, 3, 5, 8)), (4, 32, (1, 2, 3, 5)), (5, 24, (1, 2, 3, 5)))
 LARGE = (3, 512, (9, 49))
 
 
