@@ -85,14 +85,6 @@ class SegmentSet:
     segments: np.ndarray  # shape (k, m)
     means_removed: bool = False
 
-    @property
-    def k(self) -> int:
-        return int(self.segments.shape[0])
-
-    @property
-    def m(self) -> int:
-        return int(self.segments.shape[1])
-
 
 def load_series(path, fmt: str = "csv") -> TimeSeries:
     """Read a series from ``path``.

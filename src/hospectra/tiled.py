@@ -10,18 +10,18 @@ Two kernels do the summing, one pass per axis: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
 cumsum difference). The lean plans apply them to units of the output
 aligned to a fixed grid in output coordinates, each a row pass (sums of
-``w`` source rows per source column) then a column pass; along an order-3
-band a unit carries the row sums of the ``w-1`` source columns it shares
-with the next:
+``w`` source rows per source column) then :func:`box_sums` across, the one
+column pass; along an order-3 band a unit carries the row sums of the
+``w-1`` source columns it shares with the next:
 
 * FAST      - ``w`` x full-width bands of one unit, :func:`running_sums`
-              over a ``2w-1``-row source patch (O(cols*w) memory, each source
+              down a ``2w-1``-row source patch (O(cols*w) memory, each source
               cell fetched at most twice).
 * EFFICIENT - square blocks of ``B = max(S, w)`` output cells per side,
-              :func:`box_sums` over a ``(B+w-1)^2`` patch (O(max(S, w)^2)
+              :func:`box_sums` down a ``(B+w-1)^2`` patch (O(max(S, w)^2)
               memory, each source cell fetched at most twice; from order 4 on,
               each summed cell at most 4 times, by the halos of its blocks).
-* STREAMING - ``1 x S`` pieces of a row, FAST's kernels over a ``w``-row
+* STREAMING - ``1 x S`` pieces of a row, EFFICIENT's kernels over a ``w``-row
               source patch fetched at most ``S`` columns per call (O(w)
               memory, O(w^2) from order 4 on; each source cell fetched ``w`` times).
 
@@ -33,10 +33,8 @@ its columns, else (a diagonal or tail unit) one slice per row, the chunks
 the first two, the plan's unit shape (its face), at each value of the others
 is EFFICIENT's row pass and column pass over a summed plane per last index its
 runs cover, cut at the far corner of the runs active there. Units depend only
-on (fetch, w, unit origin) and a kernel's cell only on its own lines (but NumPy
-sums the first window along axis 0 of a one-column array pairwise, see
-:func:`running_sums`), so splitting the output across workers reproduces a
-serial sweep bit for bit.
+on (fetch, w, unit origin) and a kernel's cell only on its own lines, so
+splitting the output across workers reproduces a serial sweep bit for bit.
 """
 
 from __future__ import annotations
@@ -88,7 +86,8 @@ def running_sums(a, w, axes=(0, 1)):
     plus the cumulative sum of the cells entering minus the cells leaving,
     computed in place in the pass's output. A cell depends only on its own
     line, bar axis 0 of a one-column array, whose first window NumPy sums
-    pairwise (``_streamed`` never passes one). A window of 1 is an exact copy.
+    pairwise; the lean engines call it only down FAST's full-width band,
+    never on one column. A window of 1 is an exact copy.
     """
     if w == 1:
         return a.copy()
@@ -127,29 +126,25 @@ def _block(fetch, r0, c0, rows, cols, w, *plane, kernel):
         WORKSPACE.drop(nbytes)
 
 
-_fast_rows = partial(_block, kernel=partial(running_sums, axes=(0,)))
+_efficient_rows = partial(_block, kernel=partial(box_sums, axes=(0,)))
 
 
 def _streamed(fetch, r0, c0, rows, cols, w):
-    # FAST's row pass, at most S source columns per fetch (the O(w) tier); no piece is a lone
-    # column, whose w rows NumPy sums pairwise where it sums a wider piece's in sequence
-    n = max(cols + w - 1, 2)
-    cuts = [*range(c0, c0 + n, S), c0 + n]
-    if cuts[-1] - cuts[-2] == 1:
-        cuts[-2] -= 1
-    parts = [_fast_rows(fetch, r0, a, rows, b - a - w + 1, w) for a, b in zip(cuts, cuts[1:])]
-    return np.concatenate(parts, axis=1)[:, : cols + w - 1]
+    # EFFICIENT's row pass, at most S source columns per fetch (the O(w) tier)
+    n = cols + w - 1
+    return np.concatenate([_efficient_rows(fetch, r0, a, rows, min(S, c0 + n - a) - w + 1, w)
+                           for a in range(c0, c0 + n, S)], axis=1)
 
 
-#: plan -> (unit shape from (output columns, w), row pass, column pass). A row pass
-#: ``row_pass(fetch, r0, c0, rows, cols, w)`` gives the ``rows x (cols + w - 1)`` sums of
-#: ``w`` source rows from ``r0`` on, per source column from ``c0`` on; the column pass sums
-#: ``w`` of those per output cell. The unit shape is also the face of a block.
+#: plan -> (unit shape from (output columns, w), row pass); every unit's column pass is
+#: :func:`_column_sums`. A row pass ``row_pass(fetch, r0, c0, rows, cols, w)`` gives the
+#: ``rows x (cols + w - 1)`` sums of ``w`` source rows from ``r0`` on, per source column
+#: from ``c0`` on; the column pass sums ``w`` of those per output cell. The unit shape is
+#: also the face of a block.
 _UNITS = {
-    "FAST": (lambda cols, w: (w, cols), _fast_rows, partial(running_sums, axes=(1,))),
-    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2,
-                  partial(_block, kernel=partial(box_sums, axes=(0,))), _column_sums),
-    "STREAMING": (lambda cols, w: (1, S), _streamed, partial(running_sums, axes=(1,))),
+    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=partial(running_sums, axes=(0,)))),
+    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, _efficient_rows),
+    "STREAMING": (lambda cols, w: (1, S), _streamed),
 }
 
 
@@ -165,10 +160,10 @@ def _groups(lead, face):
 def _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
     """Yield ``(r0, c0, vals, runs)`` per unit, ``runs`` as (rows, first, stops, pos) lists.
 
-    A unit is its plan's column pass over its row pass. The row pass keeps each
+    A unit is the column pass over its plan's row pass. The row pass keeps each
     column's bits, so the row sums of the ``w-1`` source columns a unit shares with
     the next unit of its band are carried (a copy, not a view pinning the part)."""
-    shape, row_pass, column_pass = _UNITS[plan_name]
+    shape, row_pass = _UNITS[plan_name]
     uh, uw = shape(m, w)
     held = carried = 0  # the bytes of the unit held until the next lands, and of the carry
     try:
@@ -188,7 +183,7 @@ def _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
                 carried = 0 if carry is None else WORKSPACE.note(carry)
                 if w > 1:  # else the identity
                     held += WORKSPACE.note(part)  # the part, during the column pass
-                    part = column_pass(part, w)
+                    part = _column_sums(part, w)
                 WORKSPACE.drop(held)  # the part and the previous unit
                 held = WORKSPACE.note(part)
                 yield r0, c0, part, runs
@@ -233,7 +228,6 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
             _land(out, *unit)  # the unit stays alive until the next lands, as in the meter
         return
     face = _UNITS[plan_name][0](m, w) + (1,) * (lead.shape[1] - 2)  # a plane per further index
-    _, row_pass, column_pass = _UNITS["EFFICIENT"]  # every plan's block
     order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
     lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
     for (b0, c0, *planes), u in _groups(lead, face):
@@ -244,10 +238,11 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
             if on.any():  # a slice's first run may start after its block's others stop
                 i, j = ii[on], jj[on]
                 # cut at the active runs' far corner: a cell depends only on its own lines
-                vals = row_pass(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w, *planes, k)
+                vals = _efficient_rows(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w,
+                                       *planes, k)
                 if w > 1:  # else the identity
                     nbytes = WORKSPACE.note(vals)  # the row sums, during the column pass
-                    vals = column_pass(vals, w)
+                    vals = _column_sums(vals, w)
                     WORKSPACE.drop(nbytes)
                 nbytes = WORKSPACE.note(vals)
                 out[bb[on] + (k - st[on])] = vals[i, j]

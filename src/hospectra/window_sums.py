@@ -20,9 +20,10 @@ recurrence (:func:`~hospectra.tiled.running_sums`), PREFIX differences
 cumulative sums (:func:`~hospectra.tiled.box_sums`). FAST, EFFICIENT and
 STREAMING are source-on-demand engines that apply the same kernels to
 pieces of the output, pulling values through a fetch callable instead of
-reading a materialized matrix: FAST is WS over bands of rows, EFFICIENT is
-PREFIX over square blocks of ``max(S, w)`` output cells, STREAMING is FAST
-over rows of ``S`` output cells, fetched at most ``S`` source columns at a time.
+reading a materialized matrix: FAST is WS down bands of rows, EFFICIENT is
+PREFIX over square blocks of ``max(S, w)`` output cells, STREAMING is
+EFFICIENT over rows of ``S`` output cells, fetched at most ``S`` source
+columns at a time; all three sum across as PREFIX does.
 
 :func:`smooth` is the materialized plans' one entry point, valid or
 periodic, for arrays of any number of axes (boxes of the frequency grid at
@@ -180,8 +181,6 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
         a = a.astype(np.float64)
     rows_out, cols_out = spec.out_shape(*a.shape)
     w = spec.w
-    if w == 1:  # a width-1 window is the identity, exactly
-        return a.copy()
     if plan in MATERIALIZED_PLANS:
         return smooth(a, w, plan, periodic=spec.boundary == "periodic")
     rows_n, cols_n = a.shape

@@ -258,6 +258,19 @@ class TestCmdBench:
         with pytest.raises(ParameterError, match="empty"):
             run_benchmarks(orders=[], sizes=[64], plans=["FAST"])
 
+    def test_reference_windows_by_default(self):
+        reports = run_benchmarks(orders=[3], sizes=[16, 24], plans=["EFFICIENT"], repeats=1)
+        assert [r.M3 for r in reports] == [reference_window(16), reference_window(24)]
+        assert all(r.status == "ok" for r in reports)
+
+    def test_window_count_mismatch_rejected(self):
+        with pytest.raises(ParameterError, match="got 3 windows for 2 sizes"):
+            run_benchmarks(orders=[3], sizes=[32, 64], plans=["FAST"], windows=[3, 5, 7])
+
+    def test_no_repeats_rejected(self):
+        with pytest.raises(ParameterError, match="repeats must be >= 1, got 0"):
+            run_benchmarks(orders=[3], sizes=[64], plans=["FAST"], repeats=0)
+
     def test_empty_plans_via_cli_exits_2(self, tmp_path):
         code = main(["bench", "--sizes", "64", "--plans", "", "--out",
                      str(tmp_path / "r.json")])

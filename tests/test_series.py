@@ -55,8 +55,25 @@ class TestLoadSeries:
             load_series(path, "csv")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
-            load_series(tmp_path / "nope.csv", "csv")
+        for fmt in ("csv", "raw64"):
+            with pytest.raises(DataError, match="cannot read"):
+                load_series(tmp_path / "nope", fmt)
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("value\n1.0\n\n   \n2.0\n\n")
+        assert np.array_equal(load_series(path, "csv").samples, [1.0, 2.0])
+
+    def test_raw64_non_finite_names_offset(self, tmp_path):
+        path = tmp_path / "x.raw"
+        np.array([1.0, 2.0, np.inf, 3.0], dtype="<f8").tofile(path)
+        with pytest.raises(DataError, match="non-finite value at offset 16"):
+            load_series(path, "raw64")
+
+    def test_save_unknown_format(self, tmp_path):
+        with pytest.raises(ParameterError, match="unknown format"):
+            save_series(TimeSeries(np.ones(3)), tmp_path / "x.bin", "npy")
+        assert not (tmp_path / "x.bin").exists()
 
     def test_raw64_roundtrip(self, tmp_path):
         # oracle: encode with numpy's little-endian float64 writer, read back
@@ -181,6 +198,10 @@ class TestGenerateQpc:
         with pytest.raises(ParameterError):
             generate_qpc(0.1, 0.15, 64, noise_sigma=-1.0)
 
+    def test_empty_length_rejected(self):
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            generate_qpc(0.1, 0.15, 0)
+
 
 class TestGenerateGaussianAr:
     def test_ar0_is_reproducible_iid_draws(self):
@@ -193,6 +214,10 @@ class TestGenerateGaussianAr:
     def test_unstable_coefficients_rejected(self):
         with pytest.raises(ParameterError, match="unstable"):
             generate_gaussian_ar([1.1], 16)
+
+    def test_empty_length_rejected(self):
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            generate_gaussian_ar([0.5], 0)
 
     def test_unstable_two_tap_rejected(self):
         with pytest.raises(ParameterError, match="unstable"):

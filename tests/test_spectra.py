@@ -15,6 +15,7 @@ from hospectra import (
     TimeSeries,
     WorkerConfig,
     compare_grids,
+    estimate_from_spectra,
     estimate_spectrum,
     generate_qpc,
     parallel_estimate,
@@ -117,6 +118,18 @@ class TestRawBlockDepth:
 
 
 class TestPrincipalDomain:
+    def test_segment_shorter_than_two_rejected(self):
+        with pytest.raises(ParameterError, match="segment length must be >= 2"):
+            principal_domain(3, 1)
+
+    def test_empty_and_out_of_range_slices(self):
+        size = len(principal_domain(3, 8))
+        assert principal_domain(3, 8, 5, 5).shape == (0, 2)
+        assert principal_domain(3, 8, 6, 2).shape == (0, 2)
+        for start, stop in ((0, size + 1), (-1, 2)):
+            with pytest.raises(ParameterError, match=f"outside domain of size {size}"):
+                principal_domain(3, 8, start, stop)
+
     def test_order3_m2_origin_only(self):
         assert [tuple(p) for p in principal_domain(3, 2)] == [(0, 0)]
 
@@ -206,6 +219,23 @@ class TestEstimateSpectrum:
     def test_window_too_large_rejected(self):
         with pytest.raises(ParameterError, match="m3 < m/2"):
             cfg3(64, 32)
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(ParameterError, match=">= 1, got 0"):
+            cfg3(64, 0)
+
+    def test_empty_slice_gives_no_values(self):
+        series = generate_qpc(0.1, 0.15, 32)
+        spec_set = dft_segments(segment_and_demean(series, SegmentConfig(32, 1)))
+        for plan in (SmoothingPlan.NAIVE, SmoothingPlan.EFFICIENT):
+            assert smoothed_values(spec_set, cfg3(32, 3, plan), 7, 7).shape == (0,)
+
+    def test_config_and_spectra_mismatch_rejected(self):
+        series = generate_qpc(0.1, 0.15, 64)
+        spec_set = dft_segments(segment_and_demean(series, SegmentConfig(32, 2)))
+        for cfg in (cfg3(32, 3), cfg3(64, 3, k=2)):
+            with pytest.raises(ParameterError, match=r"does not match spectra \(2x32\)"):
+                estimate_from_spectra(spec_set, cfg)
 
     def test_smoothing_window_of_one_is_identity_on_raw_grid(self):
         for make_cfg, m in ((cfg3, 64), (cfg4, 32)):
@@ -481,6 +511,9 @@ class TestCompareGrids:
     def test_zero_grids(self):
         g = estimate_spectrum(TimeSeries(np.full(64, 1.0)), cfg3(64, 3))
         assert compare_grids(g, g) == 0.0
+
+    def test_empty_grids(self):
+        assert compare_grids(hand_grid(3, [], []), hand_grid(3, [], [])) == 0.0
 
     def test_shape_mismatch_rejected(self):
         series = generate_qpc(0.1, 0.15, 128, 0.2, seed=14)

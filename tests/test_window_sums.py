@@ -143,10 +143,16 @@ class TestWindowSums2d:
     def test_identity_window_both_boundaries(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 7))
+        # a signed zero, a NaN and an infinity keep their bytes too
+        c = (rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))
+        c[0, :3] = -0.0, complex(np.nan, -0.0), complex(-np.inf, 1.0)
         for boundary in ("valid", "periodic"):
             for plan in ALL_PLANS:
                 out = window_sums_2d(a, WindowSpec(1, boundary), plan)
                 assert np.array_equal(out, a), (boundary, plan)
+                out = window_sums_2d(c, WindowSpec(1, boundary), plan)
+                assert out.dtype == c.dtype and out.tobytes() == c.tobytes(), (boundary, plan)
+                assert not np.shares_memory(out, c), (boundary, plan)
 
     def test_two_by_two_periodic_wraps(self):
         out = window_sums_2d(
@@ -158,6 +164,21 @@ class TestWindowSums2d:
     def test_window_exceeds_valid_dims(self):
         with pytest.raises(ParameterError):
             window_sums_2d(np.ones((4, 4)), WindowSpec(5, "valid"), SmoothingPlan.NAIVE)
+
+    def test_bad_spec_and_input_rejected(self):
+        with pytest.raises(ParameterError, match="window side must be >= 1"):
+            WindowSpec(0)
+        with pytest.raises(ParameterError, match="boundary must be"):
+            WindowSpec(3, "wrap")
+        with pytest.raises(ParameterError, match="expected a 2-D matrix"):
+            window_sums_2d(np.ones(4), WindowSpec(1), SmoothingPlan.EFFICIENT)
+
+    def test_integer_input_sums_as_float64(self):
+        a = np.arange(20).reshape(4, 5)
+        for plan in ALL_PLANS:
+            out = window_sums_2d(a, WindowSpec(2, "periodic"), plan)
+            assert out.dtype == np.float64, plan
+            assert_window_equal(out, direct_sums(a.astype(float), 2, periodic=True))
 
     def test_periodic_window_larger_than_matrix(self):
         # wrapping more than once counts cells with multiplicity
@@ -426,8 +447,9 @@ class TestSmoothedCells2d:
         # multiple of B, so its band has 3 full column units and a narrower
         # fourth, and the last band of B or w rows is shorter too. A FAST band
         # is one unit, a STREAMING band one row of 1 x S units; at w=50 its
-        # first unit's 2S+1 source columns, fetched S at a time, would leave
-        # one alone, and NumPy sums a lone column pairwise.
+        # first unit's 2S+1 source columns, fetched S at a time, leave one
+        # alone. FAST sums down by running sums, the others by box sums, and
+        # every unit across by box sums.
         b = max(S, w)
         m = 3 * b + 7
         uh, uw = {"FAST": (w, m), "EFFICIENT": (b, b), "STREAMING": (1, S)}[plan]
@@ -440,7 +462,8 @@ class TestSmoothedCells2d:
 
         def alone(r0, c0, cols):
             patch = fetch(np.arange(r0, r0 + uh + w - 1), np.arange(c0, c0 + cols + w - 1))
-            return (box_sums if plan == "EFFICIENT" else running_sums)(patch, w)
+            down = running_sums if plan == "FAST" else box_sums
+            return box_sums(down(patch, w, axes=(0,)), w, axes=(1,))
 
         expect = np.empty((n_rows, m), dtype=a.dtype)
         for r0, c0 in itertools.product(range(0, n_rows, uh), range(0, m, uw)):
@@ -465,8 +488,8 @@ class TestSmoothedCells2d:
     def test_streaming_lone_tail_column_bit_identical(self):
         # at m = 2S + 1 a band's last 1 x S unit is one column wide, so after
         # the carry it needs one new source column; a sweep that starts in that
-        # unit fetches the column among w others. NumPy sums a lone column's w
-        # rows pairwise, so neither may fetch it alone.
+        # unit fetches the column among w others. The row pass's cumsum adds a
+        # lone column's w rows in sequence, as a wider piece's, so both agree.
         m, w, rows = 2 * S + 1, 50, 8
         a = np.random.default_rng(1).standard_normal((m, m, 2)).view(complex)[..., 0]
 
