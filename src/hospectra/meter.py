@@ -5,9 +5,10 @@ bands, square blocks, materialized boxes and the values gathered from them,
 and transients as large as a buffer) with a process-global meter. It models
 the working set deterministically, so plan comparisons isolate the engines.
 It leaves out smaller NumPy temporaries and what lies outside the engines'
-buffers: the input series, the segment DFTs, the principal domain's run table
-and the block branch's lexsorted copy, the output, and the lean path's per-band
-run lists. OS-level peak RSS is reported separately by the benchmark harness.
+buffers: the input (series, or matrix, wrap-padded if periodic), the segment
+DFTs, the principal domain's run table and the block branch's lexsorted copy,
+the output, and the lean path's per-band run lists. OS-level peak RSS is
+reported separately by the benchmark harness.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Pipeline: segment and demean, per-segment DFT, raw products of ``order``
 factors over boxes of the periodic frequency grid (the whole grid for WS
-and PREFIX), box smoothing through a window-sum plan, averaging over
-segments, and restriction to the principal domain.
+and PREFIX), summed over the segments, box smoothing through a window-sum
+plan, averaging, and restriction to the principal domain.
 
 Smoothing is centered: a window of side ``m3`` covers offsets
 ``[-m3//2, m3 - 1 - m3//2]`` per axis (symmetric for odd ``m3``, one cell
@@ -18,20 +18,22 @@ takes consecutive values. For the whole domain or any contiguous slice of it,
 the index arrays are read from that table, and the one source-on-demand
 engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
 
-The materialized plans (NAIVE, WS, PREFIX) smooth each segment's box and
-then sum the values at the domain's points, in that order. The lean plans
-sum the raw products over the segments inside the fetch function and smooth
-once; box sums and segment sums are both linear, so the two orderings agree
-within rounding (the test suite pins this). Neither path scales: one true
-division by ``K * M * M3**(order-1)`` follows either, so at ``M3 = 1`` every
-plan returns the same bytes. All plans but NAIVE share two 1-D kernels from
-:mod:`hospectra.tiled`: :func:`~hospectra.tiled.running_sums` (WS, FAST,
-STREAMING) and :func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
+Every plan sums the raw products over the segments, then smooths once: the
+materialized plans (NAIVE, WS, PREFIX) one box read over all segments, in
+valid mode, and gather the domain's points from it; the lean plans sum inside
+the fetch function. By linearity this is the mean of the segments' smoothed
+estimates within rounding (the test suite pins this). One true division by
+``K * M * M3**(order-1)`` and an added ``0.0`` (``-0.0`` becomes ``+0.0``)
+follow either path, so at ``M3 = 1`` every plan returns the same bytes. All
+plans but NAIVE share two 1-D kernels from :mod:`hospectra.tiled`:
+:func:`~hospectra.tiled.running_sums` (WS, FAST, STREAMING) and
+:func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -236,11 +238,10 @@ def _raw_block(spectra, origin, shape, conjugate_last, depth=0):
     for tail, a, b, *rest in zip(hank, f1, f2, *mid):
         for f in rest[::-1]:
             tail = f * tail
-        term = (a * b) * tail
         if acc is None:
-            acc = term
-        else:
-            acc += term
+            acc = (a * b) * tail
+        else:  # each term is freed once added: the sum and one term are live
+            acc += (a * b) * tail
     return acc
 
 
@@ -261,29 +262,19 @@ def _make_fetch(spectra: np.ndarray, w: int, conjugate_last: bool):
     return fetch
 
 
-# -- smoothing paths ---------------------------------------------------------
+def _raw_box(spectra, origin, shape, conjugate_last):
+    """The materialized plans' ``_raw_block``, counted as working memory until it
+    is freed, after a transient of its product chain: ``min(K, 2)`` boxes more,
+    one fewer at order 3, where NumPy makes each product in its ``a * b``
+    temporary (for boxes of 256 KiB or more)."""
+    box = _raw_block(spectra, origin, shape, conjugate_last)
+    nbytes = WORKSPACE.note(box)
+    WORKSPACE.drop(WORKSPACE.note_bytes((min(len(spectra), 2) - (len(shape) == 2)) * nbytes))
+    weakref.finalize(box, WORKSPACE.drop, nbytes)
+    return box
 
 
-def _materialized_values(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, idx, acc):
-    """Unscaled smoothed values summed over the segments at the index tuples
-    ``idx``, into ``acc``, by a materialized plan: each segment's raw products
-    are smoothed, and their values at ``idx`` added (smooth first, then sum, as
-    the direct method states it). WS and PREFIX smooth the whole periodic grid;
-    NAIVE re-sums the box from the origin to ``idx``'s maxima plus the window, no more."""
-    w, axes = cfg.m3, cfg.order - 1
-    naive = cfg.plan is SmoothingPlan.NAIVE
-    shape = tuple(int(n) + w for n in idx.max(axis=0)) if naive else (spec_set.m,) * axes
-    acc.fill(0)
-    with WORKSPACE.held(acc, idx):
-        for f in spec_set.spectra:
-            raw = _raw_block(f[None], (-(w // 2),) * axes, shape, cfg.conjugate_last)
-            with WORKSPACE.held(raw):
-                WORKSPACE.drop(WORKSPACE.note_bytes(raw.nbytes))  # the product chain's other box
-                sm = smooth(raw, w, cfg.plan, periodic=not naive)
-                vals = sm[tuple(idx.T)]
-                with WORKSPACE.held(sm, vals):
-                    acc += vals
-            del raw, sm, vals
+# -- smoothing ---------------------------------------------------------------
 
 
 def smoothed_values(
@@ -300,12 +291,24 @@ def smoothed_values(
     if len(runs.lens) == 0:
         return out
     if cfg.plan in MATERIALIZED_PLANS:
-        _materialized_values(spec_set, cfg, _expand(runs), out)
+        idx, axes = _expand(runs), cfg.order - 1
+        if cfg.plan is SmoothingPlan.NAIVE:  # the domain's bounding box plus the window
+            shape = tuple(int(n) + w for n in idx.max(axis=0))
+        else:  # the grid wrapped one window on; one more last-axis cell avoids 2^k strides
+            shape = (m + w - 1,) * (axes - 1) + (m + w,)
+        with WORKSPACE.held(out, idx):
+            # no name keeps the box, so the first WS or PREFIX pass frees it (Python >= 3.11)
+            sm = smooth(_raw_box(spec_set.spectra, (-(w // 2),) * axes, shape, cfg.conjugate_last),
+                        w, cfg.plan)
+            vals = sm[tuple(idx.T)]
+            with WORKSPACE.held(sm, vals):
+                out[:] = vals
     else:
         fetch = _make_fetch(spec_set.spectra, w, cfg.conjugate_last)
         stops = runs.first + runs.lens
         smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)
     out /= float(spec_set.k * m * w ** (cfg.order - 1))
+    out += 0.0  # -0.0 to +0.0, whichever path summed it
     return out
 
 

@@ -25,10 +25,10 @@ PREFIX over square blocks of ``max(S, w)`` output cells, STREAMING is
 EFFICIENT over rows of ``S`` output cells, fetched at most ``S`` source
 columns at a time; all three sum across as PREFIX does.
 
-:func:`smooth` is the materialized plans' one entry point, valid or
-periodic, for arrays of any number of axes (boxes of the frequency grid at
-any order); :func:`window_sums_2d` runs any plan on a 2-D matrix
-with either boundary rule.
+:func:`smooth` is the materialized plans' one entry point, valid mode only,
+for arrays of any number of axes (a box of the periodic frequency grid holds
+its windows' wrapped cells); :func:`window_sums_2d` runs any plan on a 2-D
+matrix with either boundary rule, wrap-padding a periodic one for ``smooth``.
 
 All plans agree within a relative 1e-9 tolerance with an absolute floor of
 1e-12; the summation orders differ, exact equality is not promised.
@@ -126,28 +126,22 @@ class WindowSpec:
         return rows, cols
 
 
-def smooth(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.ndarray:
-    """``w``-box sums over every axis of ``a`` by a materialized plan, valid
-    or periodic (each axis shrinks by ``w - 1``, or keeps its length).
+def smooth(a: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
+    """Valid-mode ``w``-box sums over every axis of ``a`` by a materialized
+    plan: each axis shrinks by ``w - 1``.
 
     A window of 1 is an exact copy. NAIVE re-sums all ``w**ndim`` shifted
-    copies of ``a``, wrap-padded if periodic. WS (running sums) and PREFIX
-    (the shared cumsum-difference kernel) make one pass per axis, last axis
-    first, each axis wrapped just before its pass. The last axis is wrapped
-    one cell further and the result is a view without that cell, so that no
-    later pass walks a power-of-two row stride, on which NumPy's cumsum
-    along an outer axis is ~1.5x slower.
+    copies of ``a``. WS (running sums) and PREFIX (the shared
+    cumsum-difference kernel) make one pass per axis, last axis first.
     """
     if w == 1:
         return a.copy()
     if plan is SmoothingPlan.NAIVE:
-        ext = np.pad(a, ((0, w - 1),) * a.ndim, mode="wrap") if periodic else a
-        shape = tuple(n - w + 1 for n in ext.shape)
+        shape = tuple(n - w + 1 for n in a.shape)
         out = np.zeros(shape, dtype=a.dtype)
-        owned = (ext,) if periodic else ()  # the caller's array is not counted
-        with WORKSPACE.held(out, *owned):
+        with WORKSPACE.held(out):
             for offs in itertools.product(range(w), repeat=a.ndim):
-                out += ext[tuple(slice(o, o + n) for o, n in zip(offs, shape))]
+                out += a[tuple(slice(o, o + n) for o, n in zip(offs, shape))]
         return out
     kernel = box_sums if plan is SmoothingPlan.PREFIX else running_sums
     # bytes of the current array once it is not the caller's; a new array is
@@ -155,15 +149,11 @@ def smooth(a: np.ndarray, w: int, plan: SmoothingPlan, periodic: bool) -> np.nda
     held = 0
     try:
         for axis in reversed(range(a.ndim)):
-            if periodic:
-                n = a.shape[axis] + w - 1 + (axis == a.ndim - 1)
-                a = np.take(a, np.arange(n), axis=axis, mode="wrap")
-                held, _ = WORKSPACE.note(a), WORKSPACE.drop(held)
             a = kernel(a, w, axes=(axis,))
             held, _ = WORKSPACE.note(a), WORKSPACE.drop(held)
     finally:
         WORKSPACE.drop(held)
-    return a[..., :-1] if periodic else a
+    return a
 
 
 def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
@@ -182,7 +172,9 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     rows_out, cols_out = spec.out_shape(*a.shape)
     w = spec.w
     if plan in MATERIALIZED_PLANS:
-        return smooth(a, w, plan, periodic=spec.boundary == "periodic")
+        if spec.boundary == "periodic":  # the lean plans wrap inside their fetch instead
+            a = np.pad(a, (0, w - 1), mode="wrap")
+        return smooth(a, w, plan)
     rows_n, cols_n = a.shape
 
     def fetch(rows, cols):  # in valid mode, wrapped cells only feed sums that are dropped

@@ -245,8 +245,16 @@ class TestWindowSums2d:
 
 
 class TestSmoothPeriodic:
+    """``smooth`` is valid-mode only: a periodic array is wrap-padded by
+    ``w - 1`` cells per axis first, as the estimator's boxes of the
+    periodic grid are."""
+
+    @staticmethod
+    def wrapped(a, w):
+        return np.pad(a, (0, w - 1), mode="wrap")
+
     def test_plans_match_direct_periodic_oracle_3d(self):
-        # each axis is wrapped just before its own pass; even windows too
+        # every axis of the padded cube wraps; even windows too
         rng = np.random.default_rng(11)
         shape = (5, 6, 7)
         real = rng.standard_normal(shape)
@@ -259,7 +267,7 @@ class TestSmoothPeriodic:
                         for u in range(w) for v in range(w) for t in range(w)
                     )
                 for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
-                    out = smooth(cube, w, plan, periodic=True)
+                    out = smooth(self.wrapped(cube, w), w, plan)
                     assert out.dtype == cube.dtype
                     assert_window_equal(out, expect, context=f"{plan.name} w={w} {cube.dtype}")
 
@@ -268,19 +276,21 @@ class TestSmoothPeriodic:
         for shape in ((4, 5), (3, 4, 5)):
             a = rng.standard_normal(shape)
             for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
-                out = smooth(a, 1, plan, periodic=True)
+                out = smooth(a, 1, plan)
                 assert out is not a and np.array_equal(out, a), (shape, plan.name)
 
     def test_meter_matches_traced_peak(self):
-        # the modelled working set is the traced one, within a few percent
+        # the modelled working set is the traced one, within a few percent;
+        # the padded input is the caller's, so it is made before tracing
         rng = np.random.default_rng(13)
         for shape, w in (((512, 512), 49), ((64, 64, 64), 17)):
             a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            padded = self.wrapped(a, w)
             for plan in (SmoothingPlan.NAIVE, SmoothingPlan.WS, SmoothingPlan.PREFIX):
                 WORKSPACE.reset()
                 tracemalloc.start()
                 try:
-                    out = smooth(a, w, plan, periodic=True)
+                    out = smooth(padded, w, plan)
                     traced = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -767,7 +777,7 @@ class TestOrder4Sweep:
             assert on.any(), (b0, c0, k3)  # some run of the block covers k3
             far = lead[on].max(axis=0) - (b0, c0) + w  # the active runs' far corner
             assert (rows, cols) == tuple(far.tolist()), (b0, c0, k3, rows, cols)
-        expect = smooth(a, w, SmoothingPlan.PREFIX, periodic=True)
+        expect = smooth(np.pad(a, (0, w - 1), mode="wrap"), w, SmoothingPlan.PREFIX)
         dom = principal_domain(4, m)
         assert_window_equal(out, expect[tuple(dom.T)], context=f"{plan} w={w}")
 
