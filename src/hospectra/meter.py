@@ -7,8 +7,10 @@ the working set deterministically, so plan comparisons isolate the engines.
 It leaves out smaller NumPy temporaries and what lies outside the engines'
 buffers: the input (series, or matrix, wrap-padded if periodic), the segment
 DFTs, the principal domain's run table and the block branch's lexsorted copy,
-the output, and the lean path's per-band run lists. OS-level peak RSS is
-reported separately by the benchmark harness.
+the lean path's per-band run lists, and the output, bar one case: the
+materialized plans count the slice's ``values`` and ``indices`` while they
+gather from the smoothed box. OS-level peak RSS is reported separately by the
+benchmark harness.
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 The parent cuts the principal domain from its run table, without building
 it, and forks one worker per non-empty slice. Each inherits the spectra, the
-config and two anonymous shared mappings, so nothing is pickled; it writes its
-slice's index tuples and :func:`hospectra.spectra.smoothed_values` (bit-identical
-to the whole-domain sweep) straight into the mappings, which are the grid's
-indices and values, then sends its working-set peak or its exception through
-its own pipe and exits. The parent only waits: the first failure is raised at
-once, and on every exit it kills and joins all workers. The fork context is
-explicit (Python 3.14 changes the default); Linux is assumed.
+config and two anonymous shared mappings, so nothing is pickled; one
+:func:`hospectra.spectra.estimate_slice` call writes its slice's index tuples
+and values (bit-identical to the whole-domain sweep) straight into the
+mappings, which are the grid's indices and values. It then sends its
+working-set peak or its exception through its own pipe and exits. The
+parent only waits: the first failure is raised at once, and on every exit it
+kills and joins all workers. The fork context is explicit (Python 3.14
+changes the default); Linux is assumed.
 
 The materialized plans (NAIVE, WS, PREFIX) run single-worker whatever the
 requested count: any slice of theirs is bit-identical too, but each worker
@@ -33,8 +34,7 @@ from .spectra import (
     SpectrumGrid,
     estimate_from_spectra,
     domain_rows,
-    principal_domain,
-    smoothed_values,
+    estimate_slice,
 )
 from .window_sums import MATERIALIZED_PLANS
 
@@ -79,8 +79,7 @@ def _worker_run(spec_set, cfg, start, stop, indices, values, conn) -> None:
     """Fill the slice of ``indices`` and ``values``; send the working-set peak or the exception."""
     try:
         WORKSPACE.reset()
-        principal_domain(cfg.order, spec_set.m, start, stop, out=indices[start:stop])
-        smoothed_values(spec_set, cfg, start, stop, out=values[start:stop])
+        estimate_slice(spec_set, cfg, start, stop, indices[start:stop], values[start:stop])
         conn.send(WORKSPACE.peak)
     except Exception as exc:
         conn.send(exc)

@@ -26,8 +26,9 @@ estimates within rounding (the test suite pins this). One true division by
 ``K * M * M3**(order-1)`` and an added ``0.0`` (``-0.0`` becomes ``+0.0``)
 follow either path, so at ``M3 = 1`` every plan returns the same bytes. All
 plans but NAIVE share two 1-D kernels from :mod:`hospectra.tiled`:
-:func:`~hospectra.tiled.running_sums` (WS, FAST, STREAMING) and
-:func:`~hospectra.tiled.box_sums` (PREFIX, EFFICIENT).
+:func:`~hospectra.tiled.running_sums` (WS, and FAST's row pass) and
+:func:`~hospectra.tiled.box_sums` (PREFIX, the EFFICIENT and STREAMING row
+passes, and every lean column pass).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ __all__ = [
     "raw_product_value",
     "principal_domain",
     "domain_rows",
-    "smoothed_values",
+    "estimate_slice",
     "estimate_spectrum",
     "estimate_from_spectra",
     "compare_grids",
@@ -186,15 +187,14 @@ def _expand(runs: _Runs, out=None) -> np.ndarray:
     return out
 
 
-def principal_domain(order: int, m: int, start: int = 0, stop: int | None = None, out=None):
-    """Lexicographically ordered principal-domain index tuples, positions
-    ``[start, stop)`` of them (all by default), written into ``out`` if given.
+def principal_domain(order: int, m: int) -> np.ndarray:
+    """Lexicographically ordered principal-domain index tuples.
 
     All ``(k1, ..., kn)``, ``n = order - 1``, with ``0 <= kn <= ... <= k1``
     and ``k1 + ... + kn < m/2``, the ordered simplex: at order 3 the
     ``(k1, k2)`` with ``0 <= k2 <= k1`` and ``k1 + k2 < m/2``.
     """
-    return _expand(_domain_runs(order, m, start, stop), out)
+    return _expand(_domain_runs(order, m))
 
 
 def domain_rows(order: int, m: int) -> np.ndarray:
@@ -277,39 +277,40 @@ def _raw_box(spectra, origin, shape, conjugate_last):
 # -- smoothing ---------------------------------------------------------------
 
 
-def smoothed_values(
-    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int, out=None
-) -> np.ndarray:
-    """Smoothed, segment-averaged values at principal-domain positions ``[start, stop)``,
-    into ``out`` if given: either path's unscaled sums over the ``K`` segments, divided once
-    by ``K*M*M3**(order-1)``. Any split of the domain into slices reproduces the whole-domain
-    values bit for bit, which the parallel workers rely on."""
+def estimate_slice(
+    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int, indices, values
+) -> None:
+    """Principal-domain positions ``[start, stop)``: their index tuples into ``indices`` and
+    their smoothed, segment-averaged values into ``values``, either path's unscaled sums over
+    the ``K`` segments divided once by ``K*M*M3**(order-1)``. Any split of the domain into
+    slices reproduces the whole-domain grid bit for bit, which the parallel workers rely on.
+    The materialized plans count ``indices`` and ``values`` as working memory while they
+    gather; the lean plans do not."""
     m = spec_set.m
     w = cfg.m3
     runs = _domain_runs(cfg.order, m, start, stop)
-    out = np.empty(int(runs.lens.sum()), dtype=np.complex128) if out is None else out
     if len(runs.lens) == 0:
-        return out
+        return
+    _expand(runs, indices)
     if cfg.plan in MATERIALIZED_PLANS:
-        idx, axes = _expand(runs), cfg.order - 1
+        axes = cfg.order - 1
         if cfg.plan is SmoothingPlan.NAIVE:  # the domain's bounding box plus the window
-            shape = tuple(int(n) + w for n in idx.max(axis=0))
+            shape = tuple(int(n) + w for n in indices.max(axis=0))
         else:  # the grid wrapped one window on; one more last-axis cell avoids 2^k strides
             shape = (m + w - 1,) * (axes - 1) + (m + w,)
-        with WORKSPACE.held(out, idx):
+        with WORKSPACE.held(values, indices):
             # no name keeps the box, so the first WS or PREFIX pass frees it (Python >= 3.11)
             sm = smooth(_raw_box(spec_set.spectra, (-(w // 2),) * axes, shape, cfg.conjugate_last),
                         w, cfg.plan)
-            vals = sm[tuple(idx.T)]
+            vals = sm[tuple(indices.T)]
             with WORKSPACE.held(sm, vals):
-                out[:] = vals
+                values[:] = vals
     else:
         fetch = _make_fetch(spec_set.spectra, w, cfg.conjugate_last)
         stops = runs.first + runs.lens
-        smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, out)
-    out /= float(spec_set.k * m * w ** (cfg.order - 1))
-    out += 0.0  # -0.0 to +0.0, whichever path summed it
-    return out
+        smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, values)
+    values /= float(spec_set.k * m * w ** (cfg.order - 1))
+    values += 0.0  # -0.0 to +0.0, whichever path summed it
 
 
 def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> SpectrumGrid:
@@ -319,11 +320,13 @@ def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -
             f"config ({cfg.segment.k}x{cfg.segment.m}) does not match "
             f"spectra ({spec_set.k}x{spec_set.m})"
         )
-    dom = principal_domain(cfg.order, spec_set.m)
-    values = smoothed_values(spec_set, cfg, 0, len(dom))
+    n = int(domain_rows(cfg.order, spec_set.m)[-1])
+    indices = np.empty((n, cfg.order - 1), dtype=np.int32)
+    values = np.empty(n, dtype=np.complex128)
+    estimate_slice(spec_set, cfg, 0, n, indices, values)
     return SpectrumGrid(
         order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
-        indices=dom, values=values,
+        indices=indices, values=values,
     )
 
 

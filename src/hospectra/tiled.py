@@ -6,7 +6,7 @@ materializing the source: values are pulled through ``fetch(rows, cols,
 ``k`` per further axis, that plane summed over ``k .. k+w-1`` of each.
 Periodic index wrapping lives in ``fetch``: the engines are boundary-agnostic.
 
-Two kernels do the summing, one pass per axis: :func:`running_sums` (the
+Two kernels do the summing, one axis per call: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
 cumsum difference). The lean plans apply them to units of the output
 aligned to a fixed grid in output coordinates, each a row pass (sums of
@@ -51,67 +51,59 @@ __all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d",
 S = 48
 
 
-def box_sums(a, w, axes=(0, 1)):
-    """Valid-mode box sums of side ``w`` along ``axes``: output cell ``i``
-    sums the window anchored at input cell ``i``, so each listed axis
-    shrinks by ``w - 1``.
+def box_sums(a, w, axis=0):
+    """Valid-mode box sums of side ``w`` along ``axis``: output cell ``i``
+    sums the window anchored at input cell ``i``, so the axis shrinks by
+    ``w - 1``.
 
-    Per axis, one cumulative sum and one shifted difference (the
-    summed-area table, Crow 1984). NumPy's cumsum adds in sequence along its
-    axis, so a cell's value depends only on the input along its own line,
-    never on the array's extent across it. A window of 1 is an exact copy.
+    One cumulative sum and one shifted difference (the summed-area table,
+    Crow 1984). NumPy's cumsum adds in sequence along its axis, so a cell's
+    value depends only on the input along its own line, never on the
+    array's extent across it. A window of 1 is an exact copy.
     For float and complex arrays: sums accumulate in ``a``'s dtype.
     """
     if w == 1:
         return a.copy()
-    nbytes = 0
-    for axis in axes:
-        lead = (slice(None),) * axis
-        # C order even for a strided view: a difference along a leading
-        # axis then runs over whole memory lines, which NumPy does not buffer
-        cs = np.cumsum(a, axis=axis, out=np.empty(a.shape, a.dtype))
-        a = cs[lead + (slice(w - 1, None),)].copy()
-        a[lead + (slice(1, None),)] -= cs[lead + (slice(None, a.shape[axis] - 1),)]
-        nbytes += cs.nbytes + a.nbytes
-        del cs
-    WORKSPACE.drop(WORKSPACE.note_bytes(nbytes))
-    return a
+    lead = (slice(None),) * axis
+    # C order even for a strided view: a difference along a leading
+    # axis then runs over whole memory lines, which NumPy does not buffer
+    cs = np.cumsum(a, axis=axis, out=np.empty(a.shape, a.dtype))
+    out = cs[lead + (slice(w - 1, None),)].copy()
+    out[lead + (slice(1, None),)] -= cs[lead + (slice(None, out.shape[axis] - 1),)]
+    WORKSPACE.drop(WORKSPACE.note_bytes(cs.nbytes + out.nbytes))
+    return out
 
 
-def running_sums(a, w, axes=(0, 1)):
-    """Valid-mode box sums of side ``w`` along ``axes``, as :func:`box_sums`,
+def running_sums(a, w, axis=0):
+    """Valid-mode box sums of side ``w`` along ``axis``, as :func:`box_sums`,
     by the running-sum recurrence in telescoped form.
 
-    Per axis, the first window is summed, and each later one is the first
-    plus the cumulative sum of the cells entering minus the cells leaving,
-    computed in place in the pass's output. A cell depends only on its own
-    line, bar axis 0 of a one-column array, whose first window NumPy sums
-    pairwise; the lean engines call it only down FAST's full-width band,
-    never on one column. A window of 1 is an exact copy.
+    The first window is summed, and each later one is the first plus the
+    cumulative sum of the cells entering minus the cells leaving, computed
+    in place in the output. A cell depends only on its own line, bar axis 0
+    of a one-column array, whose first window NumPy sums pairwise; the lean
+    engines call it only down FAST's full-width band, never on one column.
+    A window of 1 is an exact copy.
     """
     if w == 1:
         return a.copy()
-    nbytes = 0
-    for axis in axes:
-        shape = list(a.shape)
-        shape[axis] -= w - 1
-        out = np.empty(shape, dtype=a.dtype)
-        x, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)  # views
-        o[0] = x[:w].sum(axis=0)
-        np.subtract(x[w:], x[:-w], out=o[1:])
-        np.cumsum(o[1:], axis=0, out=o[1:])
-        o[1:] += o[0]
-        a = out
-        nbytes += out.nbytes
-    WORKSPACE.drop(WORKSPACE.note_bytes(nbytes))
-    return a
+    shape = list(a.shape)
+    shape[axis] -= w - 1
+    out = np.empty(shape, dtype=a.dtype)
+    x, o = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)  # views
+    o[0] = x[:w].sum(axis=0)
+    np.subtract(x[w:], x[:-w], out=o[1:])
+    np.cumsum(o[1:], axis=0, out=o[1:])
+    o[1:] += o[0]
+    WORKSPACE.drop(WORKSPACE.note_bytes(out.nbytes))
+    return out
 
 
 def _column_sums(part, w):
-    # the column pass of box_sums(a, w) on row sums, bit for bit, run on the
+    # box_sums along axis 1 of the row sums, bit for bit, run on the
     # transposed view: a difference along an inner axis makes NumPy buffer
     # about three times its result, one along a leading axis nothing
-    return box_sums(part.T, w, axes=(0,)).T
+    return box_sums(part.T, w).T
 
 
 def _block(fetch, r0, c0, rows, cols, w, *plane, kernel):
@@ -126,7 +118,7 @@ def _block(fetch, r0, c0, rows, cols, w, *plane, kernel):
         WORKSPACE.drop(nbytes)
 
 
-_efficient_rows = partial(_block, kernel=partial(box_sums, axes=(0,)))
+_efficient_rows = partial(_block, kernel=box_sums)
 
 
 def _streamed(fetch, r0, c0, rows, cols, w):
@@ -142,7 +134,7 @@ def _streamed(fetch, r0, c0, rows, cols, w):
 #: from ``c0`` on; the column pass sums ``w`` of those per output cell. The unit shape is
 #: also the face of a block.
 _UNITS = {
-    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=partial(running_sums, axes=(0,)))),
+    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=running_sums)),
     "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, _efficient_rows),
     "STREAMING": (lambda cols, w: (1, S), _streamed),
 }

@@ -149,7 +149,7 @@ def smooth(a: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
     held = 0
     try:
         for axis in reversed(range(a.ndim)):
-            a = kernel(a, w, axes=(axis,))
+            a = kernel(a, w, axis)
             held, _ = WORKSPACE.note(a), WORKSPACE.drop(held)
     finally:
         WORKSPACE.drop(held)

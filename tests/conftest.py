@@ -1,5 +1,7 @@
 import numpy as np
 
+from hospectra.spectra import estimate_slice
+
 
 def max_rel_dev(a, b, floor=1e-12):
     """Max of |a-b| / max(|a|, |b|, floor) over all elements."""
@@ -30,3 +32,12 @@ def assert_window_equal(a, b, rel=1e-9, floor=1e-12, context=""):
     bound = np.maximum(rel * np.maximum(np.abs(a), np.abs(b)), floor)
     worst = float(np.max(diff - bound)) if diff.size else 0.0
     assert np.all(diff <= bound), f"excess {worst:.3e} {context}"
+
+
+def slice_grid(spec_set, cfg, start, stop):
+    """``estimate_slice`` over ``[start, stop)`` into fresh arrays: ``(indices, values)``."""
+    n = max(stop - start, 0)
+    indices = np.empty((n, cfg.order - 1), dtype=np.int32)
+    values = np.empty(n, dtype=np.complex128)
+    estimate_slice(spec_set, cfg, start, stop, indices, values)
+    return indices, values

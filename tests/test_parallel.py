@@ -170,7 +170,7 @@ class TestParallelFailure:
         def failing(*args, **kwargs):
             raise RuntimeError("injected worker failure")
 
-        monkeypatch.setattr(parallel, "smoothed_values", failing)
+        monkeypatch.setattr(parallel, "estimate_slice", failing)
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
         cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.EFFICIENT)
         before = set(os.listdir("/dev/shm"))
@@ -207,12 +207,12 @@ class TestParallelFailure:
         assert idle > 0
 
     def test_first_failure_raises_without_waiting_for_other_slices(self, monkeypatch):
-        def first_fails_rest_sleep(spec_set, cfg, start, stop, out):
+        def first_fails_rest_sleep(spec_set, cfg, start, stop, indices, values):
             if start == 0:
                 raise RuntimeError("injected worker failure")
             time.sleep(3)
 
-        monkeypatch.setattr(parallel, "smoothed_values", first_fails_rest_sleep)
+        monkeypatch.setattr(parallel, "estimate_slice", first_fails_rest_sleep)
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
         cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.EFFICIENT)
         t0 = time.perf_counter()
@@ -222,14 +222,14 @@ class TestParallelFailure:
         assert multiprocessing.active_children() == []
 
     def test_worker_dying_without_result_names_slice_and_exit_code(self, monkeypatch):
-        real = parallel.smoothed_values
+        real = parallel.estimate_slice
 
-        def first_exits(spec_set, cfg, start, stop, out):
+        def first_exits(spec_set, cfg, start, stop, indices, values):
             if start == 0:
                 os._exit(3)
-            return real(spec_set, cfg, start, stop, out=out)
+            real(spec_set, cfg, start, stop, indices, values)
 
-        monkeypatch.setattr(parallel, "smoothed_values", first_exits)
+        monkeypatch.setattr(parallel, "estimate_slice", first_exits)
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
         cfg = EstimationConfig(3, SegmentConfig(m=128), 5, SmoothingPlan.EFFICIENT)
         workers = WorkerConfig(p=2)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import max_rel_dev
+from conftest import max_rel_dev, slice_grid
 from hospectra import (
     EstimationConfig,
     ParameterError,
@@ -27,7 +27,7 @@ from hospectra import (
 from hospectra.dft import SegmentSpectrumSet, dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
-from hospectra.spectra import _raw_block, smoothed_values
+from hospectra.spectra import _raw_block, estimate_slice
 from hospectra.window_sums import smooth
 
 
@@ -125,12 +125,16 @@ class TestPrincipalDomain:
             principal_domain(3, 1)
 
     def test_empty_and_out_of_range_slices(self):
+        spec_set = SegmentSpectrumSet(np.ones((1, 8), dtype=np.complex128))
         size = len(principal_domain(3, 8))
-        assert principal_domain(3, 8, 5, 5).shape == (0, 2)
-        assert principal_domain(3, 8, 6, 2).shape == (0, 2)
-        for start, stop in ((0, size + 1), (-1, 2)):
-            with pytest.raises(ParameterError, match=f"outside domain of size {size}"):
-                principal_domain(3, 8, start, stop)
+        for plan in SmoothingPlan:
+            indices, values = np.full((size, 2), -1, np.int32), np.full(size, np.nan, complex)
+            for start, stop in ((5, 5), (6, 2)):  # an empty slice writes nothing
+                estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, indices, values)
+            assert (indices == -1).all() and np.isnan(values).all(), plan.name
+            for start, stop in ((0, size + 1), (-1, 2)):
+                with pytest.raises(ParameterError, match=f"outside domain of size {size}"):
+                    estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, indices, values)
 
     def test_order3_m2_origin_only(self):
         assert [tuple(p) for p in principal_domain(3, 2)] == [(0, 0)]
@@ -177,20 +181,22 @@ class TestPrincipalDomain:
             assert got4 == expect4, m
 
     def test_domain_slice_matches_full_build(self):
-        # smoothed_values over [a, b) equals the whole-domain values[a:b]
-        # bit for bit: the property the parallel workers rely on. Random
-        # spectra give every point a distinct value, so a misplaced index
-        # shows as a changed value.
+        # estimate_slice over [a, b) writes the domain's index tuples [a:b]
+        # and the whole-domain values[a:b] bit for bit: the property the
+        # parallel workers rely on. Random spectra give every point a
+        # distinct value, so a misplaced index shows as a changed value.
         rng = np.random.default_rng(21)
 
         def check(order, m, m3, cuts):
             cuts = list(cuts)
             spec_set = SegmentSpectrumSet(rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m)))
-            for plan in (SmoothingPlan.EFFICIENT, SmoothingPlan.WS):
+            dom = principal_domain(order, m)
+            for plan in SmoothingPlan:
                 cfg = EstimationConfig(order, SegmentConfig(m=m, k=1), m3, plan)
-                full = smoothed_values(spec_set, cfg, 0, len(principal_domain(order, m)))
+                _, full = slice_grid(spec_set, cfg, 0, len(dom))
                 for a, b in cuts:
-                    got = smoothed_values(spec_set, cfg, a, b)
+                    indices, got = slice_grid(spec_set, cfg, a, b)
+                    assert np.array_equal(indices, dom[a:b]), (order, m, plan.name, a, b)
                     assert np.array_equal(got, full[a:b]), (order, m, plan.name, a, b)
 
         for order, m, m3 in ((3, 64, 5), (3, 127, 7), (4, 16, 3), (4, 33, 5)):
@@ -230,7 +236,8 @@ class TestEstimateSpectrum:
         series = generate_qpc(0.1, 0.15, 32)
         spec_set = dft_segments(segment_and_demean(series, SegmentConfig(32, 1)))
         for plan in (SmoothingPlan.NAIVE, SmoothingPlan.EFFICIENT):
-            assert smoothed_values(spec_set, cfg3(32, 3, plan), 7, 7).shape == (0,)
+            indices, values = slice_grid(spec_set, cfg3(32, 3, plan), 7, 7)
+            assert indices.shape == (0, 2) and values.shape == (0,)
 
     def test_config_and_spectra_mismatch_rejected(self):
         series = generate_qpc(0.1, 0.15, 64)
@@ -422,17 +429,18 @@ class TestOrdersFiveAndSix:
 
 
 def metered_values(order, m, w, k, plan):
-    """Whole-domain ``smoothed_values`` with its modelled peak (after one
-    untraced warm-up pass) and its traced peak."""
+    """Whole-domain ``estimate_slice``, its indices and values allocated in the
+    traced call, with its modelled peak (after one untraced warm-up pass) and
+    its traced peak."""
     series = generate_qpc(0.1, 0.15, k * m, 0.5, seed=3)
     spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=m, k=k)))
     cfg = EstimationConfig(order, SegmentConfig(m=m, k=k), w, plan)
     npoints = len(principal_domain(order, m))
-    smoothed_values(spec_set, cfg, 0, npoints)
+    slice_grid(spec_set, cfg, 0, npoints)
     WORKSPACE.reset()
     tracemalloc.start()
     try:
-        smoothed_values(spec_set, cfg, 0, npoints)
+        slice_grid(spec_set, cfg, 0, npoints)
         traced = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,7 +479,7 @@ class TestLeanTiersOrder4:
         spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=self.M, k=1)))
         cfg = EstimationConfig(order, SegmentConfig(m=self.M, k=1), w, plan)
         WORKSPACE.reset()
-        smoothed_values(spec_set, cfg, 0, len(principal_domain(order, self.M)))
+        slice_grid(spec_set, cfg, 0, len(principal_domain(order, self.M)))
         assert WORKSPACE.current == 0
         return WORKSPACE.peak
 
