@@ -21,8 +21,10 @@ engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
 Every plan sums the raw products over the segments, then smooths once: the
 materialized plans (NAIVE, WS, PREFIX) one box read over all segments, in
 valid mode, and gather the domain's points from it; the lean plans sum inside
-the fetch function. By linearity this is the mean of the segments' smoothed
-estimates within rounding (the test suite pins this). One true division by
+the fetch function, which from order 4 on folds every index past the second
+into the last factor and slides the last one from plane to plane. By
+linearity this is the mean of the segments' smoothed estimates within
+rounding (the test suite pins this). One true division by
 ``K * M * M3**(order-1)`` and an added ``0.0`` (``-0.0`` becomes ``+0.0``)
 follow either path, so at ``M3 = 1`` every plan returns the same bytes. All
 plans but NAIVE share two 1-D kernels from :mod:`hospectra.tiled`:
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -207,7 +210,24 @@ def domain_rows(order: int, m: int) -> np.ndarray:
 # -- raw products ------------------------------------------------------------
 
 
-def _raw_block(spectra, origin, shape, conjugate_last, depth=0):
+def _last_factor(spectra, lo, n, conjugate_last):
+    """The last factor at the index sums ``lo .. lo + n - 1``, one row per segment."""
+    last = spectra.take(np.arange(lo, lo + n), axis=1, mode="wrap")
+    return np.conj(last, out=last) if conjugate_last else last
+
+
+def _fold(spectra, last, o, depth, n, out):
+    """Sum ``f[o + d] * last[:, d + t]`` over ``d < depth`` into ``out[:, t]``, ``t < n``,
+    per segment (rows of ``spectra``, ``last`` and ``out``), one segment's ``(depth, n)``
+    terms at a time and ``d`` in order; ``out`` may be ``last``."""
+    s1 = last.strides[1]
+    for f, row, dst in zip(spectra.take(np.arange(o, o + depth), axis=1, mode="wrap"), last, out):
+        terms = f[:, None] * np.ndarray((depth, n), row.dtype, row, 0, (s1, s1))
+        with WORKSPACE.held(terms):
+            terms.sum(axis=0, out=dst[:n])
+
+
+def _raw_block(spectra, origin, shape, conjugate_last, depth=0, last=None):
     """Unscaled raw products ``(f[k1]*f[k2]) * (f[k3]*...*last[k1+...])``
     over the box ``origin + [0, shape)`` of the periodic grid, summed over
     the segments (rows of ``spectra``) in order. Each axis's factor is one
@@ -215,7 +235,9 @@ def _raw_block(spectra, origin, shape, conjugate_last, depth=0):
     range of index sums, so no index array as large as the box is built.
     Each index of ``origin`` past the box sums it over ``depth`` values: since
     ``f[k+l] * last[s+k+l]`` depends on the box only through its index sum
-    ``s``, it is summed over ``l`` into the last factor first, last index first."""
+    ``s``, it is summed over ``l`` into the last factor first, last index first,
+    by :func:`_fold`. A given ``last`` is that factor over the index sums from
+    ``sum(origin)`` on, at least as many as the folds read; it is not written."""
     k, axes, lo = len(spectra), len(shape), sum(origin)
     f1, f2, *mid = (
         spectra.take(np.arange(o, o + n).reshape((1,) * a + (n,) + (1,) * (axes - 1 - a)),
@@ -223,16 +245,14 @@ def _raw_block(spectra, origin, shape, conjugate_last, depth=0):
         for a, (o, n) in enumerate(zip(origin, shape))
     )
     n = sum(shape) - axes + 1 + (len(origin) - axes) * (depth - 1)  # index sums, a halo per fold
-    last = spectra.take(np.arange(lo, lo + n), axis=1, mode="wrap")
-    if conjugate_last:
-        np.conj(last, out=last)
-    s0, s1 = last.strides
-    for o in origin[axes:][::-1]:  # one segment's (depth, n) windows at a time, in place
+    if last is None:
+        last = _last_factor(spectra, lo, n, conjugate_last)
+    elif len(origin) > axes:
+        last = last.copy()  # the folds below sum in place
+    for o in origin[axes:][::-1]:
         n -= depth - 1
-        for f, row in zip(spectra.take(np.arange(o, o + depth), axis=1, mode="wrap"), last):
-            terms = f[:, None] * np.ndarray((depth, n), row.dtype, row, 0, (s1, s1))
-            with WORKSPACE.held(terms):
-                terms.sum(axis=0, out=row[:n])
+        _fold(spectra, last, o, depth, n, last)
+    s0, s1 = last.strides
     hank = np.ndarray((k, *shape), last.dtype, last, 0, (s0,) + (s1,) * axes)  # a view of last
     acc = None
     for tail, a, b, *rest in zip(hank, f1, f2, *mid):
@@ -245,21 +265,73 @@ def _raw_block(spectra, origin, shape, conjugate_last, depth=0):
     return acc
 
 
+class _SlidingTail:
+    """The last factor summed over the last index's window, per segment, held between
+    planes: at plane ``k`` (origin ``p = k - w // 2``) and index sum origin ``s`` (the
+    box's and every earlier index's origins), ``T[t] = sum(f[p + d] * last[s + p + d + t]
+    for d < w)``.
+
+    The step to plane ``k + 1`` adds the entering plane's products and subtracts the
+    leaving one's, ``O(n)`` per segment: the running-sum recurrence of
+    :func:`~hospectra.tiled.running_sums`. The sums restart from :func:`_fold` at every
+    multiple of ``w`` of ``k`` (floor division for negative planes) and step from there,
+    so a plane's bits depend only on ``(s, k)``, never on which planes came first."""
+
+    def __init__(self, spectra, w, conjugate_last):
+        self.spectra, self.w, self.conjugate_last = spectra, w, conjugate_last
+        self.key, self.sums, self.width = None, None, 0  # (s, k), (K, >= width), valid columns
+
+    def at(self, s, k, n):
+        """``T`` at ``(s, k)`` over ``n`` columns or more, from column 0."""
+        f, w, conj = self.spectra, self.w, self.conjugate_last
+        c, h, m = k - k % w, w // 2, f.shape[1]
+        if self.key is None or self.key[0] != s or not c <= self.key[1] <= k or self.width < n:
+            self.release()  # restart at the chunk's first plane
+            self.sums = np.empty((len(f), n), np.complex128)
+            WORKSPACE.note(self.sums)
+            _fold(f, _last_factor(f, s + c - h, n + w - 1, conj), c - h, w, n, self.sums)
+            self.key = (s, c)
+        self.width = n  # later planes in the chunk need no more columns, or restart
+        sums = self.sums[:, :n]
+        for p in range(self.key[1] - h, k - h):  # the plane at origin p + w enters, p leaves
+            ends = _last_factor(f, s + p, n + w, conj)
+            sums += f[:, (p + w) % m, None] * ends[:, w:]
+            sums -= f[:, p % m, None] * ends[:, :n]
+        self.key = (s, k)
+        return self.sums
+
+    def release(self):
+        if self.sums is not None:
+            WORKSPACE.drop(self.sums.nbytes)
+        self.key, self.sums, self.width = None, None, 0
+
+
+@contextmanager
 def _make_fetch(spectra: np.ndarray, w: int, conjugate_last: bool):
     """Raw products summed over the segments, unscaled, at ``fetch(rows, cols, *planes)``,
     indices shifted by the window offset ``w // 2``. Rows and columns are consecutive
     ascending ranges (the ``tiled`` contract), so only their first values and sizes
     are read; one scalar per further index, and the plane is summed over each such
-    index's ``w`` values from that scalar on."""
-    h = w // 2
+    index's ``w`` values from that scalar on. The last such index slides: a
+    :class:`_SlidingTail` keeps its sums from one plane to the next, counted as working
+    memory until the ``with`` block ends; an earlier one is folded afresh per plane."""
+    h, tail = w // 2, _SlidingTail(spectra, w, conjugate_last)
 
     def fetch(rows, cols, *planes):
         rows, cols = np.asarray(rows), np.asarray(cols)
         origin = [int(x) - h for x in (rows.flat[0], cols.flat[0], *planes)]
-        block = _raw_block(spectra, origin, (rows.size, cols.size), conjugate_last, w)
+        shape, last = (rows.size, cols.size), None
+        if planes and w > 1:  # at w = 1 there is nothing to slide
+            origin.pop()
+            n = sum(shape) - 1 + (len(origin) - 2) * (w - 1)  # the index sums the folds read
+            last = tail.at(sum(origin), int(planes[-1]), n)
+        block = _raw_block(spectra, origin, shape, conjugate_last, w, last)
         return block.reshape(np.broadcast(rows, cols).shape)
 
-    return fetch
+    try:
+        yield fetch
+    finally:
+        tail.release()
 
 
 def _raw_box(spectra, origin, shape, conjugate_last):
@@ -286,9 +358,14 @@ def estimate_slice(
     slices reproduces the whole-domain grid bit for bit, which the parallel workers rely on.
     The materialized plans count ``indices`` and ``values`` as working memory while they
     gather; the lean plans do not."""
+    _estimate_runs(spec_set, cfg, _domain_runs(cfg.order, spec_set.m, start, stop), indices,
+                   values)
+
+
+def _estimate_runs(spec_set, cfg, runs, indices, values) -> None:
+    """:func:`estimate_slice` over the slice whose run table is ``runs``."""
     m = spec_set.m
     w = cfg.m3
-    runs = _domain_runs(cfg.order, m, start, stop)
     if len(runs.lens) == 0:
         return
     _expand(runs, indices)
@@ -306,9 +383,10 @@ def estimate_slice(
             with WORKSPACE.held(sm, vals):
                 values[:] = vals
     else:
-        fetch = _make_fetch(spec_set.spectra, w, cfg.conjugate_last)
         stops = runs.first + runs.lens
-        smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets, values)
+        with _make_fetch(spec_set.spectra, w, cfg.conjugate_last) as fetch:
+            smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets,
+                          values)
     values /= float(spec_set.k * m * w ** (cfg.order - 1))
     values += 0.0  # -0.0 to +0.0, whichever path summed it
 
@@ -320,10 +398,11 @@ def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -
             f"config ({cfg.segment.k}x{cfg.segment.m}) does not match "
             f"spectra ({spec_set.k}x{spec_set.m})"
         )
-    n = int(domain_rows(cfg.order, spec_set.m)[-1])
+    runs = _domain_runs(cfg.order, spec_set.m)
+    n = int(runs.offsets[-1] + runs.lens[-1])
     indices = np.empty((n, cfg.order - 1), dtype=np.int32)
     values = np.empty(n, dtype=np.complex128)
-    estimate_slice(spec_set, cfg, 0, n, indices, values)
+    _estimate_runs(spec_set, cfg, runs, indices, values)
     return SpectrumGrid(
         order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
         indices=indices, values=values,

@@ -5,6 +5,10 @@ materializing the source: values are pulled through ``fetch(rows, cols,
 *planes)``, broadcastable consecutive ascending index ranges and one index
 ``k`` per further axis, that plane summed over ``k .. k+w-1`` of each.
 Periodic index wrapping lives in ``fetch``: the engines are boundary-agnostic.
+A fetch may hold state between calls: the lean plans' fetch keeps its last
+index's sums from one plane to the next (``O(K n)`` for ``K`` segments and
+``n`` index sums, metered while held), so the block branch asks for a block's
+planes in ascending order of that index.
 
 Two kernels do the summing, one axis per call: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's

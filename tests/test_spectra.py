@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import itertools
@@ -24,10 +25,11 @@ from hospectra import (
     raw_product_value,
     write_grid_csv,
 )
+from hospectra import spectra as spectra_module
 from hospectra.dft import SegmentSpectrumSet, dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
-from hospectra.spectra import _raw_block, estimate_slice
+from hospectra.spectra import _make_fetch, _raw_block, estimate_slice
 from hospectra.window_sums import smooth
 
 
@@ -117,6 +119,109 @@ class TestRawBlockDepth:
             assert np.abs(got - expect).max() <= 1e-13 * scale, (origin, w)
             if w == 1:  # the fold of one plane moves no bit
                 assert got.tobytes() == planes[0].tobytes(), origin
+
+
+class TestSlidingFold:
+    """The lean fetch slides its last plane index: each plane's last factor steps from
+    the previous plane's in O(n) and restarts from a direct fold at every multiple of
+    ``w`` of the plane index. A plane's bits must not depend on the requests before it,
+    and its value must be the depth-``w`` block's."""
+
+    M = 32
+
+    @classmethod
+    def requests(cls, order, w):
+        """``(r0, c0, rows, cols, *planes)`` requests to one fetch, in order: planes
+        skipped, a first request mid-chunk, chunk boundaries crossed, a longer ``n``
+        after a shorter one, planes revisited, negative indices and indices near m."""
+        m, lead = cls.M, (7,) * (order - 4)
+        ks = [w + 1, w + 2, w + 2, 2 * w - 1, 2 * w + 1, 4 * w + 1, w]
+        seq = [(3, 2, 6, 5, *lead, k) for k in ks]
+        seq += [(3, 2, *rc, *lead, k) for rc, k in (((9, 8), 5 * w), ((4, 3), 5 * w + 1),
+                                                 ((9, 8), 5 * w + 2))]  # n shrinks, grows
+        seq += [(-3, -7, 5, 4, *(-2,) * (order - 4), k) for k in (-w - 1, -2, -1, 0, 1)]
+        seq += [(m - 2, m - 1, 3, 7, *(m - 1,) * (order - 4), k) for k in range(m - 2, m + 3)]
+        if order > 4:  # another earlier plane at the same index sum origin
+            seq += [(3, 1, 6, 5, 8, k) for k in (2 * w - 1, 2 * w)]
+        return seq
+
+    @staticmethod
+    def fetched(fetch, r0, c0, rows, cols, *planes):
+        return fetch(np.arange(r0, r0 + rows)[:, None], np.arange(c0, c0 + cols)[None, :],
+                     *planes)
+
+    @pytest.mark.parametrize("order", [4, 5])
+    @pytest.mark.parametrize("w", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("conj", [True, False])
+    def test_planes_match_a_fresh_fetch_and_the_block(self, order, w, k, conj):
+        rng = np.random.default_rng(100 * order + 10 * w + k)
+        spectra = rng.standard_normal((k, self.M)) + 1j * rng.standard_normal((k, self.M))
+        before = WORKSPACE.current
+        with _make_fetch(spectra, w, conj) as fetch:
+            for r0, c0, rows, cols, *planes in self.requests(order, w):
+                got = self.fetched(fetch, r0, c0, rows, cols, *planes)
+                held = WORKSPACE.current
+                with _make_fetch(spectra, w, conj) as fresh:
+                    first = self.fetched(fresh, r0, c0, rows, cols, *planes)
+                    # a tail per segment, of the n index sums the earlier folds read
+                    n = rows + cols - 1 + (order - 4) * (w - 1)
+                    assert WORKSPACE.current - held == 16 * k * n
+                assert got.tobytes() == first.tobytes(), (r0, c0, rows, cols, planes)
+                origin = [x - w // 2 for x in (r0, c0, *planes)]
+                expect = _raw_block(spectra, origin, (rows, cols), conj, depth=w)
+                scale = float(np.abs(expect).max())
+                assert np.abs(got - expect).max() <= 1e-13 * scale, (r0, c0, planes)
+        assert WORKSPACE.current == before
+
+    def test_the_tail_is_metered_while_held(self):
+        rng = np.random.default_rng(5)
+        spectra = rng.standard_normal((3, self.M)) + 1j * rng.standard_normal((3, self.M))
+        before = WORKSPACE.current
+        with _make_fetch(spectra, 5, True) as fetch:
+            self.fetched(fetch, 2, 1, 6, 7, 1)
+            assert WORKSPACE.current - before == 3 * (6 + 7 - 1) * 16
+            self.fetched(fetch, 2, 1, 4, 4, 3)  # a narrower plane slides the same sums
+            assert WORKSPACE.current - before == 3 * (6 + 7 - 1) * 16
+        assert WORKSPACE.current == before
+
+    @pytest.mark.parametrize("plan", [SmoothingPlan.FAST, SmoothingPlan.EFFICIENT,
+                                      SmoothingPlan.STREAMING])
+    @pytest.mark.parametrize("w", [3, 5])
+    def test_one_direct_fold_per_origin_and_chunk(self, monkeypatch, plan, w):
+        # a whole-domain order-4 sweep asks for each block's planes in order, so
+        # every (index sum origin, chunk of w planes) pair is folded at most once
+        keys, folds = [], []
+        real_at, real_fold = spectra_module._SlidingTail.at, spectra_module._fold
+
+        def at(self, s, k, n):
+            keys.append((s, k // w))
+            return real_at(self, s, k, n)
+
+        def fold(*args):
+            folds.append(keys[-1])
+            return real_fold(*args)
+
+        monkeypatch.setattr(spectra_module._SlidingTail, "at", at)
+        monkeypatch.setattr(spectra_module, "_fold", fold)
+        series = generate_qpc(0.1, 0.15, self.M, 0.5, seed=3)
+        estimate_spectrum(series, cfg4(self.M, w, plan))
+        assert max(collections.Counter(folds).values()) == 1, plan.name
+        assert set(folds) == set(keys) and len(folds) < len(keys) / 2, (len(folds), len(keys))
+
+    @pytest.mark.parametrize("order, m", [(5, 24), (6, 14)])
+    def test_slices_give_the_whole_domain_bits(self, order, m):
+        # cuts inside runs make a slice's first blocks start their planes mid-chunk
+        rng = np.random.default_rng(order)
+        spec_set = SegmentSpectrumSet(rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+        size = len(principal_domain(order, m))
+        cuts = [(0, size), (1, size - 1), (size // 3, 2 * size // 3), (size // 2, size // 2 + 3)]
+        for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
+            cfg = EstimationConfig(order, SegmentConfig(m=m, k=2), 3, plan)
+            _, full = slice_grid(spec_set, cfg, 0, size)
+            for a, b in cuts:
+                assert slice_grid(spec_set, cfg, a, b)[1].tobytes() == full[a:b].tobytes(), (
+                    plan.name, a, b)
 
 
 class TestPrincipalDomain:
@@ -245,6 +350,19 @@ class TestEstimateSpectrum:
         for cfg in (cfg3(32, 3), cfg3(64, 3, k=2)):
             with pytest.raises(ParameterError, match=r"does not match spectra \(2x32\)"):
                 estimate_from_spectra(spec_set, cfg)
+
+    def test_one_run_table_per_estimate(self, monkeypatch):
+        # the grid is sized from the run table the estimate then walks
+        calls, real = [], spectra_module._domain_runs
+        monkeypatch.setattr(spectra_module, "_domain_runs",
+                            lambda *args: calls.append(args) or real(*args))
+        series = generate_qpc(0.1, 0.15, 32, 0.5, seed=1)
+        for order, plan in itertools.product((3, 4), (SmoothingPlan.NAIVE, SmoothingPlan.FAST)):
+            calls.clear()
+            cfg = EstimationConfig(order, SegmentConfig(m=32), 3, plan)
+            grid = parallel_estimate(series, cfg, WorkerConfig(1))
+            assert len(calls) == 1, (order, plan.name)
+            assert grid.values.size == len(principal_domain(order, 32))
 
     def test_smoothing_window_of_one_is_identity_on_raw_grid(self):
         for make_cfg, m in ((cfg3, 64), (cfg4, 32)):
