@@ -9,9 +9,9 @@ It leaves out smaller NumPy temporaries and what lies outside the engines'
 buffers: the input (series, or matrix, wrap-padded if periodic), the segment
 DFTs, the principal domain's run table and the block branch's lexsorted copy,
 the lean path's per-band run lists, and the output, bar one case: the
-materialized plans count the slice's ``values`` and ``indices`` while they
-gather from the smoothed box. OS-level peak RSS is reported separately by the
-benchmark harness.
+materialized plans count the slice's ``values`` (all the output: a grid derives
+its index tuples) and the index tuples they expand while they gather from the
+smoothed box. OS-level peak RSS is reported separately by the benchmark harness.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Deterministic data-parallel estimation.
 
-The parent cuts the principal domain from its run table, without building
-it, and forks one worker per non-empty slice. Each inherits the spectra, the
-config and two anonymous shared mappings, so nothing is pickled; one
-:func:`hospectra.spectra.estimate_slice` call writes its slice's index tuples
-and values (bit-identical to the whole-domain sweep) straight into the
-mappings, which are the grid's indices and values. It then sends its
-working-set peak or its exception through its own pipe and exits. The
+The parent builds the principal domain's run table once, cuts the domain from
+it without expanding it, and forks one worker per non-empty slice. Each inherits
+the spectra, the config, the table and one anonymous shared mapping, the grid's
+values, so nothing is pickled; one :func:`hospectra.spectra.estimate_slice` call
+cuts its slice from the table and writes its values (bit-identical to the
+whole-domain sweep) straight into the mapping. It then sends its working-set
+peak or its exception through its own pipe and exits. The
 parent only waits: the first failure is raised at once, and on every exit it
 kills and joins all workers. The fork context is explicit (Python 3.14
 changes the default); Linux is assumed.
@@ -75,11 +75,11 @@ def _cuts(rows, workers: WorkerConfig) -> list[int]:
     return [0] + rows[np.searchsorted(rows, np.arange(1, p) * (total / p))].tolist() + [total]
 
 
-def _worker_run(spec_set, cfg, start, stop, indices, values, conn) -> None:
-    """Fill the slice of ``indices`` and ``values``; send the working-set peak or the exception."""
+def _worker_run(spec_set, cfg, runs, start, stop, values, conn) -> None:
+    """Fill ``values[start:stop]``, cut from ``runs``; send the working-set peak or the error."""
     try:
         WORKSPACE.reset()
-        estimate_slice(spec_set, cfg, start, stop, indices[start:stop], values[start:stop])
+        estimate_slice(spec_set, cfg, start, stop, values[start:stop], runs)
         conn.send(WORKSPACE.peak)
     except Exception as exc:
         conn.send(exc)
@@ -93,9 +93,8 @@ def parallel_estimate(
     spec_set = dft_segments(segment_and_demean(series, cfg.segment))
     if workers.p == 1 or cfg.plan in MATERIALIZED_PLANS:
         return estimate_from_spectra(spec_set, cfg)
-    cuts = _cuts(domain_rows(cfg.order, spec_set.m), workers)
-    axes, fork = cfg.order - 1, multiprocessing.get_context("fork")
-    indices = np.frombuffer(mmap.mmap(-1, 4 * axes * cuts[-1]), np.int32).reshape(-1, axes)
+    rows, runs = domain_rows(cfg.order, spec_set.m)
+    cuts, fork = _cuts(rows, workers), multiprocessing.get_context("fork")
     values = np.frombuffer(mmap.mmap(-1, 16 * cuts[-1]), np.complex128)
     workers_of, peaks = {}, []
     try:
@@ -103,7 +102,7 @@ def parallel_estimate(
             if start < stop:
                 reader, writer = fork.Pipe(duplex=False)
                 proc = fork.Process(target=_worker_run,
-                                     args=(spec_set, cfg, start, stop, indices, values, writer))
+                                     args=(spec_set, cfg, runs, start, stop, values, writer))
                 proc.start()
                 writer.close()
                 workers_of[reader] = (proc, start, stop)
@@ -128,5 +127,4 @@ def parallel_estimate(
     # the workers ran at once, each with its own meter: the sum of their peaks on top of
     # what is registered here is the deterministic model of the joint high-water mark
     WORKSPACE.drop(WORKSPACE.note_bytes(sum(peaks)))
-    return SpectrumGrid(order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
-                        indices=indices, values=values)
+    return SpectrumGrid(order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan, values=values)

@@ -14,9 +14,10 @@ Every order runs one pipeline; only the number of frequency axes, ``n =
 order - 1``, differs. The principal domain, the ordered simplex ``0 <= kn <=
 ... <= k1`` with ``k1 + ... + kn < m/2``, is kept as a run table: a run is
 the set of points sharing their first ``n - 1`` indices, whose last index
-takes consecutive values. For the whole domain or any contiguous slice of it,
-the index arrays are read from that table, and the one source-on-demand
-engine, :func:`~hospectra.tiled.smoothed_runs`, takes it as is.
+takes consecutive values. Built once per estimate, the table is cut into any
+contiguous slice, which the one source-on-demand engine,
+:func:`~hospectra.tiled.smoothed_runs`, takes as is. An estimate writes values
+only; a grid derives its index tuples from ``(order, m)`` when read.
 
 Every plan sums the raw products over the segments, then smooths once: the
 materialized plans (NAIVE, WS, PREFIX) one box read over all segments, in
@@ -24,9 +25,10 @@ valid mode, and gather the domain's points from it; the lean plans sum inside
 the fetch function, which from order 4 on folds every index past the second
 into the last factor and slides the last one from plane to plane. By
 linearity this is the mean of the segments' smoothed estimates within
-rounding (the test suite pins this). One true division by
-``K * M * M3**(order-1)`` and an added ``0.0`` (``-0.0`` becomes ``+0.0``)
-follow either path, so at ``M3 = 1`` every plan returns the same bytes. All
+rounding (the test suite pins this). One multiply of the ``float64`` parts by
+``1/(K*M*M3**(order-1))``, the bits of NumPy's complex division by that real
+(``tools/grid_digest.golden`` pins them), and an added ``0.0`` (``-0.0`` to
+``+0.0``) follow either path, so at ``M3 = 1`` every plan gives the same bytes. All
 plans but NAIVE share two 1-D kernels from :mod:`hospectra.tiled`:
 :func:`~hospectra.tiled.running_sums` (WS, and FAST's row pass) and
 :func:`~hospectra.tiled.box_sums` (PREFIX, the EFFICIENT and STREAMING row
@@ -46,7 +48,7 @@ import numpy as np
 from .dft import SegmentSpectrumSet, dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
-from .series import SegmentConfig, TimeSeries, segment_and_demean, write_csv_rows
+from .series import CSV_CHUNK_ROWS, SegmentConfig, TimeSeries, segment_and_demean, write_csv_rows
 from .tiled import smoothed_runs
 from .window_sums import MATERIALIZED_PLANS, SmoothingPlan, smooth
 
@@ -93,24 +95,25 @@ class EstimationConfig:
             )
 
 
-@dataclass
 class SpectrumGrid:
-    """Smoothed estimate over the principal domain.
+    """Smoothed estimate over the principal domain in lexicographic index order:
+    ``values[t]`` is the estimate at the bin tuple ``indices[t]``. Only ``values`` is
+    stored; ``indices``, unless given (a partial grid's, say, kept as is), is derived
+    on every read as ``principal_domain(order, m)``."""
 
-    Points are stored as parallel arrays in lexicographic index order:
-    ``indices[t]`` is the bin tuple of ``values[t]``.
-    """
+    def __init__(self, order: int, m: int, m3: int, plan, indices=None, values=None):
+        self.order, self.m, self.m3, self.plan = order, m, m3, plan
+        self._indices, self.values = indices, values
 
-    order: int
-    m: int
-    m3: int
-    plan: SmoothingPlan
-    indices: np.ndarray  # (npoints, order-1) int32, lexicographic
-    values: np.ndarray  # (npoints,) complex128
+    @property
+    def indices(self) -> np.ndarray:
+        return principal_domain(self.order, self.m) if self._indices is None else self._indices
 
     def peak_point(self) -> SpectrumPoint:
         t = int(np.argmax(np.abs(self.values)))
-        return SpectrumPoint(tuple(int(v) for v in self.indices[t]), complex(self.values[t]))
+        k = self._indices[t] if self._indices is not None else _expand(
+            _cut(_domain_runs(self.order, self.m), t, t + 1))[0]  # one point, not the domain
+        return SpectrumPoint(tuple(k.tolist()), complex(self.values[t]))
 
 
 def raw_product_value(f, *bins, conjugate_last: bool = True) -> complex:
@@ -141,8 +144,8 @@ class _Runs(NamedTuple):
     offsets: np.ndarray  # (nruns,) flat position of the run's first point
 
 
-def _domain_runs(order: int, m: int, start: int = 0, stop: int | None = None) -> _Runs:
-    """Runs of ``principal_domain(order, m)[start:stop]``.
+def _domain_runs(order: int, m: int) -> _Runs:
+    """Runs of the whole ``principal_domain(order, m)``, each from its first point.
 
     Built one index level at a time: below indices summing to ``s`` with
     last index ``k``, the next index takes ``min(k, (m - 1 - 2 s) // 2) + 1``
@@ -162,27 +165,30 @@ def _domain_runs(order: int, m: int, start: int = 0, stop: int | None = None) ->
         lead = np.column_stack([lead[parent], prev])
         total = total[parent] + prev
     lens = np.minimum(prev, (m - 1 - 2 * total) // 2) + 1
-    ends = np.cumsum(lens)
-    size = int(ends[-1])
-    stop = size if stop is None else stop
+    return _Runs(lead, np.zeros_like(lens), lens, np.cumsum(lens) - lens)
+
+
+def _cut(table: _Runs, start: int, stop: int) -> _Runs:
+    """Runs of the slice ``[start, stop)`` of the domain whose whole run table is
+    ``table``, in O(log(runs)) plus the slice's runs; empty if ``stop <= start``."""
+    size = int(table.offsets[-1] + table.lens[-1])
     if stop <= start:
-        empty = np.empty(0, dtype=np.int64)
-        return _Runs(lead[:0], empty, empty, empty)
+        return _Runs(*(a[:0] for a in table))
     if not (0 <= start < stop <= size):
         raise ParameterError(f"slice [{start}, {stop}) outside domain of size {size}")
-    r0 = int(np.searchsorted(ends, start, side="right"))
-    r1 = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-    offs = ends[r0:r1] - lens[r0:r1]
+    r0 = int(np.searchsorted(table.offsets, start, side="right")) - 1  # every run is non-empty
+    r1 = int(np.searchsorted(table.offsets, stop - 1, side="right"))
+    offs = table.offsets[r0:r1]
     first = np.maximum(start - offs, 0)
-    cut = np.minimum(stop - offs, lens[r0:r1])
-    return _Runs(lead[r0:r1], first, cut - first, offs + first - start)
+    cut = np.minimum(stop - offs, table.lens[r0:r1])
+    return _Runs(table.lead[r0:r1], first, cut - first, offs + first - start)
 
 
-def _expand(runs: _Runs, out=None) -> np.ndarray:
+def _expand(runs: _Runs) -> np.ndarray:
     """Index tuples of a run table, written column by column into one
-    ``int32`` array (``out`` if given) with no temporary larger than one column."""
+    ``int32`` array with no temporary larger than one column."""
     n = int(runs.lens.sum())
-    out = np.empty((n, runs.lead.shape[1] + 1), dtype=np.int32) if out is None else out
+    out = np.empty((n, runs.lead.shape[1] + 1), dtype=np.int32)
     for j in range(runs.lead.shape[1]):
         out[:, j] = np.repeat(runs.lead[:, j].astype(np.int32), runs.lens)
     out[:, -1] = np.arange(n, dtype=np.int32)
@@ -200,11 +206,12 @@ def principal_domain(order: int, m: int) -> np.ndarray:
     return _expand(_domain_runs(order, m))
 
 
-def domain_rows(order: int, m: int) -> np.ndarray:
-    """Where each leading index starts in ``principal_domain(order, m)``, then its size."""
+def domain_rows(order: int, m: int) -> tuple[np.ndarray, _Runs]:
+    """Where each leading index starts in ``principal_domain(order, m)``, then its size;
+    and the run table they are read from, for :func:`estimate_slice` to cut its slices."""
     runs = _domain_runs(order, m)
     new = np.flatnonzero(np.diff(runs.lead[:, 0], prepend=-1))
-    return np.append(runs.offsets[new], runs.offsets[-1] + runs.lens[-1])
+    return np.append(runs.offsets[new], runs.offsets[-1] + runs.lens[-1]), runs
 
 
 # -- raw products ------------------------------------------------------------
@@ -349,28 +356,22 @@ def _raw_box(spectra, origin, shape, conjugate_last):
 # -- smoothing ---------------------------------------------------------------
 
 
-def estimate_slice(
-    spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int, indices, values
-) -> None:
-    """Principal-domain positions ``[start, stop)``: their index tuples into ``indices`` and
-    their smoothed, segment-averaged values into ``values``, either path's unscaled sums over
-    the ``K`` segments divided once by ``K*M*M3**(order-1)``. Any split of the domain into
-    slices reproduces the whole-domain grid bit for bit, which the parallel workers rely on.
-    The materialized plans count ``indices`` and ``values`` as working memory while they
-    gather; the lean plans do not."""
-    _estimate_runs(spec_set, cfg, _domain_runs(cfg.order, spec_set.m, start, stop), indices,
-                   values)
-
-
-def _estimate_runs(spec_set, cfg, runs, indices, values) -> None:
-    """:func:`estimate_slice` over the slice whose run table is ``runs``."""
-    m = spec_set.m
-    w = cfg.m3
+def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int,
+                   values, runs: _Runs | None = None) -> None:
+    """The smoothed, segment-averaged values at principal-domain positions ``[start, stop)``
+    into ``values``: either path's unscaled sums over the ``K`` segments times ``1/(K*M*M3**
+    (order-1))``, a complex division's bits (``tools/grid_digest.golden``). Any split of the
+    domain into slices reproduces the whole-domain grid bit for bit, which the parallel
+    workers rely on. The slice is cut from ``runs``, the whole domain's run table
+    (:func:`domain_rows`), built if not given. The lean plans write ``values`` only; the
+    materialized plans expand the slice's index tuples and meter them with ``values``."""
+    runs = _cut(_domain_runs(cfg.order, spec_set.m) if runs is None else runs, start, stop)
+    m, w = spec_set.m, cfg.m3
     if len(runs.lens) == 0:
         return
-    _expand(runs, indices)
     if cfg.plan in MATERIALIZED_PLANS:
         axes = cfg.order - 1
+        indices = _expand(runs)
         if cfg.plan is SmoothingPlan.NAIVE:  # the domain's bounding box plus the window
             shape = tuple(int(n) + w for n in indices.max(axis=0))
         else:  # the grid wrapped one window on; one more last-axis cell avoids 2^k strides
@@ -383,12 +384,12 @@ def _estimate_runs(spec_set, cfg, runs, indices, values) -> None:
             with WORKSPACE.held(sm, vals):
                 values[:] = vals
     else:
-        stops = runs.first + runs.lens
         with _make_fetch(spec_set.spectra, w, cfg.conjugate_last) as fetch:
-            smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first, stops, runs.offsets,
-                          values)
-    values /= float(spec_set.k * m * w ** (cfg.order - 1))
-    values += 0.0  # -0.0 to +0.0, whichever path summed it
+            smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first,
+                          runs.first + runs.lens, runs.offsets, values)
+    parts = values.view(np.float64)  # a real multiply: faster, with the division's bits
+    parts *= 1.0 / float(spec_set.k * m * w ** (cfg.order - 1))
+    parts += 0.0  # -0.0 to +0.0, whichever path summed it
 
 
 def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> SpectrumGrid:
@@ -399,14 +400,9 @@ def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -
             f"spectra ({spec_set.k}x{spec_set.m})"
         )
     runs = _domain_runs(cfg.order, spec_set.m)
-    n = int(runs.offsets[-1] + runs.lens[-1])
-    indices = np.empty((n, cfg.order - 1), dtype=np.int32)
-    values = np.empty(n, dtype=np.complex128)
-    _estimate_runs(spec_set, cfg, runs, indices, values)
-    return SpectrumGrid(
-        order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan,
-        indices=indices, values=values,
-    )
+    values = np.empty(int(runs.offsets[-1] + runs.lens[-1]), dtype=np.complex128)
+    estimate_slice(spec_set, cfg, 0, len(values), values, runs)
+    return SpectrumGrid(order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan, values=values)
 
 
 def estimate_spectrum(series: TimeSeries, cfg: EstimationConfig) -> SpectrumGrid:
@@ -435,9 +431,14 @@ def write_grid_csv(grid: SpectrumGrid, path) -> None:
     domain point per row in lexicographic order, bins as ``%d`` and both
     parts as ``%.17g``.
 
-    Rows are formatted in chunks by :func:`~hospectra.series.write_csv_rows`.
+    Rows are formatted in chunks by :func:`~hospectra.series.write_csv_rows`, a
+    derived grid's bins expanded per chunk from one run table.
     """
-    names = [f"k{i + 1}" for i in range(grid.order - 1)]
+    names, n = [f"k{i + 1}" for i in range(grid.order - 1)], len(grid.values)
+    runs = _domain_runs(grid.order, grid.m) if grid._indices is None else None
     with open(str(path), "wb") as fh:
         fh.write((",".join(names + ["re", "im"]) + "\n").encode())
-        write_csv_rows(fh, [*grid.indices.T, grid.values.real, grid.values.imag])
+        for start in range(0, n, CSV_CHUNK_ROWS):
+            part = slice(start, min(start + CSV_CHUNK_ROWS, n))
+            bins = grid._indices[part] if runs is None else _expand(_cut(runs, start, part.stop))
+            write_csv_rows(fh, [*bins.T, grid.values.real[part], grid.values.imag[part]])

@@ -35,9 +35,7 @@ def assert_window_equal(a, b, rel=1e-9, floor=1e-12, context=""):
 
 
 def slice_grid(spec_set, cfg, start, stop):
-    """``estimate_slice`` over ``[start, stop)`` into fresh arrays: ``(indices, values)``."""
-    n = max(stop - start, 0)
-    indices = np.empty((n, cfg.order - 1), dtype=np.int32)
-    values = np.empty(n, dtype=np.complex128)
-    estimate_slice(spec_set, cfg, start, stop, indices, values)
-    return indices, values
+    """``estimate_slice`` over ``[start, stop)`` into a fresh array: its values."""
+    values = np.empty(max(stop - start, 0), dtype=np.complex128)
+    estimate_slice(spec_set, cfg, start, stop, values)
+    return values

@@ -1,4 +1,5 @@
 import itertools
+import mmap
 import multiprocessing
 import os
 import signal
@@ -10,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from hospectra import parallel
+from hospectra import parallel, spectra
 from hospectra import (
     EstimationConfig,
     ParameterError,
@@ -72,7 +73,7 @@ class TestPartitionDomain:
         # the parent cuts from the run table's rows, never from the domain
         for order, ms in ((3, [*range(2, 40, 3), 64, 129, 8192]), (4, [*range(2, 40, 3), 65, 512])):
             for m in ms:
-                dom, rows = principal_domain(order, m), domain_rows(order, m)
+                dom, (rows, _) = principal_domain(order, m), domain_rows(order, m)
                 assert rows[-1] == len(dom), (order, m)
                 assert np.array_equal(rows, domain_row_starts(dom)), (order, m)
                 for p, mode in itertools.product(range(1, 10), ("row_blocks", "point_blocks")):
@@ -161,6 +162,38 @@ class TestParallelMemory:
         assert single > 0
         assert eight <= 8.5 * single
 
+    def test_one_shared_mapping_for_the_values(self, monkeypatch):
+        calls, real = [], mmap.mmap
+        monkeypatch.setattr(mmap, "mmap", lambda *args: calls.append(args) or real(*args))
+        series = generate_qpc(0.1, 0.15, 64, 0.4, seed=8)
+        for order in (3, 4):
+            cfg = EstimationConfig(order, SegmentConfig(m=64), 5, SmoothingPlan.EFFICIENT)
+            calls.clear()
+            grid = parallel_estimate(series, cfg, WorkerConfig(p=2))
+            assert calls == [(-1, grid.values.nbytes)], order
+
+    def test_workers_cut_the_parents_run_table(self, monkeypatch):
+        # one run table per run: built in the parent, cut in each forked worker
+        series = generate_qpc(0.1, 0.15, 64, 0.4, seed=8)
+        cfgs = [EstimationConfig(order, SegmentConfig(m=64), 5, SmoothingPlan.EFFICIENT)
+                for order in (3, 4)]
+        refs = [estimate_spectrum(series, cfg).values for cfg in cfgs]
+        parent, real, calls = os.getpid(), spectra._domain_runs, []
+
+        def parent_only(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a worker rebuilt the run table")
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectra, "_domain_runs", parent_only)
+        for (cfg, ref), partition in itertools.product(zip(cfgs, refs),
+                                                       ("row_blocks", "point_blocks")):
+            calls.clear()
+            got = parallel_estimate(series, cfg, WorkerConfig(2, partition)).values
+            assert calls == [(cfg.order, 64)], (cfg.order, partition)
+            assert got.tobytes() == ref.tobytes(), (cfg.order, partition)
+
 
 class TestParallelFailure:
     def test_failing_worker_surfaces_and_leaves_nothing_behind(self, monkeypatch):
@@ -207,7 +240,7 @@ class TestParallelFailure:
         assert idle > 0
 
     def test_first_failure_raises_without_waiting_for_other_slices(self, monkeypatch):
-        def first_fails_rest_sleep(spec_set, cfg, start, stop, indices, values):
+        def first_fails_rest_sleep(spec_set, cfg, start, stop, values, runs):
             if start == 0:
                 raise RuntimeError("injected worker failure")
             time.sleep(3)
@@ -224,10 +257,10 @@ class TestParallelFailure:
     def test_worker_dying_without_result_names_slice_and_exit_code(self, monkeypatch):
         real = parallel.estimate_slice
 
-        def first_exits(spec_set, cfg, start, stop, indices, values):
+        def first_exits(spec_set, cfg, start, stop, values, runs):
             if start == 0:
                 os._exit(3)
-            real(spec_set, cfg, start, stop, indices, values)
+            real(spec_set, cfg, start, stop, values, runs)
 
         monkeypatch.setattr(parallel, "estimate_slice", first_exits)
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)

@@ -218,9 +218,9 @@ class TestSlidingFold:
         cuts = [(0, size), (1, size - 1), (size // 3, 2 * size // 3), (size // 2, size // 2 + 3)]
         for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
             cfg = EstimationConfig(order, SegmentConfig(m=m, k=2), 3, plan)
-            _, full = slice_grid(spec_set, cfg, 0, size)
+            full = slice_grid(spec_set, cfg, 0, size)
             for a, b in cuts:
-                assert slice_grid(spec_set, cfg, a, b)[1].tobytes() == full[a:b].tobytes(), (
+                assert slice_grid(spec_set, cfg, a, b).tobytes() == full[a:b].tobytes(), (
                     plan.name, a, b)
 
 
@@ -233,13 +233,13 @@ class TestPrincipalDomain:
         spec_set = SegmentSpectrumSet(np.ones((1, 8), dtype=np.complex128))
         size = len(principal_domain(3, 8))
         for plan in SmoothingPlan:
-            indices, values = np.full((size, 2), -1, np.int32), np.full(size, np.nan, complex)
+            values = np.full(size, np.nan, complex)
             for start, stop in ((5, 5), (6, 2)):  # an empty slice writes nothing
-                estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, indices, values)
-            assert (indices == -1).all() and np.isnan(values).all(), plan.name
+                estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, values)
+            assert np.isnan(values).all(), plan.name
             for start, stop in ((0, size + 1), (-1, 2)):
                 with pytest.raises(ParameterError, match=f"outside domain of size {size}"):
-                    estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, indices, values)
+                    estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, values)
 
     def test_order3_m2_origin_only(self):
         assert [tuple(p) for p in principal_domain(3, 2)] == [(0, 0)]
@@ -286,22 +286,26 @@ class TestPrincipalDomain:
             assert got4 == expect4, m
 
     def test_domain_slice_matches_full_build(self):
-        # estimate_slice over [a, b) writes the domain's index tuples [a:b]
-        # and the whole-domain values[a:b] bit for bit: the property the
-        # parallel workers rely on. Random spectra give every point a
-        # distinct value, so a misplaced index shows as a changed value.
+        # the run table's cut [a, b) expands to the domain's index tuples
+        # [a:b], and estimate_slice over it writes the whole-domain
+        # values[a:b] bit for bit: the property the parallel workers rely
+        # on. Random spectra give every point a distinct value, so a
+        # misplaced index shows as a changed value.
         rng = np.random.default_rng(21)
 
         def check(order, m, m3, cuts):
             cuts = list(cuts)
             spec_set = SegmentSpectrumSet(rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m)))
-            dom = principal_domain(order, m)
+            dom, table = principal_domain(order, m), spectra_module._domain_runs(order, m)
+            for a, b in cuts:
+                indices = spectra_module._expand(spectra_module._cut(table, a, b))
+                assert indices.dtype == dom.dtype and indices.tobytes() == dom[a:b].tobytes(), (
+                    order, m, a, b)
             for plan in SmoothingPlan:
                 cfg = EstimationConfig(order, SegmentConfig(m=m, k=1), m3, plan)
-                _, full = slice_grid(spec_set, cfg, 0, len(dom))
+                full = slice_grid(spec_set, cfg, 0, len(dom))
                 for a, b in cuts:
-                    indices, got = slice_grid(spec_set, cfg, a, b)
-                    assert np.array_equal(indices, dom[a:b]), (order, m, plan.name, a, b)
+                    got = slice_grid(spec_set, cfg, a, b)
                     assert np.array_equal(got, full[a:b]), (order, m, plan.name, a, b)
 
         for order, m, m3 in ((3, 64, 5), (3, 127, 7), (4, 16, 3), (4, 33, 5)):
@@ -341,8 +345,7 @@ class TestEstimateSpectrum:
         series = generate_qpc(0.1, 0.15, 32)
         spec_set = dft_segments(segment_and_demean(series, SegmentConfig(32, 1)))
         for plan in (SmoothingPlan.NAIVE, SmoothingPlan.EFFICIENT):
-            indices, values = slice_grid(spec_set, cfg3(32, 3, plan), 7, 7)
-            assert indices.shape == (0, 2) and values.shape == (0,)
+            assert slice_grid(spec_set, cfg3(32, 3, plan), 7, 7).shape == (0,)
 
     def test_config_and_spectra_mismatch_rejected(self):
         series = generate_qpc(0.1, 0.15, 64)
@@ -547,9 +550,8 @@ class TestOrdersFiveAndSix:
 
 
 def metered_values(order, m, w, k, plan):
-    """Whole-domain ``estimate_slice``, its indices and values allocated in the
-    traced call, with its modelled peak (after one untraced warm-up pass) and
-    its traced peak."""
+    """Whole-domain ``estimate_slice``, its values allocated in the traced call,
+    with its modelled peak (after one untraced warm-up pass) and its traced peak."""
     series = generate_qpc(0.1, 0.15, k * m, 0.5, seed=3)
     spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=m, k=k)))
     cfg = EstimationConfig(order, SegmentConfig(m=m, k=k), w, plan)
@@ -628,6 +630,70 @@ class TestSpectrumGrid:
             assert got == expect
             assert np.all(np.isfinite(grid.values.real))
             assert np.all(np.isfinite(grid.values.imag))
+
+    @pytest.mark.parametrize("order, m", [(3, 64), (4, 32), (5, 24)])
+    def test_derived_indices_are_the_principal_domain(self, order, m):
+        # serial, and two workers in both partition modes: the grids store values only
+        series = generate_qpc(0.1, 0.15, m, 0.3, seed=19)
+        cfg = EstimationConfig(order, SegmentConfig(m=m), 3, SmoothingPlan.EFFICIENT)
+        dom = principal_domain(order, m)
+        assert dom.dtype == np.int32 and dom.shape == (len(dom), order - 1)
+        grids = [estimate_spectrum(series, cfg)] + [
+            parallel_estimate(series, cfg, WorkerConfig(2, partition))
+            for partition in ("row_blocks", "point_blocks")]
+        for grid in grids:
+            got = grid.indices
+            assert got.dtype == dom.dtype and got.shape == dom.shape and got.flags.c_contiguous
+            assert got.tobytes() == dom.tobytes()
+            assert grid.values.shape == (len(dom),)
+
+    def test_given_indices_are_kept(self, tmp_path):
+        # a partial grid's indices, by keyword and by position, round-trip as given
+        grid = estimate_spectrum(generate_qpc(0.1, 0.15, 64, 0.3, seed=20), cfg3(64, 3))
+        part = slice(9, 200)
+        indices, values = grid.indices[part], grid.values[part]
+        for head in (SpectrumGrid(3, 64, 3, SmoothingPlan.EFFICIENT, indices, values),
+                     SpectrumGrid(order=3, m=64, m3=3, plan=SmoothingPlan.EFFICIENT,
+                                  indices=indices, values=values)):
+            assert head.indices is indices and head.values is values
+            t = int(np.argmax(np.abs(values)))
+            assert head.peak_point() == (tuple(indices[t].tolist()), complex(values[t]))
+            assert_same_bytes_as_reference(head, tmp_path)
+
+    @pytest.mark.parametrize("order, m", [(3, 33), (4, 20), (5, 16)])
+    def test_peak_point_is_the_brute_force_argmax_tuple(self, order, m):
+        # the ordered simplex enumerated by loops, and a peak at every position
+        points = [k for k in itertools.product(range(m), repeat=order - 1)
+                  if list(k) == sorted(k, reverse=True) and 2 * sum(k) < m]
+        for t, k in enumerate(points):
+            values = np.zeros(len(points), complex)
+            values[t] = 1j
+            got = SpectrumGrid(order, m, 3, SmoothingPlan.EFFICIENT, values=values).peak_point()
+            assert got == (k, 1j), (order, m, t)
+        series = generate_qpc(0.1, 0.15, m, 0.3, seed=21)
+        grid = estimate_spectrum(series, EstimationConfig(order, SegmentConfig(m=m), 3))
+        t = max(range(len(points)), key=lambda i: abs(grid.values[i]))
+        assert grid.peak_point() == (points[t], complex(grid.values[t]))
+
+    def test_lean_estimates_expand_no_index_tuples(self, monkeypatch):
+        series = generate_qpc(0.1, 0.15, 64, 0.3, seed=22)
+        spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=64)))
+        lean = (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING)
+        cfgs = [EstimationConfig(order, SegmentConfig(m=64), 3, plan)
+                for order, plan in itertools.product((3, 4), lean)]
+        refs = [estimate_spectrum(series, cfg).values for cfg in cfgs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a lean path expanded index tuples")
+
+        monkeypatch.setattr(spectra_module, "_expand", refuse)
+        for cfg, ref in zip(cfgs, refs):
+            size = len(ref)
+            assert slice_grid(spec_set, cfg, 0, size).tobytes() == ref.tobytes(), cfg
+            assert slice_grid(spec_set, cfg, 5, size - 3).tobytes() == ref[5:-3].tobytes(), cfg
+            for workers in (WorkerConfig(1), WorkerConfig(2, "point_blocks")):
+                got = parallel_estimate(series, cfg, workers).values
+                assert got.tobytes() == ref.tobytes(), (cfg, workers)
 
 
 class TestCompareGrids:

@@ -807,8 +807,8 @@ class TestOrder4Sweep:
                     b = a + int(mates[0]) + 1
                     break
             cfg = EstimationConfig(4, SegmentConfig(m=m, k=1), w, plan)
-            _, full = slice_grid(spec_set, cfg, 0, len(dom))
-            _, got = slice_grid(spec_set, cfg, a, b)
+            full = slice_grid(spec_set, cfg, 0, len(dom))
+            got = slice_grid(spec_set, cfg, a, b)
             assert np.array_equal(got, full[a:b]), (plan.name, a, b)
 
 
@@ -901,9 +901,9 @@ class TestWorkTiers:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        naive_ratio = best_time(SmoothingPlan.NAIVE, 49, reps=1) / best_time(
-            SmoothingPlan.NAIVE, 9, reps=1
-        )
+        # a descheduled call only slows itself: once at w=49 it raises the ratio, but at
+        # w=9 it lowers it, so the cheap side takes the best of 3
+        naive_ratio = best_time(SmoothingPlan.NAIVE, 49, reps=1) / best_time(SmoothingPlan.NAIVE, 9)
         assert naive_ratio >= 10.0, naive_ratio
         for plan in (SmoothingPlan.WS, SmoothingPlan.PREFIX, SmoothingPlan.FAST, SmoothingPlan.EFFICIENT):
             ratio = best_time(plan, 49) / best_time(plan, 9)
