@@ -33,8 +33,12 @@ def _env_threads() -> int:
     return threads
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _csv_list(text: str, flag: str, kind=int) -> list:
+    try:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ParameterError(f"{flag} takes comma-separated {kind.__name__} values, "
+                             f"got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,12 +110,12 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    windows = args.windows if args.windows == "reference" else _csv_ints(args.windows)
+    windows = args.windows if args.windows == "reference" else _csv_list(args.windows, "--windows")
     reports = run_benchmarks(
-        orders=_csv_ints(args.orders),
-        sizes=_csv_ints(args.sizes),
+        orders=_csv_list(args.orders, "--orders"),
+        sizes=_csv_list(args.sizes, "--sizes"),
         plans=[tok for tok in args.plans.split(",") if tok.strip()],
-        threads_list=_csv_ints(args.threads_list),
+        threads_list=_csv_list(args.threads_list, "--threads-list"),
         repeats=args.repeats,
         time_limit=args.time_limit,
         mem_limit=args.mem_limit,
@@ -127,8 +131,7 @@ def cmd_gen(args) -> int:
     if args.kind == "qpc":
         series = generate_qpc(args.f1, args.f2, args.n, args.noise_sigma, args.seed)
     else:
-        coeffs = [float(tok) for tok in args.coeffs.split(",") if tok.strip()]
-        series = generate_gaussian_ar(coeffs, args.n, args.seed)
+        series = generate_gaussian_ar(_csv_list(args.coeffs, "--coeffs", float), args.n, args.seed)
     save_series(series, args.out, args.format)
     return 0
 

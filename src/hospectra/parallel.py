@@ -25,17 +25,12 @@ from multiprocessing.connection import wait
 
 import numpy as np
 
+from . import spectra
 from .dft import dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
 from .series import TimeSeries, segment_and_demean
-from .spectra import (
-    EstimationConfig,
-    SpectrumGrid,
-    estimate_from_spectra,
-    domain_rows,
-    estimate_slice,
-)
+from .spectra import EstimationConfig, SpectrumGrid, estimate_from_spectra, estimate_slice
 from .window_sums import MATERIALIZED_PLANS
 
 __all__ = ["WorkerConfig", "parallel_estimate"]
@@ -63,15 +58,16 @@ class WorkerConfig:
             )
 
 
-def _cuts(rows, workers: WorkerConfig) -> list[int]:
-    """Cut offsets ``[0, ..., size]`` of a lex-ordered domain from ``rows``, each leading
-    index's first position and then the domain's size: worker ``i`` gets ``[cuts[i],
-    cuts[i + 1])``, maybe empty. ``point_blocks`` parts differ in size by at most one; a
-    ``row_blocks`` cut is the first row start at or past its share."""
-    total, p = int(rows[-1]), workers.p
+def _cuts(runs, workers: WorkerConfig) -> list[int]:
+    """Cut offsets ``[0, ..., size]`` of the domain whose whole run table is ``runs``:
+    worker ``i`` gets ``[cuts[i], cuts[i + 1])``, maybe empty. ``point_blocks`` parts differ
+    in size by at most one; a ``row_blocks`` cut is the first position of a leading index
+    at or past its share, or the domain's size."""
+    total, p = int(runs.offsets[-1] + runs.lens[-1]), workers.p
     if workers.partition == "point_blocks":
         q, r = divmod(total, p)
         return [0] + np.cumsum([q + 1] * r + [q] * (p - r)).tolist()
+    rows = np.append(runs.offsets[np.flatnonzero(np.diff(runs.lead[:, 0], prepend=-1))], total)
     return [0] + rows[np.searchsorted(rows, np.arange(1, p) * (total / p))].tolist() + [total]
 
 
@@ -93,8 +89,8 @@ def parallel_estimate(
     spec_set = dft_segments(segment_and_demean(series, cfg.segment))
     if workers.p == 1 or cfg.plan in MATERIALIZED_PLANS:
         return estimate_from_spectra(spec_set, cfg)
-    rows, runs = domain_rows(cfg.order, spec_set.m)
-    cuts, fork = _cuts(rows, workers), multiprocessing.get_context("fork")
+    runs = spectra._domain_runs(cfg.order, spec_set.m)
+    cuts, fork = _cuts(runs, workers), multiprocessing.get_context("fork")
     values = np.frombuffer(mmap.mmap(-1, 16 * cuts[-1]), np.complex128)
     workers_of, peaks = {}, []
     try:

@@ -96,7 +96,8 @@ def load_series(path, fmt: str = "csv") -> TimeSeries:
     path = str(path)
     if fmt == "csv":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            # utf-8-sig drops the byte-order mark spreadsheet tools write first
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 lines = fh.read().splitlines()
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc

@@ -58,7 +58,6 @@ __all__ = [
     "SpectrumGrid",
     "raw_product_value",
     "principal_domain",
-    "domain_rows",
     "estimate_slice",
     "estimate_spectrum",
     "estimate_from_spectra",
@@ -204,14 +203,6 @@ def principal_domain(order: int, m: int) -> np.ndarray:
     ``(k1, k2)`` with ``0 <= k2 <= k1`` and ``k1 + k2 < m/2``.
     """
     return _expand(_domain_runs(order, m))
-
-
-def domain_rows(order: int, m: int) -> tuple[np.ndarray, _Runs]:
-    """Where each leading index starts in ``principal_domain(order, m)``, then its size;
-    and the run table they are read from, for :func:`estimate_slice` to cut its slices."""
-    runs = _domain_runs(order, m)
-    new = np.flatnonzero(np.diff(runs.lead[:, 0], prepend=-1))
-    return np.append(runs.offsets[new], runs.offsets[-1] + runs.lens[-1]), runs
 
 
 # -- raw products ------------------------------------------------------------
@@ -362,9 +353,9 @@ def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: i
     into ``values``: either path's unscaled sums over the ``K`` segments times ``1/(K*M*M3**
     (order-1))``, a complex division's bits (``tools/grid_digest.golden``). Any split of the
     domain into slices reproduces the whole-domain grid bit for bit, which the parallel
-    workers rely on. The slice is cut from ``runs``, the whole domain's run table
-    (:func:`domain_rows`), built if not given. The lean plans write ``values`` only; the
-    materialized plans expand the slice's index tuples and meter them with ``values``."""
+    workers rely on. The slice is cut from ``runs``, the whole domain's run table, built
+    if not given. The lean plans write ``values`` only; the materialized plans expand
+    the slice's index tuples and meter them with ``values``."""
     runs = _cut(_domain_runs(cfg.order, spec_set.m) if runs is None else runs, start, stop)
     m, w = spec_set.m, cfg.m3
     if len(runs.lens) == 0:

@@ -29,16 +29,13 @@ column pass; along an order-3 band a unit carries the row sums of the
               source patch fetched at most ``S`` columns per call (O(w)
               memory, O(w^2) from order 4 on; each source cell fetched ``w`` times).
 
-One engine, :func:`smoothed_runs`, serves every order from one run table:
-with one lead column, each band of units is walked column unit by column unit
-and a unit lands in ``out`` by one indexed write if all the band's runs cover
-its columns, else (a diagonal or tail unit) one slice per row, the chunks
-:func:`smoothed_cells_2d` yields; with two or more lead columns, each block of
-the first two, the plan's unit shape (its face), at each value of the others
-is EFFICIENT's row pass and column pass over a summed plane per last index its
-runs cover, cut at the far corner of the runs active there. Units depend only
-on (fetch, w, unit origin) and a kernel's cell only on its own lines, so
-splitting the output across workers reproduces a serial sweep bit for bit.
+One engine, :func:`smoothed_runs`, serves every order from one run table and
+writes each unit into ``out`` once it is summed: :func:`_bands` walks the bands
+of runs with one lead column, :func:`_blocks` the blocks of runs with more.
+Units depend only on (fetch, w, unit origin) and a kernel's cell only on its
+own lines, so splitting the output across workers reproduces a serial sweep
+bit for bit. :func:`smoothed_cells_2d` and :func:`smoothed_cells_3d` are the
+benchmark's adapters over it; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -153,25 +150,28 @@ def _groups(lead, face):
     return ((o.tolist(), slice(s, e)) for o, s, e in zip(origins, starts, ends))
 
 
-def _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
-    """Yield ``(r0, c0, vals, runs)`` per unit, ``runs`` as (rows, first, stops, pos) lists.
+def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+    """:func:`smoothed_runs` over runs with one lead column, band by band of units.
 
-    A unit is the column pass over its plan's row pass. The row pass keeps each
-    column's bits, so the row sums of the ``w-1`` source columns a unit shares with
-    the next unit of its band are carried (a copy, not a view pinning the part)."""
+    A unit is the column pass over its plan's row pass. The row pass keeps each column's
+    bits, so the row sums of the ``w-1`` source columns a unit shares with the next unit
+    of its band are carried (a copy, not a view pinning the part). A unit lands by one
+    indexed write if its band's runs cover its columns and skip no row, else one slice
+    per run row, and is held until the next unit's column pass ends, as metered."""
     shape, row_pass = _UNITS[plan_name]
     uh, uw = shape(m, w)
-    held = carried = 0  # the bytes of the unit held until the next lands, and of the carry
+    held = carried = 0  # the bytes of the unit held until the next is summed, and of the carry
     try:
         for (r0,), u in _groups(lead, (uh,)):
-            runs = [a.tolist() for a in (lead[u, 0], first[u], stops[u], offsets[u] - first[u])]
-            c0s = range(min(runs[1]) // uw * uw, max(runs[2]), uw)  # the band's column units
+            rows, lo, hi, pos = (a.tolist() for a in (lead[u, 0], first[u], stops[u],
+                                                      offsets[u] - first[u]))
+            c0s = range(min(lo) // uw * uw, max(hi), uw)  # the band's column units
             # rows up to the last run's: by the own-line property, a shorter unit has the same bits
-            rows, carry = runs[0][-1] - r0 + 1, None
+            top, dense, carry = rows[0] - r0, rows[-1] - rows[0] == len(rows) - 1, None
             for c0 in c0s:
                 cols = min(uw, m - c0)
                 skip = 0 if carry is None else w - 1
-                part = row_pass(fetch, r0, c0 + skip, rows, cols - skip, w)
+                part = row_pass(fetch, r0, c0 + skip, rows[-1] - r0 + 1, cols - skip, w)
                 if skip:
                     part = np.concatenate([carry, part], axis=1)
                 WORKSPACE.drop(carried)  # carry on only if the band has a next unit
@@ -181,48 +181,27 @@ def _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
                     held += WORKSPACE.note(part)  # the part, during the column pass
                     part = _column_sums(part, w)
                 WORKSPACE.drop(held)  # the part and the previous unit
-                held = WORKSPACE.note(part)
-                yield r0, c0, part, runs
+                held, unit = WORKSPACE.note(part), part  # the previous unit is freed here
+                if dense and max(lo) <= c0 and c0 + cols <= min(hi):
+                    # intp, in the unit's memory order: else NumPy copies the index or the unit
+                    at = np.empty_like(unit[top:], dtype=np.intp)
+                    np.add.outer(np.array(pos, dtype=np.intp) + c0, np.arange(cols), out=at)
+                    with WORKSPACE.held(at):
+                        out[at] = unit[top:]
+                    del at  # the index does not outlive its write
+                else:
+                    for row, s, e, p in zip(rows, lo, hi, pos):
+                        s, e = max(s, c0), min(e, c0 + cols)
+                        if s < e:
+                            out[p + s : p + e] = unit[row - r0, s - c0 : e - c0]
     finally:
         WORKSPACE.drop(held + carried)
 
 
-def _pieces(r0, c0, vals, runs):
-    """Yield ``(pos + col, values)`` per run row of a unit from :func:`_bands`."""
-    for row, s, e, p in zip(*runs):
-        s, e = max(s, c0), min(e, c0 + vals.shape[1])
-        if s < e:
-            yield p + s, vals[row - r0, s - c0 : e - c0]
-
-
-def _land(out, r0, c0, vals, runs):
-    """Write a unit from :func:`_bands` into ``out``: by one indexed write if its band's runs
-    cover its columns and skip no row, else one slice per run row."""
-    rows, lo, hi, pos = runs
-    if max(lo) <= c0 and c0 + vals.shape[1] <= min(hi) and rows[-1] - rows[0] == len(rows) - 1:
-        vals = vals[rows[0] - r0 :]
-        # intp, in the unit's memory order: else NumPy copies the index or the unit
-        at = np.empty_like(vals, dtype=np.intp)
-        np.add.outer(np.array(pos, dtype=np.intp) + c0, np.arange(vals.shape[1]), out=at)
-        with WORKSPACE.held(at):
-            out[at] = vals
-    else:
-        for p, v in _pieces(r0, c0, vals, runs):
-            out[p : p + v.size] = v
-
-
-def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
-    """Periodic ``w``-box sums along runs of cells, written in place: run
-    ``t`` holds the cells with leading indices ``lead[t]`` (one or more
-    columns) and last index ``k`` in ``[first[t], stops[t])``, and cell ``k``
-    lands in ``out[offsets[t] + (k - first[t])]``. Every axis has extent ``m``;
-    runs with one lead column come sorted by it; with more, ``fetch`` sums planes."""
-    if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
-    if lead.shape[1] == 1:
-        for unit in _bands(fetch, m, w, plan_name, lead, first, stops, offsets):
-            _land(out, *unit)  # the unit stays alive until the next lands, as in the meter
-        return
+def _blocks(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+    """:func:`smoothed_runs` over runs with two or more lead columns: each block of the
+    first two, the plan's unit shape (its face), at each value of the others is EFFICIENT's
+    row pass and column pass over a summed plane per last index its runs cover."""
     face = _UNITS[plan_name][0](m, w) + (1,) * (lead.shape[1] - 2)  # a plane per further index
     order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
     lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
@@ -245,22 +224,36 @@ def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
                 WORKSPACE.drop(nbytes)
 
 
-def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
-    """Yield ``(row, col_start, values)`` per span and unit, one unit at a time, over
-    sorted ``(row, col_start, col_stop)`` spans, at most one per row (``n_rows_out`` unused)."""
+def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+    """Periodic ``w``-box sums along runs of cells, written in place: run
+    ``t`` holds the cells with leading indices ``lead[t]`` (one or more
+    columns) and last index ``k`` in ``[first[t], stops[t])``, and cell ``k``
+    lands in ``out[offsets[t] + (k - first[t])]``. Every axis has extent ``m``;
+    runs with one lead column come sorted by it; with more, ``fetch`` sums planes."""
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    # int32 halves this table, which the meter does not model; a larger index raises
-    spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int32).reshape(-1, 3)
-    # a cell's position is row * n_cols_out + col
-    sweep = _bands(fetch, n_cols_out, w, plan_name, spans[:, :1], spans[:, 1], spans[:, 2],
-                   spans[:, 0] * np.int64(n_cols_out) + spans[:, 1])
-    return ((*divmod(p, n_cols_out), v) for unit in sweep for p, v in _pieces(*unit))
+    sweep = _bands if lead.shape[1] == 1 else _blocks
+    sweep(fetch, m, w, plan_name, lead, first, stops, offsets, out)
+
+
+def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
+    """The benchmark's order-3 adapter: :func:`smoothed_runs` with each non-empty sorted
+    ``(row, col_start, col_stop)`` span, at most one per row, as a run (``n_rows_out``
+    unused), summed at the call into one ``complex128`` array; yields ``(row, col_start,
+    values)`` per span."""
+    spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int64).reshape(-1, 3)
+    lens = spans[:, 2] - spans[:, 1]
+    offsets = np.cumsum(lens) - lens
+    out = np.empty(int(lens.sum()), dtype=np.complex128)
+    smoothed_runs(fetch, n_cols_out, w, plan_name, spans[:, :1], spans[:, 1], spans[:, 2],
+                  offsets, out)
+    return ((r, s, out[o : o + e - s]) for (r, s, e), o in zip(spans.tolist(), offsets.tolist()))
 
 
 def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
-    """:func:`smoothed_runs` with lead ``(k1s, k2s)``, first ``starts``, offsets ``bases``,
-    for a ``fetch3(rows, cols, k3)`` of one plane: each request sums its ``w`` planes."""
+    """The benchmark's order-4 adapter: :func:`smoothed_runs` with lead ``(k1s, k2s)``, first
+    ``starts``, offsets ``bases``, for a ``fetch3(rows, cols, k3)`` of one plane; each
+    request sums its ``w`` planes."""
     def summed(rows, cols, k3):
         return reduce(np.add, (fetch3(rows, cols, k3 + t) for t in range(w)))
     smoothed_runs(summed, m, w, plan_name, np.column_stack([k1s, k2s]), starts, stops, bases, out)

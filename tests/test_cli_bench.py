@@ -276,6 +276,19 @@ class TestCmdBench:
                      str(tmp_path / "r.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--sizes", "abc"],
+        ["bench", "--sizes", "64", "--windows", "5,x"],
+        ["bench", "--sizes", "64", "--orders", "3,x"],
+        ["bench", "--sizes", "64", "--threads-list", "1,2.5"],
+        ["gen", "--kind", "ar", "--n", "64", "--coeffs", "0.5,x"],
+    ], ids=["sizes", "windows", "orders", "threads-list", "coeffs"])
+    def test_malformed_comma_list_exits_2_naming_flag(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"error: {argv[-2]} takes comma-separated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_exits_1(self, tmp_path):
         code = main(["bench", "--sizes", "64", "--plans", "FAST", "--repeats", "1",
                      "--windows", "5", "--out", str(tmp_path / "no" / "dir" / "r.json")])

@@ -24,17 +24,18 @@ from hospectra import (
     principal_domain,
 )
 from hospectra.bench import measure_peak_memory
-from hospectra.spectra import domain_rows
 
 
-def domain_row_starts(dom):
-    """Each leading index's first position in a lex-ordered domain, then its size,
-    derived from the points themselves (``domain_rows`` derives it from the run table)."""
-    return np.append(np.flatnonzero(np.diff(dom[:, 0], prepend=-1)), len(dom))
+def point_runs(dom):
+    """The run table of a lex-ordered domain, derived from the points themselves
+    (``parallel_estimate`` builds it without the points)."""
+    starts = np.flatnonzero(np.r_[True, (dom[1:, :-1] != dom[:-1, :-1]).any(axis=1)])
+    lens = np.diff(np.r_[starts, len(dom)])
+    return spectra._Runs(dom[starts, :-1], dom[starts, -1], lens, starts)
 
 
 def cuts_of(dom, workers):
-    return parallel._cuts(domain_row_starts(dom), workers)
+    return parallel._cuts(point_runs(dom), workers)
 
 
 class TestPartitionDomain:
@@ -70,16 +71,15 @@ class TestPartitionDomain:
         assert cuts == [0, 1, 2, 2, 2, 2, 2]
 
     def test_run_table_cuts_match_partition_domain(self):
-        # the parent cuts from the run table's rows, never from the domain
+        # the parent cuts from the run table it builds, never from the domain
         for order, ms in ((3, [*range(2, 40, 3), 64, 129, 8192]), (4, [*range(2, 40, 3), 65, 512])):
             for m in ms:
-                dom, (rows, _) = principal_domain(order, m), domain_rows(order, m)
-                assert rows[-1] == len(dom), (order, m)
-                assert np.array_equal(rows, domain_row_starts(dom)), (order, m)
+                dom, runs = principal_domain(order, m), spectra._domain_runs(order, m)
                 for p, mode in itertools.product(range(1, 10), ("row_blocks", "point_blocks")):
                     workers = WorkerConfig(p, mode)
-                    assert parallel._cuts(rows, workers) == cuts_of(dom, workers), (
-                        order, m, p, mode)
+                    cuts = parallel._cuts(runs, workers)
+                    assert cuts[-1] == len(dom), (order, m, p, mode)
+                    assert cuts == cuts_of(dom, workers), (order, m, p, mode)
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):

@@ -36,6 +36,14 @@ class TestLoadSeries:
         ts = load_series(path, "csv")
         assert np.array_equal(ts.samples, [1.5, -2.5])
 
+    def test_csv_byte_order_mark_is_not_a_header(self, tmp_path):
+        # spreadsheet tools start a UTF-8 CSV with U+FEFF; "\ufeff1.5" is no header
+        path = tmp_path / "x.csv"
+        path.write_bytes("\ufeff1.5\n2.5\n3.5\n".encode("utf-8"))
+        assert np.array_equal(load_series(path, "csv").samples, [1.5, 2.5, 3.5])
+        path.write_bytes("\ufeffvalue\n1.5\n".encode("utf-8"))
+        assert np.array_equal(load_series(path, "csv").samples, [1.5])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("")

@@ -763,8 +763,8 @@ class TestGridCsv:
         grid = estimate_spectrum(series, cfg4(16, 3))
         path = tmp_path / "grid4.csv"
         write_grid_csv(grid, path)
-        header = open(path).readline().strip()
-        assert header == "k1,k2,k3,re,im"
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline().strip() == "k1,k2,k3,re,im"
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize(

@@ -307,19 +307,30 @@ class TestSmoothPeriodic:
                 assert WORKSPACE.current == 0
 
 
+def span_runs(spans):
+    """The run table ``smoothed_runs`` takes for sorted ``(row, col_start, col_stop)``
+    spans, at most one per row: each non-empty span is one run, laid out in order."""
+    spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int64).reshape(-1, 3)
+    lens = spans[:, 2] - spans[:, 1]
+    return spans[:, :1], spans[:, 1], spans[:, 2], np.cumsum(lens) - lens
+
+
 class TestSmoothedCells2d:
+    """``smoothed_runs`` with one lead column, over spans of rows as runs."""
+
     @staticmethod
-    def collect(fetch, rows_out, cols_out, w, plan, spans):
-        seen = {}
-        for row, c0, vals in smoothed_cells_2d(fetch, rows_out, cols_out, w, plan.name, spans):
-            for j, v in enumerate(vals):
-                assert (row, c0 + j) not in seen, "cell emitted twice"
-                seen[(row, c0 + j)] = v
-        return seen
+    def collect(fetch, cols_out, w, plan, spans, dtype=float):
+        """Each span cell's value by ``(row, col)``, every cell written exactly once."""
+        lead, first, stops, offsets = span_runs(spans)
+        out = HitCounter(int((stops - first).sum()), dtype)
+        tiled.smoothed_runs(fetch, cols_out, w, plan.name, lead, first, stops, offsets, out)
+        assert np.array_equal(out.hits, np.ones_like(out.hits)), "a cell not written once"
+        runs = zip(lead[:, 0].tolist(), first.tolist(), stops.tolist(), offsets.tolist())
+        return {(r, c): out.values[o + c - s] for r, s, e, o in runs for c in range(s, e)}
 
     def test_constant_field(self):
         ones = lambda r, c: np.ones(np.broadcast(np.asarray(r), np.asarray(c)).shape)
-        seen = self.collect(ones, 3, 3, 2, SmoothingPlan.EFFICIENT, [(r, 0, 3) for r in range(3)])
+        seen = self.collect(ones, 3, 2, SmoothingPlan.EFFICIENT, [(r, 0, 3) for r in range(3)])
         assert set(seen) == {(r, c) for r in range(3) for c in range(3)}
         assert all(abs(v - 4.0) < 1e-12 for v in seen.values())
 
@@ -336,7 +347,7 @@ class TestSmoothedCells2d:
             rows_out, cols_out = expect.shape
             spans = [(r, 0, cols_out) for r in range(rows_out)]
             for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
-                seen = self.collect(fetch, rows_out, cols_out, 3, plan, spans)
+                seen = self.collect(fetch, cols_out, 3, plan, spans)
                 assert len(seen) == expect.size
                 got = np.empty_like(expect)
                 for (r, c), v in seen.items():
@@ -355,14 +366,17 @@ class TestSmoothedCells2d:
         full_spans = [(r, 0, n) for r in range(n)]
         part_spans = [(2, 4, 9), (3, 0, 10), (4, 0, 1), (7, 5, 6)]
         for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
-            full = self.collect(fetch, n, n, w, plan, full_spans)
-            part = self.collect(fetch, n, n, w, plan, part_spans)
+            full = self.collect(fetch, n, w, plan, full_spans)
+            part = self.collect(fetch, n, w, plan, part_spans)
             expect = {(r, c) for r, s, e in part_spans for c in range(s, e)}
             assert set(part) == expect, plan.name
             assert all(part[k] == full[k] for k in part), plan.name
 
     def test_window_too_small_rejected(self):
-        # at the call, before any fetch, for both wrappers
+        # at the call, before any fetch, for the engine and both adapters
+        with pytest.raises(ValueError):
+            tiled.smoothed_runs(lambda r, c: 0.0, 4, 0, "EFFICIENT", *span_runs([(0, 0, 4)]),
+                                np.empty(4))
         with pytest.raises(ValueError):
             smoothed_cells_2d(lambda r, c: 0.0, 4, 4, 0, "EFFICIENT", [(0, 0, 4)])
         one = np.zeros(1, dtype=np.int64)
@@ -379,7 +393,7 @@ class TestSmoothedCells2d:
             SmoothingPlan.EFFICIENT: 6 * n * n,     # O(1) amortized per cell
             SmoothingPlan.STREAMING: 3 * w * n * n, # O(w) per cell
         }
-        spans = [(r, 0, n) for r in range(n)]
+        runs = span_runs([(r, 0, n) for r in range(n)])
         for plan, budget in budgets.items():
             cells = [0]
 
@@ -388,8 +402,7 @@ class TestSmoothedCells2d:
                 cells[0] += r.size
                 return a[r % n, c % n]
 
-            for _ in smoothed_cells_2d(fetch, n, n, w, plan.name, spans):
-                pass
+            tiled.smoothed_runs(fetch, n, w, plan.name, *runs, np.empty(n * n))
             assert cells[0] <= budget, f"{plan.name}: {cells[0]} reads > {budget}"
 
 
@@ -416,7 +429,7 @@ class TestSmoothedCells2d:
         triangle = [(r, r, cols_out) for r in range(rows_out)]
         full = [(r, 0, cols_out) for r in range(rows_out)]
         for spans in (triangle, full):
-            got = self.collect(fetch, rows_out, cols_out, w, SmoothingPlan.EFFICIENT, spans)
+            got = self.collect(fetch, cols_out, w, SmoothingPlan.EFFICIENT, spans, a.dtype)
             assert set(got) == {(r, c) for r, s, e in spans for c in range(s, e)}
             for (r, c), v in got.items():
                 assert np.array_equal(v, expect[r, c]), (w, r, c)
@@ -436,17 +449,16 @@ class TestSmoothedCells2d:
             r, c = np.ravel(r), np.ravel(c)
             return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
 
-        out = np.empty((n, n), dtype=a.dtype)
-        spans = [(r, 0, n) for r in range(n)]
+        # the output is the caller's, so it is made before tracing
+        args = fetch, n, w, "EFFICIENT", *span_runs([(r, 0, n) for r in range(n)])
+        out = np.empty(n * n, dtype=a.dtype)
         # one untraced pass first, so one-time allocations of a fresh
         # process's first call do not count toward the traced peak
-        for _ in smoothed_cells_2d(fetch, n, n, w, "EFFICIENT", spans):
-            pass
+        tiled.smoothed_runs(*args, out)
         WORKSPACE.reset()
         tracemalloc.start()
         try:
-            for row, c0, vals in smoothed_cells_2d(fetch, n, n, w, "EFFICIENT", spans):
-                out[row, c0 : c0 + vals.size] = vals
+            tiled.smoothed_runs(*args, out)
             traced = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,8 +613,8 @@ def direct_fetch(spectra, w):
 class HitCounter:
     """An ``out`` that records how often each cell is written."""
 
-    def __init__(self, n):
-        self.values = np.full(n, np.nan, dtype=complex)
+    def __init__(self, n, dtype=complex):
+        self.values = np.full(n, np.nan, dtype=dtype)
         self.hits = np.zeros(n, dtype=int)
         self.kinds = Counter()  # writes per index type: slice or ndarray
 
@@ -648,21 +660,11 @@ class TestEngineEntryPoints:
         assert_spectrum_close(out.values / float(w) ** (order - 1), expect.values,
                               context=f"order {order} w={w} {plan}")
 
-    def test_chunks_keep_the_fetch_dtype(self):
-        a = np.arange(36.0).reshape(6, 6)
-        for dtype in (np.float64, np.float32, np.complex128):
-            src = a.astype(dtype)
-            chunks = smoothed_cells_2d(
-                lambda r, c: src[np.asarray(r) % 6, np.asarray(c) % 6], 6, 6, 2,
-                "EFFICIENT", [(r, 0, 6) for r in range(6)],
-            )
-            assert {vals.dtype for _, _, vals in chunks} == {np.dtype(dtype)}
-
 
 class TestIndexedWrite:
     """With one lead column, ``smoothed_runs`` writes a unit whose band's runs
     all cover its columns by one indexed write and every other unit one row
-    slice at a time; both land the bits of ``smoothed_cells_2d``'s chunks."""
+    slice at a time; both land the bits of each unit summed alone."""
 
     @staticmethod
     def table(b, m):
@@ -696,6 +698,12 @@ class TestIndexedWrite:
 
         rows, first, stops, offsets = self.table(b, m)
         total = int((stops - first).sum())
+        # every unit alone: box sums down and across its own fetched source patch
+        units = np.empty((rows[-1] // b * b + b, m), dtype=a.dtype)
+        for r0, c0 in itertools.product(range(0, len(units), b), range(0, m, b)):
+            cols = min(b, m - c0)
+            patch = fetch(np.arange(r0, r0 + b + w - 1), np.arange(c0, c0 + cols + w - 1))
+            units[r0 : r0 + b, c0 : c0 + cols] = every_axis(box_sums, patch, w)
         out = np.full(total, np.nan, dtype=complex)
         tiled.smoothed_runs(fetch, m, w, "EFFICIENT", rows[:, None], first, stops, offsets, out)
         counter = HitCounter(total)
@@ -703,13 +711,29 @@ class TestIndexedWrite:
                             counter)
         assert np.array_equal(counter.hits, np.ones(total, dtype=int)), w
         assert set(counter.kinds) == {"slice", "ndarray"}, counter.kinds  # both write paths
-        expect = np.full(total, np.nan, dtype=complex)
-        base = dict(zip(rows.tolist(), (offsets - first).tolist()))
-        spans = zip(rows.tolist(), first.tolist(), stops.tolist())
-        for row, c0, vals in smoothed_cells_2d(fetch, m, m, w, "EFFICIENT", spans):
-            expect[base[row] + c0 : base[row] + c0 + vals.size] = vals
+        expect = np.concatenate([units[r, s:e] for r, s, e in zip(rows, first, stops)])
         assert np.array_equal(out, expect), w  # NaN nowhere: every cell written
         assert np.array_equal(counter.values, expect), w
+
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
+    def test_units_keep_the_fetch_dtype(self, plan):
+        # both write paths land units of the fetch's own dtype, whatever ``out`` holds
+        b, w = S, 2
+        m = 5 * b + 7
+        a = np.arange(m * m, dtype=np.float64).reshape(m, m) % 7
+        rows, first, stops, offsets = self.table(b, m)
+        for dtype in (np.float64, np.float32, np.complex128):
+            src = a.astype(dtype)
+            landed = set()
+
+            class Out:
+                def __setitem__(self, where, vals):
+                    landed.add((type(where).__name__, vals.dtype))
+
+            tiled.smoothed_runs(lambda r, c: src[np.ravel(r)[:, None] % m, np.ravel(c) % m],
+                                m, w, plan, rows[:, None], first, stops, offsets, Out())
+            assert {d for _, d in landed} == {np.dtype(dtype)}, (plan, landed)
+            assert plan != "EFFICIENT" or {k for k, _ in landed} == {"slice", "ndarray"}
 
     @pytest.mark.parametrize("w", [9, 49])
     def test_meter_matches_traced_peak(self, w):
@@ -832,9 +856,8 @@ class TestMemoryTiers:
             rng = np.random.default_rng(n)
             a = rng.standard_normal((n, n))
             WORKSPACE.reset()
-            spans = [(r, 0, n) for r in range(n)]
-            for _ in smoothed_cells_2d(lambda r, c: a[r % n, c % n], n, n, w, "FAST", spans):
-                pass
+            tiled.smoothed_runs(lambda r, c: a[r % n, c % n], n, w, "FAST",
+                                *span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
             return WORKSPACE.peak
 
         peaks = [peak(n, 8) for n in (64, 128, 256)]
@@ -846,9 +869,8 @@ class TestMemoryTiers:
             rng = np.random.default_rng(n)
             a = rng.standard_normal((n, n))
             WORKSPACE.reset()
-            spans = [(r, 0, n) for r in range(n)]
-            for _ in smoothed_cells_2d(lambda r, c: a[r % n, c % n], n, n, w, plan, spans):
-                pass
+            tiled.smoothed_runs(lambda r, c: a[r % n, c % n], n, w, plan,
+                                *span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
             return WORKSPACE.peak
 
         for plan in ("EFFICIENT", "STREAMING"):
