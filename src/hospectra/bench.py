@@ -98,7 +98,9 @@ def measure_peak_memory(
 ) -> int:
     """Instrumented high-water mark of the smoothing working set for one
     run: engine buffers plus any grids the plan materializes, excluding the
-    input series, the segment DFTs, and the collected output points."""
+    input series and the segment DFTs. The lean plans leave out the output
+    values too; the materialized plans count them and the index tuples they
+    gather at (see :mod:`hospectra.meter`)."""
     _, _, peak = measure_run(series, cfg, workers)
     return int(peak)
 
@@ -145,41 +147,33 @@ def run_benchmarks(
         raise ParameterError("empty benchmark cross-product")
     if repeats < 1:
         raise ParameterError(f"repeats must be >= 1, got {repeats}")
-    m3_list = _resolve_windows(windows, sizes)
+    # every cell's configs first, so a bad one is refused before any cell runs
+    cells = [(EstimationConfig(order=order, segment=SegmentConfig(m=n, k=1), m3=m3, plan=plan),
+              WorkerConfig(p=p))
+             for order in orders for n, m3 in zip(sizes, _resolve_windows(windows, sizes))
+             for plan in plans for p in threads_list]
     series_cache: dict[int, TimeSeries] = {}
     reports = []
-    for order in orders:
-        for n, m3 in zip(sizes, m3_list):
-            if n not in series_cache:
-                series_cache[n] = generate_qpc(0.1, 0.15, n, noise_sigma=0.5, seed=seed)
-            series = series_cache[n]
-            for plan in plans:
-                for p in threads_list:
-                    cfg = EstimationConfig(
-                        order=order, segment=SegmentConfig(m=n, k=1),
-                        m3=m3, plan=plan,
-                    )
-                    workers = WorkerConfig(p=p)
-                    grid, wall, peak = measure_run(series, cfg, workers)
-                    checksum = float(np.abs(grid.values).sum())
-                    status = "ok"
-                    walls = [wall]
-                    if wall > time_limit or peak > mem_limit:
-                        status = "exceeded"
-                    else:
-                        for _ in range(repeats - 1):
-                            _, wall_i, _ = measure_run(series, cfg, workers)
-                            walls.append(wall_i)
-                    reports.append(
-                        BenchReport(
-                            plan=plan.name, order=order, n=n, M=n, K=1, M3=m3, P=p,
-                            wall_seconds=float(statistics.median(walls)),
-                            peak_extra_bytes=int(peak),
-                            peak_rss_bytes=peak_rss_bytes(),
-                            checksum=checksum,
-                            status=status,
-                        )
-                    )
+    for cfg, workers in cells:
+        n = cfg.segment.m
+        if n not in series_cache:
+            series_cache[n] = generate_qpc(0.1, 0.15, n, noise_sigma=0.5, seed=seed)
+        series = series_cache[n]
+        grid, wall, peak = measure_run(series, cfg, workers)
+        checksum = float(np.abs(grid.values).sum())
+        walls, status = [wall], "exceeded" if wall > time_limit or peak > mem_limit else "ok"
+        if status == "ok":
+            walls += [measure_run(series, cfg, workers)[1] for _ in range(repeats - 1)]
+        reports.append(
+            BenchReport(
+                plan=cfg.plan.name, order=cfg.order, n=n, M=n, K=1, M3=cfg.m3, P=workers.p,
+                wall_seconds=float(statistics.median(walls)),
+                peak_extra_bytes=int(peak),
+                peak_rss_bytes=peak_rss_bytes(),
+                checksum=checksum,
+                status=status,
+            )
+        )
     return reports
 
 

@@ -2,9 +2,10 @@
 
 The smoothing engines register every working buffer they allocate (row
 bands, square blocks, materialized boxes and the values gathered from them,
-transients as large as a buffer, and the lean fetch's sliding tail, held from
-one plane to the next) with a process-global meter. It models
-the working set deterministically, so plan comparisons isolate the engines.
+transients as large as a buffer, and the sliding tail the lean fetch object
+holds from one plane to the next, every held column) with a process-global
+meter. It models the working set deterministically, so plan comparisons
+isolate the engines.
 It leaves out smaller NumPy temporaries and what lies outside the engines'
 buffers: the input (series, or matrix, wrap-padded if periodic), the segment
 DFTs, the principal domain's run table and the block branch's lexsorted copy,

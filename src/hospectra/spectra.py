@@ -22,10 +22,10 @@ only; a grid derives its index tuples from ``(order, m)`` when read.
 Every plan sums the raw products over the segments, then smooths once: the
 materialized plans (NAIVE, WS, PREFIX) one box read over all segments, in
 valid mode, and gather the domain's points from it; the lean plans sum inside
-the fetch function, which from order 4 on folds every index past the second
-into the last factor and slides the last one from plane to plane. By
-linearity this is the mean of the segments' smoothed estimates within
-rounding (the test suite pins this). One multiply of the ``float64`` parts by
+their fetch object, which from order 4 on folds every index past the second into
+the last factor and slides the last one from plane to plane. By linearity this
+is the mean of the segments' smoothed estimates within rounding (the test suite
+pins this). One multiply of the ``float64`` parts by
 ``1/(K*M*M3**(order-1))``, the bits of NumPy's complex division by that real
 (``tools/grid_digest.golden`` pins them), and an added ``0.0`` (``-0.0`` to
 ``+0.0``) follow either path, so at ``M3 = 1`` every plan gives the same bytes. All
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -101,6 +100,10 @@ class SpectrumGrid:
     on every read as ``principal_domain(order, m)``."""
 
     def __init__(self, order: int, m: int, m3: int, plan, indices=None, values=None):
+        if indices is not None and values is not None and (
+                np.shape(indices) != (len(values), order - 1)):
+            raise ParameterError(f"indices of shape {np.shape(indices)} for {len(values)} "
+                                 f"values at order {order}")
         self.order, self.m, self.m3, self.plan = order, m, m3, plan
         self._indices, self.values = indices, values
 
@@ -263,73 +266,65 @@ def _raw_block(spectra, origin, shape, conjugate_last, depth=0, last=None):
     return acc
 
 
-class _SlidingTail:
-    """The last factor summed over the last index's window, per segment, held between
-    planes: at plane ``k`` (origin ``p = k - w // 2``) and index sum origin ``s`` (the
-    box's and every earlier index's origins), ``T[t] = sum(f[p + d] * last[s + p + d + t]
-    for d < w)``.
+class _LeanFetch:
+    """The lean plans' fetch, a context manager: raw products summed over the segments,
+    unscaled, at ``fetch(rows, cols, *planes)``, indices shifted by the window offset
+    ``w // 2``. Rows and columns are consecutive ascending ranges (the ``tiled`` contract),
+    so only their first values and sizes are read; one scalar per further index, and the
+    plane is summed over each such index's ``w`` values from that scalar on.
 
-    The step to plane ``k + 1`` adds the entering plane's products and subtracts the
-    leaving one's, ``O(n)`` per segment: the running-sum recurrence of
-    :func:`~hospectra.tiled.running_sums`. The sums restart from :func:`_fold` at every
-    multiple of ``w`` of ``k`` (floor division for negative planes) and step from there,
-    so a plane's bits depend only on ``(s, k)``, never on which planes came first."""
+    An earlier such index is folded afresh per plane. The last one slides: the fetch holds,
+    per segment, ``T[t] = sum(f[p + d] * last[s + p + d + t] for d < w)`` at plane ``k``
+    (origin ``p = k - w // 2``) and index sum origin ``s`` (the box's and every earlier
+    index's origins), counted as working memory until the ``with`` block ends. The step to
+    ``k + 1`` adds the entering plane's products and subtracts the leaving one's, ``O(n)``
+    per segment (the recurrence of :func:`~hospectra.tiled.running_sums`), over every held
+    column. The sums restart from :func:`_fold` at every multiple of ``w`` of ``k`` (floor
+    division for negative planes), on a new ``s`` and for more columns than are held; a
+    column depends only on itself, so a plane's bits depend only on ``(s, k)``."""
 
     def __init__(self, spectra, w, conjugate_last):
         self.spectra, self.w, self.conjugate_last = spectra, w, conjugate_last
-        self.key, self.sums, self.width = None, None, 0  # (s, k), (K, >= width), valid columns
+        self.key, self.sums = None, None  # (s, k) and T at it, (K, held columns)
 
-    def at(self, s, k, n):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):  # also a restart's release
+        if self.sums is not None:
+            WORKSPACE.drop(self.sums.nbytes)
+        self.key, self.sums = None, None
+
+    def _slide(self, s, k, n):
         """``T`` at ``(s, k)`` over ``n`` columns or more, from column 0."""
         f, w, conj = self.spectra, self.w, self.conjugate_last
         c, h, m = k - k % w, w // 2, f.shape[1]
-        if self.key is None or self.key[0] != s or not c <= self.key[1] <= k or self.width < n:
-            self.release()  # restart at the chunk's first plane
+        if (self.key is None or self.key[0] != s or not c <= self.key[1] <= k
+                or self.sums.shape[1] < n):
+            self.__exit__()  # restart at the chunk's first plane
             self.sums = np.empty((len(f), n), np.complex128)
             WORKSPACE.note(self.sums)
             _fold(f, _last_factor(f, s + c - h, n + w - 1, conj), c - h, w, n, self.sums)
             self.key = (s, c)
-        self.width = n  # later planes in the chunk need no more columns, or restart
-        sums = self.sums[:, :n]
+        sums, n = self.sums, self.sums.shape[1]
         for p in range(self.key[1] - h, k - h):  # the plane at origin p + w enters, p leaves
             ends = _last_factor(f, s + p, n + w, conj)
             sums += f[:, (p + w) % m, None] * ends[:, w:]
             sums -= f[:, p % m, None] * ends[:, :n]
         self.key = (s, k)
-        return self.sums
+        return sums
 
-    def release(self):
-        if self.sums is not None:
-            WORKSPACE.drop(self.sums.nbytes)
-        self.key, self.sums, self.width = None, None, 0
-
-
-@contextmanager
-def _make_fetch(spectra: np.ndarray, w: int, conjugate_last: bool):
-    """Raw products summed over the segments, unscaled, at ``fetch(rows, cols, *planes)``,
-    indices shifted by the window offset ``w // 2``. Rows and columns are consecutive
-    ascending ranges (the ``tiled`` contract), so only their first values and sizes
-    are read; one scalar per further index, and the plane is summed over each such
-    index's ``w`` values from that scalar on. The last such index slides: a
-    :class:`_SlidingTail` keeps its sums from one plane to the next, counted as working
-    memory until the ``with`` block ends; an earlier one is folded afresh per plane."""
-    h, tail = w // 2, _SlidingTail(spectra, w, conjugate_last)
-
-    def fetch(rows, cols, *planes):
+    def __call__(self, rows, cols, *planes):
+        w = self.w
         rows, cols = np.asarray(rows), np.asarray(cols)
-        origin = [int(x) - h for x in (rows.flat[0], cols.flat[0], *planes)]
+        origin = [int(x) - w // 2 for x in (rows.flat[0], cols.flat[0], *planes)]
         shape, last = (rows.size, cols.size), None
         if planes and w > 1:  # at w = 1 there is nothing to slide
             origin.pop()
             n = sum(shape) - 1 + (len(origin) - 2) * (w - 1)  # the index sums the folds read
-            last = tail.at(sum(origin), int(planes[-1]), n)
-        block = _raw_block(spectra, origin, shape, conjugate_last, w, last)
+            last = self._slide(sum(origin), int(planes[-1]), n)
+        block = _raw_block(self.spectra, origin, shape, self.conjugate_last, w, last)
         return block.reshape(np.broadcast(rows, cols).shape)
-
-    try:
-        yield fetch
-    finally:
-        tail.release()
 
 
 def _raw_box(spectra, origin, shape, conjugate_last):
@@ -360,6 +355,8 @@ def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: i
     m, w = spec_set.m, cfg.m3
     if len(runs.lens) == 0:
         return
+    if len(values) != stop - start:
+        raise ParameterError(f"{len(values)} values for [{start}, {stop}), a slice of the domain")
     if cfg.plan in MATERIALIZED_PLANS:
         axes = cfg.order - 1
         indices = _expand(runs)
@@ -375,7 +372,7 @@ def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: i
             with WORKSPACE.held(sm, vals):
                 values[:] = vals
     else:
-        with _make_fetch(spec_set.spectra, w, cfg.conjugate_last) as fetch:
+        with _LeanFetch(spec_set.spectra, w, cfg.conjugate_last) as fetch:
             smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first,
                           runs.first + runs.lens, runs.offsets, values)
     parts = values.view(np.float64)  # a real multiply: faster, with the division's bits

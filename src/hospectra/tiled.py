@@ -4,11 +4,13 @@ The engines compute sliding box sums along runs of cells without
 materializing the source: values are pulled through ``fetch(rows, cols,
 *planes)``, broadcastable consecutive ascending index ranges and one index
 ``k`` per further axis, that plane summed over ``k .. k+w-1`` of each.
-Periodic index wrapping lives in ``fetch``: the engines are boundary-agnostic.
-A fetch may hold state between calls: the lean plans' fetch keeps its last
-index's sums from one plane to the next (``O(K n)`` for ``K`` segments and
-``n`` index sums, metered while held), so the block branch asks for a block's
-planes in ascending order of that index.
+Periodic index wrapping lives in ``fetch`` or in a wrap-padded source: the
+engines are boundary-agnostic, and their units start at non-negative multiples
+of their shape. A fetch may hold state between calls: the lean plans' fetch
+object keeps its last index's sums from one plane to the next (``O(K n)`` for
+``K`` segments and the ``n`` index sums of its widest request since a restart,
+metered while held), so the block branch asks for a block's planes in
+ascending order of that index.
 
 Two kernels do the summing, one axis per call: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's

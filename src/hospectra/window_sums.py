@@ -28,7 +28,8 @@ columns at a time; all three sum across as PREFIX does.
 :func:`smooth` is the materialized plans' one entry point, valid mode only,
 for arrays of any number of axes (a box of the periodic frequency grid holds
 its windows' wrapped cells); :func:`window_sums_2d` runs any plan on a 2-D
-matrix with either boundary rule, wrap-padding a periodic one for ``smooth``.
+matrix with either boundary rule, wrap-padding a periodic one once so that
+every plan sums in valid mode.
 
 All plans agree within a relative 1e-9 tolerance with an absolute floor of
 1e-12; the summation orders differ, exact equality is not promised.
@@ -116,15 +117,6 @@ class WindowSpec:
                 f"boundary must be 'valid' or 'periodic', got {self.boundary!r}"
             )
 
-    def out_shape(self, rows: int, cols: int) -> tuple[int, int]:
-        if self.boundary == "valid":
-            if self.w > min(rows, cols):
-                raise ParameterError(
-                    f"window {self.w} exceeds matrix dimensions {rows}x{cols}"
-                )
-            return rows - self.w + 1, cols - self.w + 1
-        return rows, cols
-
 
 def smooth(a: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
     """Valid-mode ``w``-box sums over every axis of ``a`` by a materialized
@@ -169,20 +161,17 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
         raise ParameterError(f"expected a 2-D matrix, got shape {a.shape}")
     if a.dtype.kind not in "fc":
         a = a.astype(np.float64)
-    rows_out, cols_out = spec.out_shape(*a.shape)
     w = spec.w
+    if spec.boundary == "periodic":  # then every plan sums in valid mode
+        a = np.pad(a, (0, w - 1), mode="wrap")
+    elif w > min(a.shape):
+        raise ParameterError(f"window {w} exceeds matrix dimensions {a.shape[0]}x{a.shape[1]}")
     if plan in MATERIALIZED_PLANS:
-        if spec.boundary == "periodic":  # the lean plans wrap inside their fetch instead
-            a = np.pad(a, (0, w - 1), mode="wrap")
         return smooth(a, w, plan)
-    rows_n, cols_n = a.shape
-
-    def fetch(rows, cols):  # in valid mode, wrapped cells only feed sums that are dropped
-        return a[np.asarray(rows) % rows_n, np.asarray(cols) % cols_n]
-
+    rows_out, cols_out = (n - w + 1 for n in a.shape)
     out = np.empty((rows_out, cols_out), dtype=a.dtype)
     r = np.arange(rows_out)  # one run per output row
     with WORKSPACE.held(out):
-        smoothed_runs(fetch, cols_out, w, plan.name, r[:, None], np.zeros_like(r),
-                      np.full_like(r, cols_out), r * cols_out, out.reshape(-1))
+        smoothed_runs(lambda rows, cols: a[rows, cols], cols_out, w, plan.name, r[:, None],
+                      np.zeros_like(r), np.full_like(r, cols_out), r * cols_out, out.reshape(-1))
     return out

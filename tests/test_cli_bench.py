@@ -20,6 +20,7 @@ from hospectra import (
     run_benchmarks,
     save_series,
 )
+from hospectra import bench
 from hospectra.cli import main
 from hospectra.series import CSV_CHUNK_ROWS
 
@@ -266,6 +267,14 @@ class TestCmdBench:
     def test_window_count_mismatch_rejected(self):
         with pytest.raises(ParameterError, match="got 3 windows for 2 sizes"):
             run_benchmarks(orders=[3], sizes=[32, 64], plans=["FAST"], windows=[3, 5, 7])
+
+    @pytest.mark.parametrize("bad", [{"threads_list": [1, 0]}, {"orders": [3, 2]}])
+    def test_bad_last_cell_refused_before_any_run(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(bench, "measure_run", lambda *args: calls.append(args))
+        with pytest.raises(ParameterError):
+            run_benchmarks(**{"orders": [3], "sizes": [64], "plans": ["FAST"], **bad})
+        assert calls == []
 
     def test_no_repeats_rejected(self):
         with pytest.raises(ParameterError, match="repeats must be >= 1, got 0"):

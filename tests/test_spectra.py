@@ -2,6 +2,7 @@ import collections
 import csv
 import dataclasses
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,7 +30,7 @@ from hospectra import spectra as spectra_module
 from hospectra.dft import SegmentSpectrumSet, dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
-from hospectra.spectra import _make_fetch, _raw_block, estimate_slice
+from hospectra.spectra import _LeanFetch, _raw_block, estimate_slice
 from hospectra.window_sums import smooth
 
 
@@ -158,11 +159,11 @@ class TestSlidingFold:
         rng = np.random.default_rng(100 * order + 10 * w + k)
         spectra = rng.standard_normal((k, self.M)) + 1j * rng.standard_normal((k, self.M))
         before = WORKSPACE.current
-        with _make_fetch(spectra, w, conj) as fetch:
+        with _LeanFetch(spectra, w, conj) as fetch:
             for r0, c0, rows, cols, *planes in self.requests(order, w):
                 got = self.fetched(fetch, r0, c0, rows, cols, *planes)
                 held = WORKSPACE.current
-                with _make_fetch(spectra, w, conj) as fresh:
+                with _LeanFetch(spectra, w, conj) as fresh:
                     first = self.fetched(fresh, r0, c0, rows, cols, *planes)
                     # a tail per segment, of the n index sums the earlier folds read
                     n = rows + cols - 1 + (order - 4) * (w - 1)
@@ -178,7 +179,7 @@ class TestSlidingFold:
         rng = np.random.default_rng(5)
         spectra = rng.standard_normal((3, self.M)) + 1j * rng.standard_normal((3, self.M))
         before = WORKSPACE.current
-        with _make_fetch(spectra, 5, True) as fetch:
+        with _LeanFetch(spectra, 5, True) as fetch:
             self.fetched(fetch, 2, 1, 6, 7, 1)
             assert WORKSPACE.current - before == 3 * (6 + 7 - 1) * 16
             self.fetched(fetch, 2, 1, 4, 4, 3)  # a narrower plane slides the same sums
@@ -192,17 +193,17 @@ class TestSlidingFold:
         # a whole-domain order-4 sweep asks for each block's planes in order, so
         # every (index sum origin, chunk of w planes) pair is folded at most once
         keys, folds = [], []
-        real_at, real_fold = spectra_module._SlidingTail.at, spectra_module._fold
+        real_slide, real_fold = spectra_module._LeanFetch._slide, spectra_module._fold
 
-        def at(self, s, k, n):
+        def slide(self, s, k, n):
             keys.append((s, k // w))
-            return real_at(self, s, k, n)
+            return real_slide(self, s, k, n)
 
         def fold(*args):
             folds.append(keys[-1])
             return real_fold(*args)
 
-        monkeypatch.setattr(spectra_module._SlidingTail, "at", at)
+        monkeypatch.setattr(spectra_module._LeanFetch, "_slide", slide)
         monkeypatch.setattr(spectra_module, "_fold", fold)
         series = generate_qpc(0.1, 0.15, self.M, 0.5, seed=3)
         estimate_spectrum(series, cfg4(self.M, w, plan))
@@ -240,6 +241,16 @@ class TestPrincipalDomain:
             for start, stop in ((0, size + 1), (-1, 2)):
                 with pytest.raises(ParameterError, match=f"outside domain of size {size}"):
                     estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, values)
+
+    def test_values_must_fit_the_slice(self):
+        # a longer array would have its unwritten cells scaled, a shorter one fail mid-sweep
+        spec_set = SegmentSpectrumSet(np.ones((1, 32), dtype=np.complex128))
+        for plan in SmoothingPlan:
+            for size in (5, 20):
+                values = np.full(size, np.nan, complex)
+                with pytest.raises(ParameterError, match=re.escape(f"{size} values for [0, 10)")):
+                    estimate_slice(spec_set, cfg3(32, 3, plan), 0, 10, values)
+                assert np.isnan(values).all(), (plan.name, size)
 
     def test_order3_m2_origin_only(self):
         assert [tuple(p) for p in principal_domain(3, 2)] == [(0, 0)]
@@ -659,6 +670,13 @@ class TestSpectrumGrid:
             t = int(np.argmax(np.abs(values)))
             assert head.peak_point() == (tuple(indices[t].tolist()), complex(values[t]))
             assert_same_bytes_as_reference(head, tmp_path)
+
+    def test_given_indices_must_match_the_values(self):
+        # the CSV writes a row per index tuple and the peak reads one per value
+        values = np.ones(3, complex)
+        for shape in ((2, 2), (4, 2), (3, 3), (6,)):
+            with pytest.raises(ParameterError, match=re.escape(f"indices of shape {shape} ")):
+                SpectrumGrid(3, 64, 3, SmoothingPlan.EFFICIENT, np.zeros(shape, np.int32), values)
 
     @pytest.mark.parametrize("order, m", [(3, 33), (4, 20), (5, 16)])
     def test_peak_point_is_the_brute_force_argmax_tuple(self, order, m):

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 import tracemalloc
 import weakref
@@ -577,6 +578,50 @@ class TestSmoothedCells2d:
 
         tiled.smoothed_runs(fetch, n, w, plan, *domain_runs(n), Out())
         assert len(alive) >= 2 and all(alive), alive
+
+    @pytest.mark.parametrize("w", [9, 33])
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
+    def test_walker_lifetimes_in_its_frame(self, monkeypatch, plan, w):
+        # the walker's lifetime rule, read from `_bands`' own locals, which no traced
+        # peak resolves: a full unit's write index is unbound before the next fetch, and
+        # each unit is bound until the next unit's column pass ends, then freed
+        n = 320
+        a = np.random.default_rng(w).standard_normal((n, n))
+        units, column_sums = [], tiled._column_sums  # a weak reference to each unit
+        counts = Counter()
+
+        def walker_locals():  # in CPython 3.11 a snapshot taken at the call
+            frame = sys._getframe(1)
+            while frame.f_code is not tiled._bands.__code__:
+                frame = frame.f_back
+            return frame.f_locals
+
+        class Out:
+            def __setitem__(self, where, vals):
+                if isinstance(where, np.ndarray):  # the full unit's indexed write
+                    counts["indexed"] += 1
+                    assert "at" in walker_locals()  # so the probe sees `at` when bound
+
+        def fetch(r, c):
+            counts["fetches"] += 1
+            assert "at" not in walker_locals()
+            return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
+
+        def summed(part, w):
+            bound = walker_locals()  # refreshed before the weak references are read
+            if units:
+                assert bound.get("unit") is units[-1]() is not None
+            if len(units) > 1:
+                assert units[-2]() is None
+            del bound
+            unit = column_sums(part, w)
+            units.append(weakref.ref(unit))
+            return unit
+
+        monkeypatch.setattr(tiled, "_column_sums", summed)
+        tiled.smoothed_runs(fetch, n, w, plan, *domain_runs(n), Out())
+        assert len(units) >= 3 and counts["fetches"] >= len(units), (len(units), counts)
+        assert (counts["indexed"] > 0) == (plan != "FAST"), counts
 
 
 def domain_runs(n, order=3):
