@@ -1,15 +1,17 @@
 """Deterministic data-parallel estimation.
 
-The parent builds the principal domain's run table once, cuts the domain from
-it without expanding it, and forks one worker per non-empty slice. Each inherits
-the spectra, the config, the table and one anonymous shared mapping, the grid's
-values, so nothing is pickled; one :func:`hospectra.spectra.estimate_slice` call
-cuts its slice from the table and writes its values (bit-identical to the
-whole-domain sweep) straight into the mapping. It then sends its working-set
-peak or its exception through its own pipe and exits. The
-parent only waits: the first failure is raised at once, and on every exit it
-kills and joins all workers. The fork context is explicit (Python 3.14
-changes the default); Linux is assumed.
+The parent builds the principal domain's run table once, a
+:class:`~hospectra.tiled.Runs`, cuts the domain from it without expanding it, and
+forks one worker per non-empty slice, importing ``multiprocessing`` only then.
+Each inherits the spectra, the config, the table and one anonymous shared mapping,
+the grid's values, so nothing is pickled. It asks the kernel to kill it when the
+parent dies, which a signal can do without running any ``finally``; one
+:func:`~hospectra.spectra.estimate_slice` call on its cut of the table,
+``runs.cut(start, stop)``, then writes its values (bit-identical to the
+whole-domain sweep) straight into the mapping. It sends its working-set peak or
+its exception through its own pipe and exits. The parent only waits: the first
+failure is raised at once, and on every exit it kills and joins all workers. The
+fork context is explicit (Python 3.14 changes the default); Linux is assumed.
 
 The materialized plans (NAIVE, WS, PREFIX) run single-worker whatever the
 requested count: any slice of theirs is bit-identical too, but each worker
@@ -19,18 +21,18 @@ would rebuild the whole grid (NAIVE: the domain's bounding box).
 from __future__ import annotations
 
 import mmap
-import multiprocessing
+import os
+import signal
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 
 import numpy as np
 
-from . import spectra
 from .dft import dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
 from .series import TimeSeries, segment_and_demean
-from .spectra import EstimationConfig, SpectrumGrid, estimate_from_spectra, estimate_slice
+from .spectra import (EstimationConfig, SpectrumGrid, domain_runs, estimate_from_spectra,
+                      estimate_slice)
 from .window_sums import MATERIALIZED_PLANS
 
 __all__ = ["WorkerConfig", "parallel_estimate"]
@@ -63,7 +65,7 @@ def _cuts(runs, workers: WorkerConfig) -> list[int]:
     worker ``i`` gets ``[cuts[i], cuts[i + 1])``, maybe empty. ``point_blocks`` parts differ
     in size by at most one; a ``row_blocks`` cut is the first position of a leading index
     at or past its share, or the domain's size."""
-    total, p = int(runs.offsets[-1] + runs.lens[-1]), workers.p
+    total, p = runs.size, workers.p
     if workers.partition == "point_blocks":
         q, r = divmod(total, p)
         return [0] + np.cumsum([q + 1] * r + [q] * (p - r)).tolist()
@@ -71,11 +73,17 @@ def _cuts(runs, workers: WorkerConfig) -> list[int]:
     return [0] + rows[np.searchsorted(rows, np.arange(1, p) * (total / p))].tolist() + [total]
 
 
-def _worker_run(spec_set, cfg, runs, start, stop, values, conn) -> None:
-    """Fill ``values[start:stop]``, cut from ``runs``; send the working-set peak or the error."""
+def _worker_run(parent, spec_set, cfg, runs, start, stop, values, conn) -> None:
+    """Fill ``values[start:stop]``, cut from ``runs``; send the working-set peak or the error.
+    Killed when the process ``parent`` dies, even before this call: ``PR_SET_PDEATHSIG``."""
+    import ctypes
+
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG = 1
+    if os.getppid() != parent:  # it died first
+        os._exit(1)
     try:
         WORKSPACE.reset()
-        estimate_slice(spec_set, cfg, start, stop, values[start:stop], runs)
+        estimate_slice(spec_set, cfg, runs.cut(start, stop), values[start:stop])
         conn.send(WORKSPACE.peak)
     except Exception as exc:
         conn.send(exc)
@@ -89,7 +97,10 @@ def parallel_estimate(
     spec_set = dft_segments(segment_and_demean(series, cfg.segment))
     if workers.p == 1 or cfg.plan in MATERIALIZED_PLANS:
         return estimate_from_spectra(spec_set, cfg)
-    runs = spectra._domain_runs(cfg.order, spec_set.m)
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    runs = domain_runs(cfg.order, spec_set.m)
     cuts, fork = _cuts(runs, workers), multiprocessing.get_context("fork")
     values = np.frombuffer(mmap.mmap(-1, 16 * cuts[-1]), np.complex128)
     workers_of, peaks = {}, []
@@ -98,7 +109,8 @@ def parallel_estimate(
             if start < stop:
                 reader, writer = fork.Pipe(duplex=False)
                 proc = fork.Process(target=_worker_run,
-                                     args=(spec_set, cfg, runs, start, stop, values, writer))
+                                     args=(os.getpid(), spec_set, cfg, runs, start, stop,
+                                           values, writer))
                 proc.start()
                 writer.close()
                 workers_of[reader] = (proc, start, stop)

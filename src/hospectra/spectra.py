@@ -14,9 +14,10 @@ Every order runs one pipeline; only the number of frequency axes, ``n =
 order - 1``, differs. The principal domain, the ordered simplex ``0 <= kn <=
 ... <= k1`` with ``k1 + ... + kn < m/2``, is kept as a run table: a run is
 the set of points sharing their first ``n - 1`` indices, whose last index
-takes consecutive values. Built once per estimate, the table is cut into any
-contiguous slice, which the one source-on-demand engine,
-:func:`~hospectra.tiled.smoothed_runs`, takes as is. An estimate writes values
+takes consecutive values. Built once per estimate by :func:`domain_runs`, the
+:class:`~hospectra.tiled.Runs` table is cut into any contiguous slice, which
+the one source-on-demand engine, :func:`~hospectra.tiled.smoothed_runs`,
+takes as is. An estimate writes values
 only; a grid derives its index tuples from ``(order, m)`` when read.
 
 Every plan sums the raw products over the segments, then smooths once: the
@@ -48,7 +49,7 @@ from .dft import SegmentSpectrumSet, dft_segments
 from .errors import ParameterError
 from .meter import WORKSPACE
 from .series import CSV_CHUNK_ROWS, SegmentConfig, TimeSeries, segment_and_demean, write_csv_rows
-from .tiled import smoothed_runs
+from .tiled import Runs, smoothed_runs
 from .window_sums import MATERIALIZED_PLANS, SmoothingPlan, smooth
 
 __all__ = [
@@ -57,6 +58,7 @@ __all__ = [
     "SpectrumGrid",
     "raw_product_value",
     "principal_domain",
+    "domain_runs",
     "estimate_slice",
     "estimate_spectrum",
     "estimate_from_spectra",
@@ -114,7 +116,7 @@ class SpectrumGrid:
     def peak_point(self) -> SpectrumPoint:
         t = int(np.argmax(np.abs(self.values)))
         k = self._indices[t] if self._indices is not None else _expand(
-            _cut(_domain_runs(self.order, self.m), t, t + 1))[0]  # one point, not the domain
+            domain_runs(self.order, self.m).cut(t, t + 1))[0]  # one point, not the domain
         return SpectrumPoint(tuple(k.tolist()), complex(self.values[t]))
 
 
@@ -135,19 +137,9 @@ def _check_order(order: int) -> None:
         raise ParameterError(f"order must be >= 3, got {order}")
 
 
-class _Runs(NamedTuple):
-    """Run table of a contiguous principal-domain slice. A run is the set
-    of points sharing their leading ``order-2`` indices; its last index
-    takes the consecutive values ``first .. first + length - 1``."""
-
-    lead: np.ndarray  # (nruns, order-2) leading indices
-    first: np.ndarray  # (nruns,) last index of the run's first point
-    lens: np.ndarray  # (nruns,) points in the run
-    offsets: np.ndarray  # (nruns,) flat position of the run's first point
-
-
-def _domain_runs(order: int, m: int) -> _Runs:
-    """Runs of the whole ``principal_domain(order, m)``, each from its first point.
+def domain_runs(order: int, m: int) -> Runs:
+    """The run table of the whole ``principal_domain(order, m)``: a run is the set of
+    points sharing their leading ``order-2`` indices, whose last index runs from 0.
 
     Built one index level at a time: below indices summing to ``s`` with
     last index ``k``, the next index takes ``min(k, (m - 1 - 2 s) // 2) + 1``
@@ -167,34 +159,18 @@ def _domain_runs(order: int, m: int) -> _Runs:
         lead = np.column_stack([lead[parent], prev])
         total = total[parent] + prev
     lens = np.minimum(prev, (m - 1 - 2 * total) // 2) + 1
-    return _Runs(lead, np.zeros_like(lens), lens, np.cumsum(lens) - lens)
+    return Runs(lead, np.zeros_like(lens), lens, np.cumsum(lens) - lens)
 
 
-def _cut(table: _Runs, start: int, stop: int) -> _Runs:
-    """Runs of the slice ``[start, stop)`` of the domain whose whole run table is
-    ``table``, in O(log(runs)) plus the slice's runs; empty if ``stop <= start``."""
-    size = int(table.offsets[-1] + table.lens[-1])
-    if stop <= start:
-        return _Runs(*(a[:0] for a in table))
-    if not (0 <= start < stop <= size):
-        raise ParameterError(f"slice [{start}, {stop}) outside domain of size {size}")
-    r0 = int(np.searchsorted(table.offsets, start, side="right")) - 1  # every run is non-empty
-    r1 = int(np.searchsorted(table.offsets, stop - 1, side="right"))
-    offs = table.offsets[r0:r1]
-    first = np.maximum(start - offs, 0)
-    cut = np.minimum(stop - offs, table.lens[r0:r1])
-    return _Runs(table.lead[r0:r1], first, cut - first, offs + first - start)
-
-
-def _expand(runs: _Runs) -> np.ndarray:
+def _expand(runs: Runs) -> np.ndarray:
     """Index tuples of a run table, written column by column into one
     ``int32`` array with no temporary larger than one column."""
-    n = int(runs.lens.sum())
-    out = np.empty((n, runs.lead.shape[1] + 1), dtype=np.int32)
+    lens = runs.stops - runs.first
+    out = np.empty((runs.size, runs.lead.shape[1] + 1), dtype=np.int32)
     for j in range(runs.lead.shape[1]):
-        out[:, j] = np.repeat(runs.lead[:, j].astype(np.int32), runs.lens)
-    out[:, -1] = np.arange(n, dtype=np.int32)
-    out[:, -1] -= np.repeat((runs.offsets - runs.first).astype(np.int32), runs.lens)
+        out[:, j] = np.repeat(runs.lead[:, j].astype(np.int32), lens)
+    out[:, -1] = np.arange(runs.size, dtype=np.int32)
+    out[:, -1] -= np.repeat((runs.offsets - runs.first).astype(np.int32), lens)
     return out
 
 
@@ -205,7 +181,7 @@ def principal_domain(order: int, m: int) -> np.ndarray:
     and ``k1 + ... + kn < m/2``, the ordered simplex: at order 3 the
     ``(k1, k2)`` with ``0 <= k2 <= k1`` and ``k1 + k2 < m/2``.
     """
-    return _expand(_domain_runs(order, m))
+    return _expand(domain_runs(order, m))
 
 
 # -- raw products ------------------------------------------------------------
@@ -342,21 +318,19 @@ def _raw_box(spectra, origin, shape, conjugate_last):
 # -- smoothing ---------------------------------------------------------------
 
 
-def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: int, stop: int,
-                   values, runs: _Runs | None = None) -> None:
-    """The smoothed, segment-averaged values at principal-domain positions ``[start, stop)``
-    into ``values``: either path's unscaled sums over the ``K`` segments times ``1/(K*M*M3**
-    (order-1))``, a complex division's bits (``tools/grid_digest.golden``). Any split of the
-    domain into slices reproduces the whole-domain grid bit for bit, which the parallel
-    workers rely on. The slice is cut from ``runs``, the whole domain's run table, built
-    if not given. The lean plans write ``values`` only; the materialized plans expand
-    the slice's index tuples and meter them with ``values``."""
-    runs = _cut(_domain_runs(cfg.order, spec_set.m) if runs is None else runs, start, stop)
+def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, runs: Runs, values) -> None:
+    """The smoothed, segment-averaged values at the principal-domain points of ``runs``, a
+    slice's run table (``domain_runs(order, m).cut(start, stop)``), into ``values``: either
+    path's unscaled sums over the ``K`` segments times ``1/(K*M*M3**(order-1))``, a complex
+    division's bits (``tools/grid_digest.golden``). Any split of the domain into slices
+    reproduces the whole-domain grid bit for bit, which the parallel workers rely on. The
+    lean plans write ``values`` only; the materialized plans expand the slice's index
+    tuples and meter them with ``values``."""
     m, w = spec_set.m, cfg.m3
-    if len(runs.lens) == 0:
+    if len(values) != runs.size:
+        raise ParameterError(f"{len(values)} values for a slice of {runs.size} points")
+    if runs.size == 0:
         return
-    if len(values) != stop - start:
-        raise ParameterError(f"{len(values)} values for [{start}, {stop}), a slice of the domain")
     if cfg.plan in MATERIALIZED_PLANS:
         axes = cfg.order - 1
         indices = _expand(runs)
@@ -373,8 +347,7 @@ def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, start: i
                 values[:] = vals
     else:
         with _LeanFetch(spec_set.spectra, w, cfg.conjugate_last) as fetch:
-            smoothed_runs(fetch, m, w, cfg.plan.name, runs.lead, runs.first,
-                          runs.first + runs.lens, runs.offsets, values)
+            smoothed_runs(fetch, m, w, cfg.plan.name, runs, values)
     parts = values.view(np.float64)  # a real multiply: faster, with the division's bits
     parts *= 1.0 / float(spec_set.k * m * w ** (cfg.order - 1))
     parts += 0.0  # -0.0 to +0.0, whichever path summed it
@@ -387,9 +360,9 @@ def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -
             f"config ({cfg.segment.k}x{cfg.segment.m}) does not match "
             f"spectra ({spec_set.k}x{spec_set.m})"
         )
-    runs = _domain_runs(cfg.order, spec_set.m)
-    values = np.empty(int(runs.offsets[-1] + runs.lens[-1]), dtype=np.complex128)
-    estimate_slice(spec_set, cfg, 0, len(values), values, runs)
+    runs = domain_runs(cfg.order, spec_set.m)
+    values = np.empty(runs.size, dtype=np.complex128)
+    estimate_slice(spec_set, cfg, runs, values)
     return SpectrumGrid(order=cfg.order, m=spec_set.m, m3=cfg.m3, plan=cfg.plan, values=values)
 
 
@@ -423,10 +396,10 @@ def write_grid_csv(grid: SpectrumGrid, path) -> None:
     derived grid's bins expanded per chunk from one run table.
     """
     names, n = [f"k{i + 1}" for i in range(grid.order - 1)], len(grid.values)
-    runs = _domain_runs(grid.order, grid.m) if grid._indices is None else None
+    runs = domain_runs(grid.order, grid.m) if grid._indices is None else None
     with open(str(path), "wb") as fh:
         fh.write((",".join(names + ["re", "im"]) + "\n").encode())
         for start in range(0, n, CSV_CHUNK_ROWS):
             part = slice(start, min(start + CSV_CHUNK_ROWS, n))
-            bins = grid._indices[part] if runs is None else _expand(_cut(runs, start, part.stop))
+            bins = grid._indices[part] if runs is None else _expand(runs.cut(start, part.stop))
             write_csv_rows(fh, [*bins.T, grid.values.real[part], grid.values.imag[part]])

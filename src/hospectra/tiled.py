@@ -31,8 +31,8 @@ column pass; along an order-3 band a unit carries the row sums of the
               source patch fetched at most ``S`` columns per call (O(w)
               memory, O(w^2) from order 4 on; each source cell fetched ``w`` times).
 
-One engine, :func:`smoothed_runs`, serves every order from one run table and
-writes each unit into ``out`` once it is summed: :func:`_bands` walks the bands
+One engine, :func:`smoothed_runs`, serves every order from one :class:`Runs` table
+and writes each unit into ``out`` once it is summed: :func:`_bands` walks the bands
 of runs with one lead column, :func:`_blocks` the blocks of runs with more.
 Units depend only on (fetch, w, unit origin) and a kernel's cell only on its
 own lines, so splitting the output across workers reproduces a serial sweep
@@ -43,15 +43,45 @@ benchmark's adapters over it; nothing in the package calls them.
 from __future__ import annotations
 
 from functools import partial, reduce
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ParameterError
 from .meter import WORKSPACE
 
-__all__ = ["box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d", "smoothed_runs"]
+__all__ = ["Runs", "box_sums", "running_sums", "smoothed_cells_2d", "smoothed_cells_3d",
+           "smoothed_runs"]
 
 #: EFFICIENT units are square blocks of ``max(S, w)`` output cells a side; STREAMING's, ``1 x S``.
 S = 48
+
+
+class Runs(NamedTuple):
+    """A run table: run ``t`` holds the cells of leading indices ``lead[t]`` and last index
+    ``k`` in ``[first[t], stops[t])``, cell ``k`` at position ``offsets[t] + k - first[t]``.
+    ``size`` and ``cut`` need non-empty runs laid end to end from 0, as every domain's or cut's."""
+
+    lead: np.ndarray  # (runs, lead columns)
+    first: np.ndarray  # (runs,)
+    stops: np.ndarray  # (runs,)
+    offsets: np.ndarray  # (runs,)
+
+    @property
+    def size(self) -> int:
+        return int(self.offsets[-1] + self.stops[-1] - self.first[-1]) if len(self.first) else 0
+
+    def cut(self, start: int, stop: int) -> Runs:
+        """The table of positions ``[start, stop)``, laid out from 0, in O(log(runs)) plus
+        its runs; empty if ``stop <= start``."""
+        if stop <= start:
+            return Runs(*(a[:0] for a in self))
+        if not (0 <= start < stop <= self.size):
+            raise ParameterError(f"slice [{start}, {stop}) outside domain of size {self.size}")
+        r0, r1 = np.searchsorted(self.offsets, [start, stop - 1], side="right") - (1, 0)
+        lead, first, stops, offs = (a[r0:r1] for a in self)  # the runs it meets
+        skip = np.maximum(start - offs, 0)  # a slice may start or stop mid-run
+        return Runs(lead, first + skip, np.minimum(stops, first + stop - offs), offs + skip - start)
 
 
 def box_sums(a, w, axis=0):
@@ -152,7 +182,7 @@ def _groups(lead, face):
     return ((o.tolist(), slice(s, e)) for o, s, e in zip(origins, starts, ends))
 
 
-def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+def _bands(fetch, m, w, plan_name, runs, out):
     """:func:`smoothed_runs` over runs with one lead column, band by band of units.
 
     A unit is the column pass over its plan's row pass. The row pass keeps each column's
@@ -164,9 +194,9 @@ def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
     uh, uw = shape(m, w)
     held = carried = 0  # the bytes of the unit held until the next is summed, and of the carry
     try:
-        for (r0,), u in _groups(lead, (uh,)):
-            rows, lo, hi, pos = (a.tolist() for a in (lead[u, 0], first[u], stops[u],
-                                                      offsets[u] - first[u]))
+        for (r0,), u in _groups(runs.lead, (uh,)):
+            rows, lo, hi, pos = (a.tolist() for a in (runs.lead[u, 0], runs.first[u], runs.stops[u],
+                                                      runs.offsets[u] - runs.first[u]))
             c0s = range(min(lo) // uw * uw, max(hi), uw)  # the band's column units
             # rows up to the last run's: by the own-line property, a shorter unit has the same bits
             top, dense, carry = rows[0] - r0, rows[-1] - rows[0] == len(rows) - 1, None
@@ -200,13 +230,13 @@ def _bands(fetch, m, w, plan_name, lead, first, stops, offsets, out):
         WORKSPACE.drop(held + carried)
 
 
-def _blocks(fetch, m, w, plan_name, lead, first, stops, offsets, out):
+def _blocks(fetch, m, w, plan_name, runs, out):
     """:func:`smoothed_runs` over runs with two or more lead columns: each block of the
     first two, the plan's unit shape (its face), at each value of the others is EFFICIENT's
     row pass and column pass over a summed plane per last index its runs cover."""
-    face = _UNITS[plan_name][0](m, w) + (1,) * (lead.shape[1] - 2)  # a plane per further index
-    order = np.lexsort((lead // face).T[::-1])  # stable: a block keeps its runs' order
-    lead, first, stops, offsets = (a[order] for a in (lead, first, stops, offsets))
+    face = _UNITS[plan_name][0](m, w) + (1,) * (runs.lead.shape[1] - 2)  # a plane per other
+    order = np.lexsort((runs.lead // face).T[::-1])  # stable: a block keeps its runs' order
+    lead, first, stops, offsets = (a[order] for a in runs)
     for (b0, c0, *planes), u in _groups(lead, face):
         ii, jj = (lead[u, :2] - (b0, c0)).T
         st, sp, bb = first[u], stops[u], offsets[u]
@@ -226,16 +256,14 @@ def _blocks(fetch, m, w, plan_name, lead, first, stops, offsets, out):
                 WORKSPACE.drop(nbytes)
 
 
-def smoothed_runs(fetch, m, w, plan_name, lead, first, stops, offsets, out):
-    """Periodic ``w``-box sums along runs of cells, written in place: run
-    ``t`` holds the cells with leading indices ``lead[t]`` (one or more
-    columns) and last index ``k`` in ``[first[t], stops[t])``, and cell ``k``
-    lands in ``out[offsets[t] + (k - first[t])]``. Every axis has extent ``m``;
-    runs with one lead column come sorted by it; with more, ``fetch`` sums planes."""
+def smoothed_runs(fetch, m, w, plan_name, runs, out):
+    """Periodic ``w``-box sums along the runs of the :class:`Runs` table ``runs``, written
+    in place: cell ``k`` of run ``t`` lands in ``out[runs.offsets[t] + (k - runs.first[t])]``.
+    Every axis has extent ``m``; runs with one lead column come sorted by it; with more,
+    ``fetch`` sums planes."""
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
-    sweep = _bands if lead.shape[1] == 1 else _blocks
-    sweep(fetch, m, w, plan_name, lead, first, stops, offsets, out)
+    (_bands if runs.lead.shape[1] == 1 else _blocks)(fetch, m, w, plan_name, runs, out)
 
 
 def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
@@ -245,11 +273,10 @@ def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
     values)`` per span."""
     spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int64).reshape(-1, 3)
     lens = spans[:, 2] - spans[:, 1]
-    offsets = np.cumsum(lens) - lens
-    out = np.empty(int(lens.sum()), dtype=np.complex128)
-    smoothed_runs(fetch, n_cols_out, w, plan_name, spans[:, :1], spans[:, 1], spans[:, 2],
-                  offsets, out)
-    return ((r, s, out[o : o + e - s]) for (r, s, e), o in zip(spans.tolist(), offsets.tolist()))
+    runs = Runs(spans[:, :1], spans[:, 1], spans[:, 2], np.cumsum(lens) - lens)
+    out = np.empty(runs.size, dtype=np.complex128)
+    smoothed_runs(fetch, n_cols_out, w, plan_name, runs, out)
+    return ((r, s, out[o : o + e - s]) for r, s, e, o in np.c_[spans, runs.offsets].tolist())
 
 
 def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
@@ -258,4 +285,4 @@ def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, o
     request sums its ``w`` planes."""
     def summed(rows, cols, k3):
         return reduce(np.add, (fetch3(rows, cols, k3 + t) for t in range(w)))
-    smoothed_runs(summed, m, w, plan_name, np.column_stack([k1s, k2s]), starts, stops, bases, out)
+    smoothed_runs(summed, m, w, plan_name, Runs(np.c_[k1s, k2s], starts, stops, bases), out)

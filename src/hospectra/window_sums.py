@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .meter import WORKSPACE
-from .tiled import box_sums, running_sums, smoothed_runs
+from .tiled import Runs, box_sums, running_sums, smoothed_runs
 
 __all__ = [
     "SmoothingPlan",
@@ -162,7 +162,7 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     if a.dtype.kind not in "fc":
         a = a.astype(np.float64)
     w = spec.w
-    if spec.boundary == "periodic":  # then every plan sums in valid mode
+    if spec.boundary == "periodic" and a.size:  # then every plan sums in valid mode
         a = np.pad(a, (0, w - 1), mode="wrap")
     elif w > min(a.shape):
         raise ParameterError(f"window {w} exceeds matrix dimensions {a.shape[0]}x{a.shape[1]}")
@@ -171,7 +171,7 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     rows_out, cols_out = (n - w + 1 for n in a.shape)
     out = np.empty((rows_out, cols_out), dtype=a.dtype)
     r = np.arange(rows_out)  # one run per output row
+    runs = Runs(r[:, None], np.zeros_like(r), np.full_like(r, cols_out), r * cols_out)
     with WORKSPACE.held(out):
-        smoothed_runs(lambda rows, cols: a[rows, cols], cols_out, w, plan.name, r[:, None],
-                      np.zeros_like(r), np.full_like(r, cols_out), r * cols_out, out.reshape(-1))
+        smoothed_runs(lambda i, j: a[i, j], cols_out, w, plan.name, runs, out.reshape(-1))
     return out

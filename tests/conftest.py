@@ -1,6 +1,6 @@
 import numpy as np
 
-from hospectra.spectra import estimate_slice
+from hospectra.spectra import domain_runs, estimate_slice
 
 
 def max_rel_dev(a, b, floor=1e-12):
@@ -35,7 +35,8 @@ def assert_window_equal(a, b, rel=1e-9, floor=1e-12, context=""):
 
 
 def slice_grid(spec_set, cfg, start, stop):
-    """``estimate_slice`` over ``[start, stop)`` into a fresh array: its values."""
+    """``estimate_slice`` over the domain's cut ``[start, stop)``, into a fresh array: its
+    values."""
     values = np.empty(max(stop - start, 0), dtype=np.complex128)
-    estimate_slice(spec_set, cfg, start, stop, values)
+    estimate_slice(spec_set, cfg, domain_runs(cfg.order, spec_set.m).cut(start, stop), values)
     return values

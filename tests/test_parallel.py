@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hospectra import parallel, spectra
+from hospectra.tiled import Runs
 from hospectra import (
     EstimationConfig,
     ParameterError,
@@ -30,8 +31,8 @@ def point_runs(dom):
     """The run table of a lex-ordered domain, derived from the points themselves
     (``parallel_estimate`` builds it without the points)."""
     starts = np.flatnonzero(np.r_[True, (dom[1:, :-1] != dom[:-1, :-1]).any(axis=1)])
-    lens = np.diff(np.r_[starts, len(dom)])
-    return spectra._Runs(dom[starts, :-1], dom[starts, -1], lens, starts)
+    ends = np.r_[starts[1:], len(dom)]
+    return Runs(dom[starts, :-1], dom[starts, -1], dom[ends - 1, -1] + 1, starts)
 
 
 def cuts_of(dom, workers):
@@ -74,7 +75,7 @@ class TestPartitionDomain:
         # the parent cuts from the run table it builds, never from the domain
         for order, ms in ((3, [*range(2, 40, 3), 64, 129, 8192]), (4, [*range(2, 40, 3), 65, 512])):
             for m in ms:
-                dom, runs = principal_domain(order, m), spectra._domain_runs(order, m)
+                dom, runs = principal_domain(order, m), spectra.domain_runs(order, m)
                 for p, mode in itertools.product(range(1, 10), ("row_blocks", "point_blocks")):
                     workers = WorkerConfig(p, mode)
                     cuts = parallel._cuts(runs, workers)
@@ -178,7 +179,7 @@ class TestParallelMemory:
         cfgs = [EstimationConfig(order, SegmentConfig(m=64), 5, SmoothingPlan.EFFICIENT)
                 for order in (3, 4)]
         refs = [estimate_spectrum(series, cfg).values for cfg in cfgs]
-        parent, real, calls = os.getpid(), spectra._domain_runs, []
+        parent, real, calls = os.getpid(), spectra.domain_runs, []
 
         def parent_only(*args):
             if os.getpid() != parent:
@@ -186,7 +187,8 @@ class TestParallelMemory:
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(spectra, "_domain_runs", parent_only)
+        monkeypatch.setattr(spectra, "domain_runs", parent_only)
+        monkeypatch.setattr(parallel, "domain_runs", parent_only)
         for (cfg, ref), partition in itertools.product(zip(cfgs, refs),
                                                        ("row_blocks", "point_blocks")):
             calls.clear()
@@ -240,8 +242,8 @@ class TestParallelFailure:
         assert idle > 0
 
     def test_first_failure_raises_without_waiting_for_other_slices(self, monkeypatch):
-        def first_fails_rest_sleep(spec_set, cfg, start, stop, values, runs):
-            if start == 0:
+        def first_fails_rest_sleep(spec_set, cfg, runs, values):
+            if runs.lead[0, 0] == 0:  # the first row_blocks slice
                 raise RuntimeError("injected worker failure")
             time.sleep(3)
 
@@ -257,10 +259,10 @@ class TestParallelFailure:
     def test_worker_dying_without_result_names_slice_and_exit_code(self, monkeypatch):
         real = parallel.estimate_slice
 
-        def first_exits(spec_set, cfg, start, stop, values, runs):
-            if start == 0:
+        def first_exits(spec_set, cfg, runs, values):
+            if runs.lead[0, 0] == 0:  # the first row_blocks slice
                 os._exit(3)
-            real(spec_set, cfg, start, stop, values, runs)
+            real(spec_set, cfg, runs, values)
 
         monkeypatch.setattr(parallel, "estimate_slice", first_exits)
         series = generate_qpc(0.1, 0.15, 128, 0.4, seed=9)
@@ -341,3 +343,52 @@ def test_sigterm_to_parent_leaves_no_worker_or_segment():
         proc.wait()
         for name in _shm_segments() - before:  # what the killed processes could not unlink
             os.unlink(os.path.join("/dev/shm", name))
+
+
+def _running(pid):
+    """Whether process ``pid`` still runs: gone or a zombie, it has stopped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_busy_workers_die_with_their_parent(sig):
+    """Neither signal runs the parent's ``finally``; each worker, ten seconds from the end of
+    its slice, must still be stopped within a second of the parent's death."""
+    if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+        pytest.skip("this kernel does not list a process's children in /proc")
+    run = textwrap.dedent("""
+        import time
+        from hospectra import (EstimationConfig, SegmentConfig, SmoothingPlan,
+                               WorkerConfig, generate_qpc, parallel)
+        def slow(spec_set, cfg, runs, values):
+            time.sleep(10)
+        parallel.estimate_slice = slow
+        series = generate_qpc(0.1, 0.15, 256, 0.4, seed=12)
+        cfg = EstimationConfig(3, SegmentConfig(m=256), 5, SmoothingPlan.EFFICIENT)
+        parallel.parallel_estimate(series, cfg, WorkerConfig(p=2))
+    """)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", run], env=dict(os.environ, PYTHONPATH=path),
+                            start_new_session=True, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 20
+        while proc.poll() is None and len(_children(proc.pid)) < 2:  # both workers are up
+            assert time.monotonic() < deadline, "the run never forked its workers"
+            time.sleep(0.005)
+        workers = [int(pid) for pid in _children(proc.pid)]
+        assert proc.poll() is None and len(workers) == 2, workers
+        proc.send_signal(sig)
+        proc.wait(timeout=5)
+        time.sleep(1)
+        assert [pid for pid in workers if _running(pid)] == [], "a worker outlived its parent"
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

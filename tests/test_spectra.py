@@ -30,7 +30,7 @@ from hospectra import spectra as spectra_module
 from hospectra.dft import SegmentSpectrumSet, dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
-from hospectra.spectra import _LeanFetch, _raw_block, estimate_slice
+from hospectra.spectra import _LeanFetch, _raw_block, domain_runs, estimate_slice
 from hospectra.window_sums import smooth
 
 
@@ -232,24 +232,32 @@ class TestPrincipalDomain:
 
     def test_empty_and_out_of_range_slices(self):
         spec_set = SegmentSpectrumSet(np.ones((1, 8), dtype=np.complex128))
-        size = len(principal_domain(3, 8))
+        table = domain_runs(3, 8)
+        size = table.size
+        assert size == len(principal_domain(3, 8))
         for plan in SmoothingPlan:
             values = np.full(size, np.nan, complex)
             for start, stop in ((5, 5), (6, 2)):  # an empty slice writes nothing
-                estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, values)
+                estimate_slice(spec_set, cfg3(8, 3, plan), table.cut(start, stop), values[:0])
             assert np.isnan(values).all(), plan.name
-            for start, stop in ((0, size + 1), (-1, 2)):
-                with pytest.raises(ParameterError, match=f"outside domain of size {size}"):
-                    estimate_slice(spec_set, cfg3(8, 3, plan), start, stop, values)
+        for start, stop in ((0, size + 1), (-1, 2)):
+            with pytest.raises(ParameterError, match=f"outside domain of size {size}"):
+                table.cut(start, stop)
+            with pytest.raises(ParameterError, match=f"outside domain of size {size - 2}"):
+                table.cut(1, size - 1).cut(start, stop - 2)
 
     def test_values_must_fit_the_slice(self):
         # a longer array would have its unwritten cells scaled, a shorter one fail mid-sweep
         spec_set = SegmentSpectrumSet(np.ones((1, 32), dtype=np.complex128))
         for plan in SmoothingPlan:
-            for size in (5, 20):
+            for size, (start, stop) in itertools.product((0, 5, 20), ((0, 10), (3, 3))):
+                if size == stop - start:
+                    continue
                 values = np.full(size, np.nan, complex)
-                with pytest.raises(ParameterError, match=re.escape(f"{size} values for [0, 10)")):
-                    estimate_slice(spec_set, cfg3(32, 3, plan), 0, 10, values)
+                runs = domain_runs(3, 32).cut(start, stop)
+                with pytest.raises(ParameterError, match=re.escape(
+                        f"{size} values for a slice of {stop - start} points")):
+                    estimate_slice(spec_set, cfg3(32, 3, plan), runs, values)
                 assert np.isnan(values).all(), (plan.name, size)
 
     def test_order3_m2_origin_only(self):
@@ -307,9 +315,9 @@ class TestPrincipalDomain:
         def check(order, m, m3, cuts):
             cuts = list(cuts)
             spec_set = SegmentSpectrumSet(rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m)))
-            dom, table = principal_domain(order, m), spectra_module._domain_runs(order, m)
+            dom, table = principal_domain(order, m), domain_runs(order, m)
             for a, b in cuts:
-                indices = spectra_module._expand(spectra_module._cut(table, a, b))
+                indices = spectra_module._expand(table.cut(a, b))
                 assert indices.dtype == dom.dtype and indices.tobytes() == dom[a:b].tobytes(), (
                     order, m, a, b)
             for plan in SmoothingPlan:
@@ -334,6 +342,24 @@ class TestPrincipalDomain:
             for m in (3, 4, 5):  # m = 2 admits no window (m3 < m/2)
                 size = len(principal_domain(order, m))
                 check(order, m, (m - 1) // 2, itertools.combinations(range(size + 1), 2))
+
+
+    @pytest.mark.parametrize("order, m", [(3, 64), (4, 32), (5, 24)])
+    def test_cut_of_a_cut_is_the_domains_rows(self, order, m):
+        # a cut table may start mid-run and lays its runs out from 0, so cutting it
+        # again reads its own first indices and offsets, never the whole domain's
+        rng = np.random.default_rng(order)
+        table, dom = domain_runs(order, m), principal_domain(order, m)
+        for _ in range(300):
+            a, b = sorted(rng.integers(0, len(dom) + 1, 2).tolist())
+            c, d = sorted(rng.integers(0, b - a + 1, 2).tolist())
+            twice = table.cut(a, b).cut(c, d)
+            assert twice.size == d - c, (a, b, c, d)
+            got = spectra_module._expand(twice)
+            assert np.array_equal(got, dom[a + c : a + d]), (order, m, a, b, c, d)
+        if order == 3:  # the second cut starts inside the first's mid-run first run
+            got = spectra_module._expand(table.cut(5, 200).cut(0, 3))
+            assert got.tolist() == [[2, 2], [3, 0], [3, 1]]
 
 
 class TestEstimateSpectrum:
@@ -367,8 +393,8 @@ class TestEstimateSpectrum:
 
     def test_one_run_table_per_estimate(self, monkeypatch):
         # the grid is sized from the run table the estimate then walks
-        calls, real = [], spectra_module._domain_runs
-        monkeypatch.setattr(spectra_module, "_domain_runs",
+        calls, real = [], spectra_module.domain_runs
+        monkeypatch.setattr(spectra_module, "domain_runs",
                             lambda *args: calls.append(args) or real(*args))
         series = generate_qpc(0.1, 0.15, 32, 0.5, seed=1)
         for order, plan in itertools.product((3, 4), (SmoothingPlan.NAIVE, SmoothingPlan.FAST)):

@@ -24,7 +24,8 @@ from hospectra import tiled
 from hospectra.dft import dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import segment_and_demean
-from hospectra.tiled import S, box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
+from hospectra.spectra import domain_runs
+from hospectra.tiled import S, Runs, box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
 from hospectra.window_sums import smooth
 
 ALL_PLANS = list(SmoothingPlan)
@@ -181,6 +182,13 @@ class TestWindowSums2d:
         with pytest.raises(ParameterError, match="expected a 2-D matrix"):
             window_sums_2d(np.ones(4), WindowSpec(1), SmoothingPlan.EFFICIENT)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+    def test_empty_matrix_rejected_for_either_boundary(self, shape):
+        # a periodic window has no cell to wrap onto: a ParameterError, not np.pad's ValueError
+        for plan, boundary in itertools.product(ALL_PLANS, ("valid", "periodic")):
+            with pytest.raises(ParameterError, match="exceeds matrix dimensions"):
+                window_sums_2d(np.ones(shape), WindowSpec(3, boundary), plan)
+
     def test_integer_input_sums_as_float64(self):
         a = np.arange(20).reshape(4, 5)
         for plan in ALL_PLANS:
@@ -313,7 +321,7 @@ def span_runs(spans):
     spans, at most one per row: each non-empty span is one run, laid out in order."""
     spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int64).reshape(-1, 3)
     lens = spans[:, 2] - spans[:, 1]
-    return spans[:, :1], spans[:, 1], spans[:, 2], np.cumsum(lens) - lens
+    return Runs(spans[:, :1], spans[:, 1], spans[:, 2], np.cumsum(lens) - lens)
 
 
 class TestSmoothedCells2d:
@@ -322,9 +330,10 @@ class TestSmoothedCells2d:
     @staticmethod
     def collect(fetch, cols_out, w, plan, spans, dtype=float):
         """Each span cell's value by ``(row, col)``, every cell written exactly once."""
-        lead, first, stops, offsets = span_runs(spans)
-        out = HitCounter(int((stops - first).sum()), dtype)
-        tiled.smoothed_runs(fetch, cols_out, w, plan.name, lead, first, stops, offsets, out)
+        runs = span_runs(spans)
+        lead, first, stops, offsets = runs
+        out = HitCounter(runs.size, dtype)
+        tiled.smoothed_runs(fetch, cols_out, w, plan.name, runs, out)
         assert np.array_equal(out.hits, np.ones_like(out.hits)), "a cell not written once"
         runs = zip(lead[:, 0].tolist(), first.tolist(), stops.tolist(), offsets.tolist())
         return {(r, c): out.values[o + c - s] for r, s, e, o in runs for c in range(s, e)}
@@ -376,7 +385,7 @@ class TestSmoothedCells2d:
     def test_window_too_small_rejected(self):
         # at the call, before any fetch, for the engine and both adapters
         with pytest.raises(ValueError):
-            tiled.smoothed_runs(lambda r, c: 0.0, 4, 0, "EFFICIENT", *span_runs([(0, 0, 4)]),
+            tiled.smoothed_runs(lambda r, c: 0.0, 4, 0, "EFFICIENT", span_runs([(0, 0, 4)]),
                                 np.empty(4))
         with pytest.raises(ValueError):
             smoothed_cells_2d(lambda r, c: 0.0, 4, 4, 0, "EFFICIENT", [(0, 0, 4)])
@@ -403,7 +412,7 @@ class TestSmoothedCells2d:
                 cells[0] += r.size
                 return a[r % n, c % n]
 
-            tiled.smoothed_runs(fetch, n, w, plan.name, *runs, np.empty(n * n))
+            tiled.smoothed_runs(fetch, n, w, plan.name, runs, np.empty(n * n))
             assert cells[0] <= budget, f"{plan.name}: {cells[0]} reads > {budget}"
 
 
@@ -451,7 +460,7 @@ class TestSmoothedCells2d:
             return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
 
         # the output is the caller's, so it is made before tracing
-        args = fetch, n, w, "EFFICIENT", *span_runs([(r, 0, n) for r in range(n)])
+        args = fetch, n, w, "EFFICIENT", span_runs([(r, 0, n) for r in range(n)])
         out = np.empty(n * n, dtype=a.dtype)
         # one untraced pass first, so one-time allocations of a fresh
         # process's first call do not count toward the traced peak
@@ -504,12 +513,12 @@ class TestSmoothedCells2d:
         stops = m - lead[:, 0] % 5 * (b // 3)
         offsets = lead[:, 0] * m + first
         whole = np.empty(n_rows * m, dtype=a.dtype)
-        tiled.smoothed_runs(fetch, m, w, plan, lead, first, stops, offsets, whole)
+        runs = Runs(lead, first, stops, offsets)
+        tiled.smoothed_runs(fetch, m, w, plan, runs, whole)
         split = np.empty_like(whole)
         cut = uh + uh // 2  # mid-band where a band has rows to cut, as a P=2 cut may fall
         for part in (slice(None, cut), slice(cut, None)):
-            tiled.smoothed_runs(fetch, m, w, plan, lead[part], first[part], stops[part],
-                                offsets[part], split)
+            tiled.smoothed_runs(fetch, m, w, plan, Runs(*(a[part] for a in runs)), split)
         for r in range(n_rows):
             cells = slice(r * m + first[r], r * m + stops[r])
             assert np.array_equal(whole[cells], expect[r, first[r] : stops[r]]), (w, r)
@@ -528,10 +537,10 @@ class TestSmoothedCells2d:
 
         lead = np.arange(rows)[:, None]
         whole, tail = np.empty(rows * m, dtype=complex), np.empty(rows, dtype=complex)
-        tiled.smoothed_runs(fetch, m, w, "STREAMING", lead, np.zeros(rows, dtype=int),
-                            np.full(rows, m), lead[:, 0] * m, whole)
-        tiled.smoothed_runs(fetch, m, w, "STREAMING", lead, np.full(rows, m - 1),
-                            np.full(rows, m), lead[:, 0], tail)
+        tiled.smoothed_runs(fetch, m, w, "STREAMING", Runs(lead, np.zeros(rows, dtype=int),
+                                                           np.full(rows, m), lead[:, 0] * m), whole)
+        tiled.smoothed_runs(fetch, m, w, "STREAMING", Runs(lead, np.full(rows, m - 1),
+                                                           np.full(rows, m), lead[:, 0]), tail)
         assert np.array_equal(tail, whole[m - 1 :: m])
 
     def test_streaming_fetches_each_source_column_once_per_band(self):
@@ -545,9 +554,9 @@ class TestSmoothedCells2d:
             columns[int(np.ravel(r)[0])] += np.size(c)
             return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
 
-        lead, first, stops, offsets = domain_runs(n)
-        out = np.empty(int((stops - first).sum()))
-        tiled.smoothed_runs(fetch, n, w, "STREAMING", lead, first, stops, offsets, out)
+        runs = domain_runs(3, n)
+        lead, first, stops, _ = runs
+        tiled.smoothed_runs(fetch, n, w, "STREAMING", runs, np.empty(runs.size))
         assert set(columns) == set(lead[:, 0].tolist())
         for row, s, e in zip(lead[:, 0].tolist(), first.tolist(), stops.tolist()):
             lo = s // S * S
@@ -576,7 +585,7 @@ class TestSmoothedCells2d:
                 alive.append(landed[-1]() is not None)
             return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
 
-        tiled.smoothed_runs(fetch, n, w, plan, *domain_runs(n), Out())
+        tiled.smoothed_runs(fetch, n, w, plan, domain_runs(3, n), Out())
         assert len(alive) >= 2 and all(alive), alive
 
     @pytest.mark.parametrize("w", [9, 33])
@@ -619,18 +628,9 @@ class TestSmoothedCells2d:
             return unit
 
         monkeypatch.setattr(tiled, "_column_sums", summed)
-        tiled.smoothed_runs(fetch, n, w, plan, *domain_runs(n), Out())
+        tiled.smoothed_runs(fetch, n, w, plan, domain_runs(3, n), Out())
         assert len(units) >= 3 and counts["fetches"] >= len(units), (len(units), counts)
         assert (counts["indexed"] > 0) == (plan != "FAST"), counts
-
-
-def domain_runs(n, order=3):
-    """The principal domain's runs as ``smoothed_runs`` takes them: one per
-    leading index (order 3) or pair of them (order 4)."""
-    dom = principal_domain(order, n)
-    starts = np.flatnonzero(np.r_[True, (dom[1:, :-1] != dom[:-1, :-1]).any(axis=1)])
-    ends = np.r_[starts[1:], len(dom)]
-    return dom[starts, :-1], dom[starts, -1], dom[ends - 1, -1] + 1, starts
 
 
 def direct_fetch(spectra, w):
@@ -750,10 +750,10 @@ class TestIndexedWrite:
             patch = fetch(np.arange(r0, r0 + b + w - 1), np.arange(c0, c0 + cols + w - 1))
             units[r0 : r0 + b, c0 : c0 + cols] = every_axis(box_sums, patch, w)
         out = np.full(total, np.nan, dtype=complex)
-        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", rows[:, None], first, stops, offsets, out)
+        runs = Runs(rows[:, None], first, stops, offsets)
+        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", runs, out)
         counter = HitCounter(total)
-        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", rows[:, None], first, stops, offsets,
-                            counter)
+        tiled.smoothed_runs(fetch, m, w, "EFFICIENT", runs, counter)
         assert np.array_equal(counter.hits, np.ones(total, dtype=int)), w
         assert set(counter.kinds) == {"slice", "ndarray"}, counter.kinds  # both write paths
         expect = np.concatenate([units[r, s:e] for r, s, e in zip(rows, first, stops)])
@@ -776,7 +776,7 @@ class TestIndexedWrite:
                     landed.add((type(where).__name__, vals.dtype))
 
             tiled.smoothed_runs(lambda r, c: src[np.ravel(r)[:, None] % m, np.ravel(c) % m],
-                                m, w, plan, rows[:, None], first, stops, offsets, Out())
+                                m, w, plan, Runs(rows[:, None], first, stops, offsets), Out())
             assert {d for _, d in landed} == {np.dtype(dtype)}, (plan, landed)
             assert plan != "EFFICIENT" or {k for k, _ in landed} == {"slice", "ndarray"}
 
@@ -804,7 +804,7 @@ class TestIndexedWrite:
         first, stops = np.zeros(n, dtype=np.int64), rows + 1
         offsets = np.cumsum(stops) - stops
         out = np.empty(int(stops.sum()), dtype=a.dtype)
-        args = fetch, n, w, "EFFICIENT", rows[:, None], first, stops, offsets, out
+        args = fetch, n, w, "EFFICIENT", Runs(rows[:, None], first, stops, offsets), out
         tiled.smoothed_runs(*args)  # untraced: a fresh process's one-time allocations
         WORKSPACE.reset()
         tracemalloc.start()
@@ -841,9 +841,10 @@ class TestOrder4Sweep:
             calls[int(r[0]), int(c[0]), k3, r.size, c.size] += 1
             return a[r[:, None] % m, c[None, :] % m][..., (k3 + np.arange(w)) % m].sum(axis=-1)
 
-        lead, first, stops, offsets = domain_runs(m, order=4)
-        out = np.empty(int((stops - first).sum()), dtype=a.dtype)
-        tiled.smoothed_runs(fetch, m, w, plan, lead, first, stops, offsets, out)
+        runs = domain_runs(4, m)
+        lead, first, stops, _ = runs
+        out = np.empty(runs.size, dtype=a.dtype)
+        tiled.smoothed_runs(fetch, m, w, plan, runs, out)
         fh, fw = self.face(plan, m, w)
         seen = Counter((b0, c0, k3) for b0, c0, k3, _, _ in calls)
         assert max(seen.values()) == 1, seen.most_common(1)  # no plane fetched twice: no ring
@@ -902,7 +903,7 @@ class TestMemoryTiers:
             a = rng.standard_normal((n, n))
             WORKSPACE.reset()
             tiled.smoothed_runs(lambda r, c: a[r % n, c % n], n, w, "FAST",
-                                *span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
+                                span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
             return WORKSPACE.peak
 
         peaks = [peak(n, 8) for n in (64, 128, 256)]
@@ -915,7 +916,7 @@ class TestMemoryTiers:
             a = rng.standard_normal((n, n))
             WORKSPACE.reset()
             tiled.smoothed_runs(lambda r, c: a[r % n, c % n], n, w, plan,
-                                *span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
+                                span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
             return WORKSPACE.peak
 
         for plan in ("EFFICIENT", "STREAMING"):
@@ -939,7 +940,7 @@ class TestMemoryTiers:
 
             lead = np.arange(n)[:, None]
             first, stops = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-            return fetch, n, w, "STREAMING", lead, first, stops, lead[:, 0], np.empty(n)
+            return fetch, n, w, "STREAMING", Runs(lead, first, stops, lead[:, 0]), np.empty(n)
 
         def traced(args):
             tracemalloc.start()
