@@ -187,48 +187,35 @@ def principal_domain(order: int, m: int) -> np.ndarray:
 # -- raw products ------------------------------------------------------------
 
 
-def _last_factor(spectra, lo, n, conjugate_last):
-    """The last factor at the index sums ``lo .. lo + n - 1``, one row per segment."""
-    last = spectra.take(np.arange(lo, lo + n), axis=1, mode="wrap")
-    return np.conj(last, out=last) if conjugate_last else last
+def _cols(a, lo, n):
+    """Columns ``lo .. lo + n - 1`` of ``a``, one row per segment, wrapped periodically."""
+    return a.take(np.arange(lo, lo + n), axis=1, mode="wrap")
 
 
 def _fold(spectra, last, o, depth, n, out):
     """Sum ``f[o + d] * last[:, d + t]`` over ``d < depth`` into ``out[:, t]``, ``t < n``,
     per segment (rows of ``spectra``, ``last`` and ``out``), one segment's ``(depth, n)``
-    terms at a time and ``d`` in order; ``out`` may be ``last``."""
+    terms at a time and ``d`` in order; returns ``out``."""
     s1 = last.strides[1]
-    for f, row, dst in zip(spectra.take(np.arange(o, o + depth), axis=1, mode="wrap"), last, out):
+    for f, row, dst in zip(_cols(spectra, o, depth), last, out):
         terms = f[:, None] * np.ndarray((depth, n), row.dtype, row, 0, (s1, s1))
         with WORKSPACE.held(terms):
             terms.sum(axis=0, out=dst[:n])
+    return out
 
 
-def _raw_block(spectra, origin, shape, conjugate_last, depth=0, last=None):
+def _raw_block(spectra, origin, shape, last):
     """Unscaled raw products ``(f[k1]*f[k2]) * (f[k3]*...*last[k1+...])``
     over the box ``origin + [0, shape)`` of the periodic grid, summed over
     the segments (rows of ``spectra``) in order. Each axis's factor is one
-    wrapped take; the last factor is a Hankel view of one more, over the
-    range of index sums, so no index array as large as the box is built.
-    Each index of ``origin`` past the box sums it over ``depth`` values: since
-    ``f[k+l] * last[s+k+l]`` depends on the box only through its index sum
-    ``s``, it is summed over ``l`` into the last factor first, last index first,
-    by :func:`_fold`. A given ``last`` is that factor over the index sums from
-    ``sum(origin)`` on, at least as many as the folds read; it is not written."""
-    k, axes, lo = len(spectra), len(shape), sum(origin)
+    wrapped read; ``last`` is the last factor over the box's index sums from
+    ``sum(origin)`` on, one row per segment, read through a Hankel view, so no
+    index array as large as the box is built. ``last`` is not written."""
+    k, axes = len(spectra), len(shape)
     f1, f2, *mid = (
-        spectra.take(np.arange(o, o + n).reshape((1,) * a + (n,) + (1,) * (axes - 1 - a)),
-                     axis=1, mode="wrap")
+        _cols(spectra, o, n).reshape((k,) + (1,) * a + (n,) + (1,) * (axes - 1 - a))
         for a, (o, n) in enumerate(zip(origin, shape))
     )
-    n = sum(shape) - axes + 1 + (len(origin) - axes) * (depth - 1)  # index sums, a halo per fold
-    if last is None:
-        last = _last_factor(spectra, lo, n, conjugate_last)
-    elif len(origin) > axes:
-        last = last.copy()  # the folds below sum in place
-    for o in origin[axes:][::-1]:
-        n -= depth - 1
-        _fold(spectra, last, o, depth, n, last)
     s0, s1 = last.strides
     hank = np.ndarray((k, *shape), last.dtype, last, 0, (s0,) + (s1,) * axes)  # a view of last
     acc = None
@@ -244,12 +231,12 @@ def _raw_block(spectra, origin, shape, conjugate_last, depth=0, last=None):
 
 class _LeanFetch:
     """The lean plans' fetch, a context manager: raw products summed over the segments,
-    unscaled, at ``fetch(rows, cols, *planes)``, indices shifted by the window offset
-    ``w // 2``. Rows and columns are consecutive ascending ranges (the ``tiled`` contract),
-    so only their first values and sizes are read; one scalar per further index, and the
-    plane is summed over each such index's ``w`` values from that scalar on.
+    unscaled, for the box of ``rows x cols`` at ``(r0, c0)`` (the ``tiled`` contract), each
+    plane summed over its index's ``w`` values, every index shifted by the offset ``w // 2``.
 
-    An earlier such index is folded afresh per plane. The last one slides: the fetch holds,
+    The one builder of a box's last factor, from a source conjugated once: plain at order 3
+    and at ``w = 1``, where a plane is one more axis of the box; else the last plane index
+    slides and every earlier one is folded in afresh per plane, last first. The fetch holds,
     per segment, ``T[t] = sum(f[p + d] * last[s + p + d + t] for d < w)`` at plane ``k``
     (origin ``p = k - w // 2``) and index sum origin ``s`` (the box's and every earlier
     index's origins), counted as working memory until the ``with`` block ends. The step to
@@ -260,7 +247,8 @@ class _LeanFetch:
     column depends only on itself, so a plane's bits depend only on ``(s, k)``."""
 
     def __init__(self, spectra, w, conjugate_last):
-        self.spectra, self.w, self.conjugate_last = spectra, w, conjugate_last
+        self.spectra, self.w = spectra, w
+        self.last = np.conj(spectra) if conjugate_last else spectra  # the last factor's source
         self.key, self.sums = None, None  # (s, k) and T at it, (K, held columns)
 
     def __enter__(self):
@@ -273,34 +261,37 @@ class _LeanFetch:
 
     def _slide(self, s, k, n):
         """``T`` at ``(s, k)`` over ``n`` columns or more, from column 0."""
-        f, w, conj = self.spectra, self.w, self.conjugate_last
+        f, src, w = self.spectra, self.last, self.w
         c, h, m = k - k % w, w // 2, f.shape[1]
         if (self.key is None or self.key[0] != s or not c <= self.key[1] <= k
                 or self.sums.shape[1] < n):
             self.__exit__()  # restart at the chunk's first plane
             self.sums = np.empty((len(f), n), np.complex128)
             WORKSPACE.note(self.sums)
-            _fold(f, _last_factor(f, s + c - h, n + w - 1, conj), c - h, w, n, self.sums)
+            _fold(f, _cols(src, s + c - h, n + w - 1), c - h, w, n, self.sums)
             self.key = (s, c)
         sums, n = self.sums, self.sums.shape[1]
         for p in range(self.key[1] - h, k - h):  # the plane at origin p + w enters, p leaves
-            ends = _last_factor(f, s + p, n + w, conj)
+            ends = _cols(src, s + p, n + w)
             sums += f[:, (p + w) % m, None] * ends[:, w:]
             sums -= f[:, p % m, None] * ends[:, :n]
         self.key = (s, k)
         return sums
 
-    def __call__(self, rows, cols, *planes):
+    def __call__(self, r0, c0, rows, cols, *planes):
         w = self.w
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        origin = [int(x) - w // 2 for x in (rows.flat[0], cols.flat[0], *planes)]
-        shape, last = (rows.size, cols.size), None
-        if planes and w > 1:  # at w = 1 there is nothing to slide
-            origin.pop()
-            n = sum(shape) - 1 + (len(origin) - 2) * (w - 1)  # the index sums the folds read
-            last = self._slide(sum(origin), int(planes[-1]), n)
-        block = _raw_block(self.spectra, origin, shape, self.conjugate_last, w, last)
-        return block.reshape(np.broadcast(rows, cols).shape)
+        origin, n = [x - w // 2 for x in (r0, c0, *planes)], rows + cols - 1  # box index sums
+        if not planes or w == 1:
+            shape = (rows, cols) + (1,) * len(planes)
+            return _raw_block(self.spectra, origin, shape,
+                              _cols(self.last, sum(origin), n)).reshape(rows, cols)
+        origin.pop()
+        n += (len(origin) - 2) * (w - 1)  # a halo per fold
+        last = self._slide(sum(origin), planes[-1], n)
+        for o in origin[:1:-1]:
+            n -= w - 1
+            last = _fold(self.spectra, last, o, w, n, np.empty((len(last), n), last.dtype))
+        return _raw_block(self.spectra, origin[:2], (rows, cols), last)
 
 
 def _raw_box(spectra, origin, shape, conjugate_last):
@@ -308,7 +299,9 @@ def _raw_box(spectra, origin, shape, conjugate_last):
     is freed, after a transient of its product chain: ``min(K, 2)`` boxes more,
     one fewer at order 3, where NumPy makes each product in its ``a * b``
     temporary (for boxes of 256 KiB or more)."""
-    box = _raw_block(spectra, origin, shape, conjugate_last)
+    last = _cols(np.conj(spectra) if conjugate_last else spectra, sum(origin),
+                 sum(shape) - len(shape) + 1)
+    box = _raw_block(spectra, origin, shape, last)
     nbytes = WORKSPACE.note(box)
     WORKSPACE.drop(WORKSPACE.note_bytes((min(len(spectra), 2) - (len(shape) == 2)) * nbytes))
     weakref.finalize(box, WORKSPACE.drop, nbytes)

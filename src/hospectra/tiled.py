@@ -1,9 +1,9 @@
 """Source-on-demand window-sum engines and the two shared 1-D window-sum kernels.
 
 The engines compute sliding box sums along runs of cells without
-materializing the source: values are pulled through ``fetch(rows, cols,
-*planes)``, broadcastable consecutive ascending index ranges and one index
-``k`` per further axis, that plane summed over ``k .. k+w-1`` of each.
+materializing the source: values are pulled through ``fetch(r0, c0, rows, cols,
+*planes)``, the box of ``rows x cols`` source cells at ``(r0, c0)``, all integers, and
+one index ``k`` per further axis, that plane summed over ``k .. k+w-1`` of each.
 Periodic index wrapping lives in ``fetch`` or in a wrap-padded source: the
 engines are boundary-agnostic, and their units start at non-negative multiples
 of their shape. A fetch may hold state between calls: the lean plans' fetch
@@ -140,8 +140,7 @@ def _column_sums(part, w):
 
 
 def _block(fetch, r0, c0, rows, cols, w, *plane, kernel):
-    patch = fetch(np.arange(r0, r0 + rows + w - 1)[:, None],
-                  np.arange(c0, c0 + cols + w - 1)[None, :], *plane)
+    patch = fetch(r0, c0, rows + w - 1, cols + w - 1, *plane)
     if w == 1:  # the identity
         return patch
     nbytes = WORKSPACE.note(patch)
@@ -262,27 +261,32 @@ def smoothed_runs(fetch, m, w, plan_name, runs, out):
     Every axis has extent ``m``; runs with one lead column come sorted by it; with more,
     ``fetch`` sums planes."""
     if w < 1:
-        raise ValueError(f"window must be >= 1, got {w}")
+        raise ParameterError(f"window must be >= 1, got {w}")
     (_bands if runs.lead.shape[1] == 1 else _blocks)(fetch, m, w, plan_name, runs, out)
+
+
+def _ranges(r0, c0, rows, cols):  # a box as the adapters' callers' fetch takes it
+    return np.arange(r0, r0 + rows)[:, None], np.arange(c0, c0 + cols)[None, :]
 
 
 def smoothed_cells_2d(fetch, n_rows_out, n_cols_out, w, plan_name, spans):
     """The benchmark's order-3 adapter: :func:`smoothed_runs` with each non-empty sorted
     ``(row, col_start, col_stop)`` span, at most one per row, as a run (``n_rows_out``
-    unused), summed at the call into one ``complex128`` array; yields ``(row, col_start,
-    values)`` per span."""
+    unused), for a ``fetch(rows, cols)`` of index ranges, summed at the call into one
+    ``complex128`` array; yields ``(row, col_start, values)`` per span."""
     spans = np.array([s for s in spans if s[1] < s[2]], dtype=np.int64).reshape(-1, 3)
     lens = spans[:, 2] - spans[:, 1]
     runs = Runs(spans[:, :1], spans[:, 1], spans[:, 2], np.cumsum(lens) - lens)
     out = np.empty(runs.size, dtype=np.complex128)
-    smoothed_runs(fetch, n_cols_out, w, plan_name, runs, out)
+    smoothed_runs(lambda *box: fetch(*_ranges(*box)), n_cols_out, w, plan_name, runs, out)
     return ((r, s, out[o : o + e - s]) for r, s, e, o in np.c_[spans, runs.offsets].tolist())
 
 
 def smoothed_cells_3d(fetch3, m, w, plan_name, k1s, k2s, starts, stops, bases, out):
     """The benchmark's order-4 adapter: :func:`smoothed_runs` with lead ``(k1s, k2s)``, first
-    ``starts``, offsets ``bases``, for a ``fetch3(rows, cols, k3)`` of one plane; each
-    request sums its ``w`` planes."""
-    def summed(rows, cols, k3):
-        return reduce(np.add, (fetch3(rows, cols, k3 + t) for t in range(w)))
+    ``starts``, offsets ``bases``, for a ``fetch3(rows, cols, k3)`` of index ranges and one
+    plane; each request sums its ``w`` planes."""
+    def summed(r0, c0, rows, cols, k3):
+        ranges = _ranges(r0, c0, rows, cols)
+        return reduce(np.add, (fetch3(*ranges, k3 + t) for t in range(w)))
     smoothed_runs(summed, m, w, plan_name, Runs(np.c_[k1s, k2s], starts, stops, bases), out)

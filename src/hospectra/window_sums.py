@@ -173,5 +173,6 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     r = np.arange(rows_out)  # one run per output row
     runs = Runs(r[:, None], np.zeros_like(r), np.full_like(r, cols_out), r * cols_out)
     with WORKSPACE.held(out):
-        smoothed_runs(lambda i, j: a[i, j], cols_out, w, plan.name, runs, out.reshape(-1))
+        smoothed_runs(lambda r0, c0, rows, cols: a[r0 : r0 + rows, c0 : c0 + cols], cols_out,
+                      w, plan.name, runs, out.reshape(-1))
     return out

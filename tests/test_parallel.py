@@ -303,7 +303,7 @@ def _shm_segments():
 
 def test_sigterm_to_parent_leaves_no_worker_or_segment():
     """A SIGTERM runs no ``finally`` in the parent, so what outlives it must
-    end by itself: each worker finishes its one slice and exits."""
+    end by itself: each worker dies with its parent, mid-slice or not."""
     if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
         pytest.skip("this kernel does not list a process's children in /proc")
     loop = textwrap.dedent("""
@@ -328,7 +328,7 @@ def test_sigterm_to_parent_leaves_no_worker_or_segment():
         assert proc.poll() is None, "the loop exited before it was signalled"
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=10)
-        deadline = time.monotonic() + 10
+        deadline = time.monotonic() + 2
         while _live_session_members(proc.pid) or _shm_segments() - before:
             assert time.monotonic() < deadline, (
                 f"left after SIGTERM: processes {_live_session_members(proc.pid)}, "

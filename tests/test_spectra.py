@@ -88,10 +88,27 @@ class TestRawValues:
 
 
 
+def plain_block(spectra, origin, shape, conj):
+    """``_raw_block`` over the box ``origin + [0, shape)`` with its last factor taken
+    plain over the box's index sums: no fold, every index an axis of the box."""
+    lo, n = sum(origin), sum(shape) - len(shape) + 1
+    last = spectra.take(np.arange(lo, lo + n), axis=1, mode="wrap")
+    return _raw_block(spectra, origin, shape, np.conj(last) if conj else last)
+
+
+def unfolded_planes(spectra, origin, shape, conj, w):
+    """The ``w**j`` single planes at the ``j`` indices of ``origin`` past the box, each
+    from its own value on, by :func:`plain_block`."""
+    folded = origin[len(shape):]
+    return [plain_block(spectra, origin[:2] + tuple(o + d for o, d in zip(folded, t)),
+                        shape + (1,) * len(folded), conj).reshape(shape)
+            for t in itertools.product(range(w), repeat=len(folded))]
+
+
 class TestRawBlockDepth:
-    """A block of depth ``w`` is the sum of the ``w**j`` single planes at the
-    ``j`` indices of its origin past the box, each from its own value on: the
-    lean plans' fetch contract (one index at order 4, two at order 5)."""
+    """A fresh lean fetch's plane of depth ``w`` is the sum of the ``w**j`` single planes
+    at the ``j`` indices of its origin past the box, each from its own value on: the lean
+    plans' fetch contract (one index at order 4, two at order 5)."""
 
     M = 32
     # (origin, shape): negative origins, and indices past the box near m that wrap
@@ -107,18 +124,15 @@ class TestRawBlockDepth:
         rng = np.random.default_rng(10 * w + k)
         spectra = rng.standard_normal((k, self.M)) + 1j * rng.standard_normal((k, self.M))
         for origin, shape in self.BLOCKS:
-            got = _raw_block(spectra, origin, shape, conj, depth=w)
-            folded = origin[len(shape):]
-            planes = [
-                _raw_block(spectra, origin[:2] + tuple(o + d for o, d in zip(folded, t)),
-                           shape + (1,) * len(folded), conj).reshape(shape)
-                for t in itertools.product(range(w), repeat=len(folded))
-            ]
+            r0, c0, *ks = (o + w // 2 for o in origin)  # the fetch shifts every index
+            with _LeanFetch(spectra, w, conj) as fetch:
+                got = fetch(r0, c0, *shape, *ks)
+            planes = unfolded_planes(spectra, origin, shape, conj, w)
             expect = sum(planes)
             assert got.shape == expect.shape == shape, (origin, got.shape)
             scale = float(np.abs(expect).max())
             assert np.abs(got - expect).max() <= 1e-13 * scale, (origin, w)
-            if w == 1:  # the fold of one plane moves no bit
+            if w == 1:  # the plane of one value moves no bit
                 assert got.tobytes() == planes[0].tobytes(), origin
 
 
@@ -146,11 +160,6 @@ class TestSlidingFold:
             seq += [(3, 1, 6, 5, 8, k) for k in (2 * w - 1, 2 * w)]
         return seq
 
-    @staticmethod
-    def fetched(fetch, r0, c0, rows, cols, *planes):
-        return fetch(np.arange(r0, r0 + rows)[:, None], np.arange(c0, c0 + cols)[None, :],
-                     *planes)
-
     @pytest.mark.parametrize("order", [4, 5])
     @pytest.mark.parametrize("w", [2, 3, 5])
     @pytest.mark.parametrize("k", [1, 3])
@@ -161,16 +170,16 @@ class TestSlidingFold:
         before = WORKSPACE.current
         with _LeanFetch(spectra, w, conj) as fetch:
             for r0, c0, rows, cols, *planes in self.requests(order, w):
-                got = self.fetched(fetch, r0, c0, rows, cols, *planes)
+                got = fetch(r0, c0, rows, cols, *planes)
                 held = WORKSPACE.current
                 with _LeanFetch(spectra, w, conj) as fresh:
-                    first = self.fetched(fresh, r0, c0, rows, cols, *planes)
+                    first = fresh(r0, c0, rows, cols, *planes)
                     # a tail per segment, of the n index sums the earlier folds read
                     n = rows + cols - 1 + (order - 4) * (w - 1)
                     assert WORKSPACE.current - held == 16 * k * n
                 assert got.tobytes() == first.tobytes(), (r0, c0, rows, cols, planes)
-                origin = [x - w // 2 for x in (r0, c0, *planes)]
-                expect = _raw_block(spectra, origin, (rows, cols), conj, depth=w)
+                origin = tuple(x - w // 2 for x in (r0, c0, *planes))
+                expect = sum(unfolded_planes(spectra, origin, (rows, cols), conj, w))
                 scale = float(np.abs(expect).max())
                 assert np.abs(got - expect).max() <= 1e-13 * scale, (r0, c0, planes)
         assert WORKSPACE.current == before
@@ -180,9 +189,9 @@ class TestSlidingFold:
         spectra = rng.standard_normal((3, self.M)) + 1j * rng.standard_normal((3, self.M))
         before = WORKSPACE.current
         with _LeanFetch(spectra, 5, True) as fetch:
-            self.fetched(fetch, 2, 1, 6, 7, 1)
+            fetch(2, 1, 6, 7, 1)
             assert WORKSPACE.current - before == 3 * (6 + 7 - 1) * 16
-            self.fetched(fetch, 2, 1, 4, 4, 3)  # a narrower plane slides the same sums
+            fetch(2, 1, 4, 4, 3)  # a narrower plane slides the same sums
             assert WORKSPACE.current - before == 3 * (6 + 7 - 1) * 16
         assert WORKSPACE.current == before
 
@@ -475,7 +484,7 @@ class TestEstimateSpectrum:
     def test_swap_symmetry_of_full_grid(self):
         series = generate_qpc(0.1, 0.15, 64, 0.4, seed=8)
         spec_set = dft_segments(segment_and_demean(series, SegmentConfig(m=64, k=1)))
-        raw = _raw_block(spec_set.spectra, (0, 0), (64, 64), True)
+        raw = plain_block(spec_set.spectra, (0, 0), (64, 64), True)
         full = smooth(np.pad(raw, (2, 2), mode="wrap"), 5, SmoothingPlan.WS)  # centred windows
         assert max_rel_dev(full, full.T) < 1e-9
 

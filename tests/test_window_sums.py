@@ -4,6 +4,7 @@ import time
 import tracemalloc
 import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hospectra import tiled
 from hospectra.dft import dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import segment_and_demean
-from hospectra.spectra import domain_runs
+from hospectra.spectra import _LeanFetch, domain_runs
 from hospectra.tiled import S, Runs, box_sums, running_sums, smoothed_cells_2d, smoothed_cells_3d
 from hospectra.window_sums import smooth
 
@@ -57,6 +58,12 @@ def every_axis(kernel, a, w):
     for axis in range(a.ndim):
         a = kernel(a, w, axis)
     return a
+
+
+def wrapped_box(a, r0, c0, rows, cols):
+    """The engine's fetch over the periodic matrix ``a``: its box of ``rows x cols`` at
+    ``(r0, c0)``, indices wrapped."""
+    return a[np.ix_(np.arange(r0, r0 + rows) % a.shape[0], np.arange(c0, c0 + cols) % a.shape[1])]
 
 
 class TestBoxSums:
@@ -339,7 +346,7 @@ class TestSmoothedCells2d:
         return {(r, c): out.values[o + c - s] for r, s, e, o in runs for c in range(s, e)}
 
     def test_constant_field(self):
-        ones = lambda r, c: np.ones(np.broadcast(np.asarray(r), np.asarray(c)).shape)
+        ones = lambda r0, c0, rows, cols: np.ones((rows, cols))
         seen = self.collect(ones, 3, 2, SmoothingPlan.EFFICIENT, [(r, 0, 3) for r in range(3)])
         assert set(seen) == {(r, c) for r in range(3) for c in range(3)}
         assert all(abs(v - 4.0) < 1e-12 for v in seen.values())
@@ -347,10 +354,7 @@ class TestSmoothedCells2d:
     def test_each_plan_matches_materialized(self):
         rng = np.random.default_rng(9)
         a = rng.standard_normal((8, 8))
-
-        def fetch(r, c):
-            return a[np.asarray(r) % 8, np.asarray(c) % 8]
-
+        fetch = partial(wrapped_box, a)
         for boundary in ("valid", "periodic"):
             spec = WindowSpec(3, boundary)
             expect = window_sums_2d(a, spec, SmoothingPlan.NAIVE)
@@ -369,10 +373,7 @@ class TestSmoothedCells2d:
         rng = np.random.default_rng(13)
         n = 10
         a = rng.standard_normal((n, n))
-
-        def fetch(r, c):
-            return a[np.asarray(r) % n, np.asarray(c) % n]
-
+        fetch = partial(wrapped_box, a)
         full_spans = [(r, 0, n) for r in range(n)]
         part_spans = [(2, 4, 9), (3, 0, 10), (4, 0, 1), (7, 5, 6)]
         for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING):
@@ -384,13 +385,13 @@ class TestSmoothedCells2d:
 
     def test_window_too_small_rejected(self):
         # at the call, before any fetch, for the engine and both adapters
-        with pytest.raises(ValueError):
-            tiled.smoothed_runs(lambda r, c: 0.0, 4, 0, "EFFICIENT", span_runs([(0, 0, 4)]),
-                                np.empty(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="window must be >= 1, got 0"):
+            tiled.smoothed_runs(lambda r0, c0, rows, cols: 0.0, 4, 0, "EFFICIENT",
+                                span_runs([(0, 0, 4)]), np.empty(4))
+        with pytest.raises(ParameterError, match="window must be >= 1, got 0"):
             smoothed_cells_2d(lambda r, c: 0.0, 4, 4, 0, "EFFICIENT", [(0, 0, 4)])
         one = np.zeros(1, dtype=np.int64)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="window must be >= 1, got 0"):
             smoothed_cells_3d(lambda r, c, k: 0.0, 8, 0, "EFFICIENT", one, one, one, one + 1, one,
                               np.empty(1))
 
@@ -407,10 +408,9 @@ class TestSmoothedCells2d:
         for plan, budget in budgets.items():
             cells = [0]
 
-            def fetch(r, c):
-                r, c = np.broadcast_arrays(np.asarray(r), np.asarray(c))
-                cells[0] += r.size
-                return a[r % n, c % n]
+            def fetch(r0, c0, rows, cols):
+                cells[0] += rows * cols
+                return wrapped_box(a, r0, c0, rows, cols)
 
             tiled.smoothed_runs(fetch, n, w, plan.name, runs, np.empty(n * n))
             assert cells[0] <= budget, f"{plan.name}: {cells[0]} reads > {budget}"
@@ -425,16 +425,13 @@ class TestSmoothedCells2d:
         rng = np.random.default_rng(w)
         rows_out, cols_out = 70, 100
         a = rng.standard_normal((cols_out, cols_out)) + 1j * rng.standard_normal((cols_out, cols_out))
-
-        def fetch(r, c):
-            return a[np.asarray(r) % cols_out, np.asarray(c) % cols_out]
-
+        fetch = partial(wrapped_box, a)
         b = max(S, w)
         units = -(-rows_out // b), -(-cols_out // b)
         expect = np.empty((units[0] * b, units[1] * b), dtype=a.dtype)
         for i, j in np.ndindex(units):
             r0, c0 = i * b, j * b
-            patch = fetch(np.arange(r0, r0 + b + w - 1)[:, None], np.arange(c0, c0 + b + w - 1)[None, :])
+            patch = fetch(r0, c0, b + w - 1, b + w - 1)
             expect[r0 : r0 + b, c0 : c0 + b] = every_axis(box_sums, patch, w)
         triangle = [(r, r, cols_out) for r in range(rows_out)]
         full = [(r, 0, cols_out) for r in range(rows_out)]
@@ -455,9 +452,8 @@ class TestSmoothedCells2d:
         pad = 2 * max(w, 48)
         ext = np.pad(a, ((0, pad), (0, pad)), mode="wrap")
 
-        def fetch(r, c):  # a slice: no index temporaries in the trace
-            r, c = np.ravel(r), np.ravel(c)
-            return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
+        def fetch(r0, c0, rows, cols):  # a slice: no index temporaries in the trace
+            return ext[r0 : r0 + rows, c0 : c0 + cols].copy()
 
         # the output is the caller's, so it is made before tracing
         args = fetch, n, w, "EFFICIENT", span_runs([(r, 0, n) for r in range(n)])
@@ -495,12 +491,9 @@ class TestSmoothedCells2d:
         n_rows = 2 * uh + 5
         rng = np.random.default_rng(w)
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-
-        def fetch(r, c):
-            return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
-
+        fetch = partial(wrapped_box, a)
         def alone(r0, c0, cols):
-            patch = fetch(np.arange(r0, r0 + uh + w - 1), np.arange(c0, c0 + cols + w - 1))
+            patch = fetch(r0, c0, uh + w - 1, cols + w - 1)
             down = running_sums if plan == "FAST" else box_sums
             return box_sums(down(patch, w), w, 1)
 
@@ -531,10 +524,7 @@ class TestSmoothedCells2d:
         # lone column's w rows in sequence, as a wider piece's, so both agree.
         m, w, rows = 2 * S + 1, 50, 8
         a = np.random.default_rng(1).standard_normal((m, m, 2)).view(complex)[..., 0]
-
-        def fetch(r, c):
-            return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
-
+        fetch = partial(wrapped_box, a)
         lead = np.arange(rows)[:, None]
         whole, tail = np.empty(rows * m, dtype=complex), np.empty(rows, dtype=complex)
         tiled.smoothed_runs(fetch, m, w, "STREAMING", Runs(lead, np.zeros(rows, dtype=int),
@@ -550,9 +540,9 @@ class TestSmoothedCells2d:
         a = np.random.default_rng(w).standard_normal((n, n))
         columns = Counter()  # source columns fetched per band, i.e. per output row
 
-        def fetch(r, c):
-            columns[int(np.ravel(r)[0])] += np.size(c)
-            return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
+        def fetch(r0, c0, rows, cols):
+            columns[r0] += cols
+            return wrapped_box(a, r0, c0, rows, cols)
 
         runs = domain_runs(3, n)
         lead, first, stops, _ = runs
@@ -580,10 +570,10 @@ class TestSmoothedCells2d:
             def __setitem__(self, where, vals):
                 landed.append(weakref.ref(vals if vals.base is None else vals.base))
 
-        def fetch(r, c):
+        def fetch(r0, c0, rows, cols):
             if landed:
                 alive.append(landed[-1]() is not None)
-            return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
+            return wrapped_box(a, r0, c0, rows, cols)
 
         tiled.smoothed_runs(fetch, n, w, plan, domain_runs(3, n), Out())
         assert len(alive) >= 2 and all(alive), alive
@@ -611,10 +601,10 @@ class TestSmoothedCells2d:
                     counts["indexed"] += 1
                     assert "at" in walker_locals()  # so the probe sees `at` when bound
 
-        def fetch(r, c):
+        def fetch(r0, c0, rows, cols):
             counts["fetches"] += 1
             assert "at" not in walker_locals()
-            return a[np.ravel(r)[:, None] % n, np.ravel(c)[None, :] % n]
+            return wrapped_box(a, r0, c0, rows, cols)
 
         def summed(part, w):
             bound = walker_locals()  # refreshed before the weak references are read
@@ -633,10 +623,11 @@ class TestSmoothedCells2d:
         assert (counts["indexed"] > 0) == (plan != "FAST"), counts
 
 
-def direct_fetch(spectra, w):
+def direct_products(spectra, w):
     """Segment-averaged raw products from the direct-method formula
-    ``F(k1) F(k2) ... conj(F(k1 + k2 + ...)) / M``, indices shifted by the
-    centred window offset ``w // 2`` and wrapped mod M."""
+    ``F(k1) F(k2) ... conj(F(k1 + k2 + ...)) / M`` at broadcastable index ranges and
+    one index per further axis, the fetch the adapters' callers pass, indices shifted
+    by the centred window offset ``w // 2`` and wrapped mod M."""
     k, m = spectra.shape
     h = w // 2
 
@@ -651,6 +642,19 @@ def direct_fetch(spectra, w):
                 term = term * f[i]
             acc = acc + term
         return acc / (m * k)
+
+    return fetch
+
+
+def direct_fetch(spectra, w):
+    """:func:`direct_products` by the engine's contract: the box of ``rows x cols`` at
+    ``(r0, c0)``, each plane summed over its index's ``w`` values from its own on."""
+    products = direct_products(spectra, w)
+
+    def fetch(r0, c0, rows, cols, *planes):
+        box = np.arange(r0, r0 + rows)[:, None], np.arange(c0, c0 + cols)[None, :]
+        return sum(products(*box, *(k + t for k, t in zip(planes, ts)))
+                   for ts in itertools.product(range(w), repeat=len(planes)))
 
     return fetch
 
@@ -689,7 +693,7 @@ class TestEngineEntryPoints:
         starts = np.flatnonzero(np.r_[True, (lead[1:] != lead[:-1]).any(axis=1)])
         ends = np.r_[starts[1:], len(dom)]
         first, stops = dom[starts, -1], dom[ends - 1, -1] + 1
-        fetch = direct_fetch(spectra, w)
+        fetch = direct_products(spectra, w)
         out = HitCounter(len(dom))
         if order == 3:
             spans = list(zip(dom[starts, 0].tolist(), first.tolist(), stops.tolist()))
@@ -704,6 +708,37 @@ class TestEngineEntryPoints:
         expect = estimate_spectrum(series, EstimationConfig(order, seg, w, SmoothingPlan.NAIVE))
         assert_spectrum_close(out.values / float(w) ** (order - 1), expect.values,
                               context=f"order {order} w={w} {plan}")
+
+
+class TestFetchContract:
+    """``smoothed_runs`` asks its fetch for a box by origin and size: every call is
+    ``(r0, c0, rows, cols, *planes)`` of integers, one plane per index past the second."""
+
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
+    @pytest.mark.parametrize("order,m,w", [(3, 64, 1), (3, 64, 5), (4, 32, 1), (4, 32, 3)])
+    def test_lean_fetch_calls_are_integer_boxes_of_the_direct_values(self, order, m, w, plan):
+        series = generate_qpc(0.1, 0.15, 2 * m, noise_sigma=0.4, seed=order * w)
+        spectra = dft_segments(segment_and_demean(series, SegmentConfig(m=m, k=2))).spectra
+        runs = domain_runs(order, m)
+
+        def sweep(fetch):
+            calls, out = [], np.empty(runs.size, dtype=complex)
+
+            def recorded(*call):
+                calls.append(call)
+                return fetch(*call)
+
+            tiled.smoothed_runs(recorded, m, w, plan, runs, out)
+            return calls, out
+
+        with _LeanFetch(spectra, w, True) as lean:
+            calls, got = sweep(lean)
+        assert calls and all(type(x) is int for call in calls for x in call), calls[:3]
+        assert {len(call) for call in calls} == {4 + order - 3}, calls[:3]
+        assert all(rows >= 1 and cols >= 1 for _, _, rows, cols, *_ in calls)
+        direct_calls, expect = sweep(direct_fetch(spectra, w))
+        assert direct_calls == calls  # the calls depend on the runs, w and plan alone
+        assert_spectrum_close(got / (len(spectra) * m), expect, context=f"{order} {plan} {w}")
 
 
 class TestIndexedWrite:
@@ -737,17 +772,14 @@ class TestIndexedWrite:
         m = 5 * b + 7
         rng = np.random.default_rng(w)
         a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-
-        def fetch(r, c):
-            return a[np.ravel(r)[:, None] % m, np.ravel(c)[None, :] % m]
-
+        fetch = partial(wrapped_box, a)
         rows, first, stops, offsets = self.table(b, m)
         total = int((stops - first).sum())
         # every unit alone: box sums down and across its own fetched source patch
         units = np.empty((rows[-1] // b * b + b, m), dtype=a.dtype)
         for r0, c0 in itertools.product(range(0, len(units), b), range(0, m, b)):
             cols = min(b, m - c0)
-            patch = fetch(np.arange(r0, r0 + b + w - 1), np.arange(c0, c0 + cols + w - 1))
+            patch = fetch(r0, c0, b + w - 1, cols + w - 1)
             units[r0 : r0 + b, c0 : c0 + cols] = every_axis(box_sums, patch, w)
         out = np.full(total, np.nan, dtype=complex)
         runs = Runs(rows[:, None], first, stops, offsets)
@@ -775,7 +807,7 @@ class TestIndexedWrite:
                 def __setitem__(self, where, vals):
                     landed.add((type(where).__name__, vals.dtype))
 
-            tiled.smoothed_runs(lambda r, c: src[np.ravel(r)[:, None] % m, np.ravel(c) % m],
+            tiled.smoothed_runs(partial(wrapped_box, src),
                                 m, w, plan, Runs(rows[:, None], first, stops, offsets), Out())
             assert {d for _, d in landed} == {np.dtype(dtype)}, (plan, landed)
             assert plan != "EFFICIENT" or {k for k, _ in landed} == {"slice", "ndarray"}
@@ -796,9 +828,8 @@ class TestIndexedWrite:
         pad = 2 * max(w, S)
         ext = np.pad(a, ((0, pad), (0, pad)), mode="wrap")
 
-        def fetch(r, c):  # a slice: no index temporaries in the trace
-            r, c = np.ravel(r), np.ravel(c)
-            return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
+        def fetch(r0, c0, rows, cols):  # a slice: no index temporaries in the trace
+            return ext[r0 : r0 + rows, c0 : c0 + cols].copy()
 
         rows = np.arange(n)
         first, stops = np.zeros(n, dtype=np.int64), rows + 1
@@ -836,10 +867,9 @@ class TestOrder4Sweep:
         a = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
         calls = Counter()
 
-        def fetch(rows, cols, k3):  # the plane summed over k3 .. k3 + w - 1
-            r, c = np.ravel(rows), np.ravel(cols)
-            calls[int(r[0]), int(c[0]), k3, r.size, c.size] += 1
-            return a[r[:, None] % m, c[None, :] % m][..., (k3 + np.arange(w)) % m].sum(axis=-1)
+        def fetch(r0, c0, rows, cols, k3):  # the plane summed over k3 .. k3 + w - 1
+            calls[r0, c0, k3, rows, cols] += 1
+            return wrapped_box(a, r0, c0, rows, cols)[..., (k3 + np.arange(w)) % m].sum(axis=-1)
 
         runs = domain_runs(4, m)
         lead, first, stops, _ = runs
@@ -902,7 +932,7 @@ class TestMemoryTiers:
             rng = np.random.default_rng(n)
             a = rng.standard_normal((n, n))
             WORKSPACE.reset()
-            tiled.smoothed_runs(lambda r, c: a[r % n, c % n], n, w, "FAST",
+            tiled.smoothed_runs(partial(wrapped_box, a), n, w, "FAST",
                                 span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
             return WORKSPACE.peak
 
@@ -915,7 +945,7 @@ class TestMemoryTiers:
             rng = np.random.default_rng(n)
             a = rng.standard_normal((n, n))
             WORKSPACE.reset()
-            tiled.smoothed_runs(lambda r, c: a[r % n, c % n], n, w, plan,
+            tiled.smoothed_runs(partial(wrapped_box, a), n, w, plan,
                                 span_runs([(r, 0, n) for r in range(n)]), np.empty(n * n))
             return WORKSPACE.peak
 
@@ -934,9 +964,8 @@ class TestMemoryTiers:
         def sweep(n):
             ext = np.random.default_rng(n).standard_normal((n + w, S + w))
 
-            def fetch(r, c):  # a slice: no index temporaries in the trace
-                r, c = np.ravel(r), np.ravel(c)
-                return ext[r[0] : r[-1] + 1, c[0] : c[-1] + 1].copy()
+            def fetch(r0, c0, rows, cols):  # a slice: no index temporaries in the trace
+                return ext[r0 : r0 + rows, c0 : c0 + cols].copy()
 
             lead = np.arange(n)[:, None]
             first, stops = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
