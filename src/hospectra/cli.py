@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seg-len", type=int, required=True, help="samples per segment (M)")
     est.add_argument("--segments", type=int, default=1, help="segment count (K)")
     est.add_argument("--window", type=int, required=True, help="smoothing window side (M3)")
-    est.add_argument("--plan", choices=PLAN_NAMES, default="EFFICIENT")
+    est.add_argument("--plan", type=str.upper, choices=PLAN_NAMES, default="EFFICIENT")
     est.add_argument("--threads", type=int, default=None)
     est.add_argument("--conjugate", choices=("on", "off"), default="on")
     est.add_argument("--out", required=True)

@@ -192,16 +192,14 @@ def _cols(a, lo, n):
     return a.take(np.arange(lo, lo + n), axis=1, mode="wrap")
 
 
-def _fold(spectra, last, o, depth, n, out):
-    """Sum ``f[o + d] * last[:, d + t]`` over ``d < depth`` into ``out[:, t]``, ``t < n``,
-    per segment (rows of ``spectra``, ``last`` and ``out``), one segment's ``(depth, n)``
-    terms at a time and ``d`` in order; returns ``out``."""
-    s1 = last.strides[1]
-    for f, row, dst in zip(_cols(spectra, o, depth), last, out):
-        terms = f[:, None] * np.ndarray((depth, n), row.dtype, row, 0, (s1, s1))
-        with WORKSPACE.held(terms):
-            terms.sum(axis=0, out=dst[:n])
-    return out
+def _fold(spectra, last, o, depth, n):
+    """``sum(f[o + d] * last[:, d + t] for d < depth)`` for ``t < n``, per segment (rows of
+    ``spectra`` and of ``last``, C-contiguous), as a new ``(K, n)`` array: one matmul over a
+    Hankel view of ``last``. For ``depth, n >= 2`` that view is no BLAS operand, so NumPy's own
+    loop sums each cell over ``d`` in order, from its own column only, on any CPU alike."""
+    s0, s1 = last.strides
+    hank = np.ndarray((len(last), depth, n), last.dtype, last, 0, (s0, s1, s1))  # a view of last
+    return np.matmul(_cols(spectra, o, depth)[:, None], hank).reshape(len(last), n)
 
 
 def _raw_block(spectra, origin, shape, last):
@@ -242,9 +240,9 @@ class _LeanFetch:
     index's origins), counted as working memory until the ``with`` block ends. The step to
     ``k + 1`` adds the entering plane's products and subtracts the leaving one's, ``O(n)``
     per segment (the recurrence of :func:`~hospectra.tiled.running_sums`), over every held
-    column. The sums restart from :func:`_fold` at every multiple of ``w`` of ``k`` (floor
-    division for negative planes), on a new ``s`` and for more columns than are held; a
-    column depends only on itself, so a plane's bits depend only on ``(s, k)``."""
+    column. The sums restart as the array :func:`_fold` returns at every multiple of ``w`` of
+    ``k`` (floor division for negative planes), on a new ``s`` and for more columns than are
+    held; a column depends only on itself, so a plane's bits depend only on ``(s, k)``."""
 
     def __init__(self, spectra, w, conjugate_last):
         self.spectra, self.w = spectra, w
@@ -266,9 +264,8 @@ class _LeanFetch:
         if (self.key is None or self.key[0] != s or not c <= self.key[1] <= k
                 or self.sums.shape[1] < n):
             self.__exit__()  # restart at the chunk's first plane
-            self.sums = np.empty((len(f), n), np.complex128)
+            self.sums = _fold(f, _cols(src, s + c - h, n + w - 1), c - h, w, n)
             WORKSPACE.note(self.sums)
-            _fold(f, _cols(src, s + c - h, n + w - 1), c - h, w, n, self.sums)
             self.key = (s, c)
         sums, n = self.sums, self.sums.shape[1]
         for p in range(self.key[1] - h, k - h):  # the plane at origin p + w enters, p leaves
@@ -290,7 +287,7 @@ class _LeanFetch:
         last = self._slide(sum(origin), planes[-1], n)
         for o in origin[:1:-1]:
             n -= w - 1
-            last = _fold(self.spectra, last, o, w, n, np.empty((len(last), n), last.dtype))
+            last = _fold(self.spectra, last, o, w, n)
         return _raw_block(self.spectra, origin[:2], (rows, cols), last)
 
 
@@ -318,8 +315,14 @@ def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, runs: Ru
     division's bits (``tools/grid_digest.golden``). Any split of the domain into slices
     reproduces the whole-domain grid bit for bit, which the parallel workers rely on. The
     lean plans write ``values`` only; the materialized plans expand the slice's index
-    tuples and meter them with ``values``."""
+    tuples and meter them with ``values``. Spectra, a run table or ``values`` that do not
+    fit ``cfg`` or one another are refused before any work, for an empty slice too."""
     m, w = spec_set.m, cfg.m3
+    if (cfg.segment.k, cfg.segment.m) != (spec_set.k, m):
+        raise ParameterError(f"config ({cfg.segment.k}x{cfg.segment.m}) does not match "
+                             f"spectra ({spec_set.k}x{m})")
+    if runs.lead.shape[1] != cfg.order - 2:
+        raise ParameterError(f"a run table of {runs.lead.shape[1]} lead columns at order {cfg.order}")
     if len(values) != runs.size:
         raise ParameterError(f"{len(values)} values for a slice of {runs.size} points")
     if runs.size == 0:
@@ -348,11 +351,6 @@ def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, runs: Ru
 
 def estimate_from_spectra(spec_set: SegmentSpectrumSet, cfg: EstimationConfig) -> SpectrumGrid:
     """Run the smoothing and averaging stages on precomputed segment DFTs."""
-    if cfg.segment.m != spec_set.m or cfg.segment.k != spec_set.k:
-        raise ParameterError(
-            f"config ({cfg.segment.k}x{cfg.segment.m}) does not match "
-            f"spectra ({spec_set.k}x{spec_set.m})"
-        )
     runs = domain_runs(cfg.order, spec_set.m)
     values = np.empty(runs.size, dtype=np.complex128)
     estimate_slice(spec_set, cfg, runs, values)

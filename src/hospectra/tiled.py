@@ -217,8 +217,8 @@ def _bands(fetch, m, w, plan_name, runs, out):
                     # intp, in the unit's memory order: else NumPy copies the index or the unit
                     at = np.empty_like(unit[top:], dtype=np.intp)
                     np.add.outer(np.array(pos, dtype=np.intp) + c0, np.arange(cols), out=at)
-                    with WORKSPACE.held(at):
-                        out[at] = unit[top:]
+                    WORKSPACE.drop(WORKSPACE.note(at))  # its peak: the write notes nothing
+                    out[at] = unit[top:]
                     del at  # the index does not outlive its write
                 else:
                     for row, s, e, p in zip(rows, lo, hi, pos):

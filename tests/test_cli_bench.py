@@ -140,6 +140,14 @@ class TestCmdEstimate:
         assert "exceeds series length" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_plan_takes_any_case(self, tmp_path):
+        inp = self._gen(tmp_path)
+        outs = [tmp_path / f"{name}.csv" for name in ("upper", "lower", "mixed")]
+        for name, out in zip(("STREAMING", "streaming", "Streaming"), outs):
+            assert main(["estimate", "--input", str(inp), "--seg-len", "256", "--window", "5",
+                         "--plan", name, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
     def test_bogus_plan_exits_2_listing_choices(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(

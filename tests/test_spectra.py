@@ -30,7 +30,7 @@ from hospectra import spectra as spectra_module
 from hospectra.dft import SegmentSpectrumSet, dft_segments
 from hospectra.meter import WORKSPACE
 from hospectra.series import CSV_CHUNK_ROWS, segment_and_demean
-from hospectra.spectra import _LeanFetch, _raw_block, domain_runs, estimate_slice
+from hospectra.spectra import _fold, _LeanFetch, _raw_block, domain_runs, estimate_slice
 from hospectra.window_sums import smooth
 
 
@@ -134,6 +134,40 @@ class TestRawBlockDepth:
             assert np.abs(got - expect).max() <= 1e-13 * scale, (origin, w)
             if w == 1:  # the plane of one value moves no bit
                 assert got.tobytes() == planes[0].tobytes(), origin
+
+
+class TestFold:
+    """``_fold`` sums ``f[o + d] * last[:, d + t]`` over ``d < depth`` per segment, by one
+    matmul over a Hankel view of ``last``: a column depends only on itself."""
+
+    M = 64
+
+    @pytest.mark.parametrize("depth", [2, 5, 49])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_the_per_term_sum(self, depth, k):
+        rng = np.random.default_rng(depth + k)
+        spectra = rng.standard_normal((k, self.M)) + 1j * rng.standard_normal((k, self.M))
+        n, o = 2 * depth - 1, -depth // 2  # the engine's narrowest fold; o wraps
+        shape = (k, n + depth - 1)
+        last = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _fold(spectra, last, o, depth, n)
+        expect = np.array([[sum(spectra[i, (o + d) % self.M] * last[i, d + t]
+                                for d in range(depth)) for t in range(n)] for i in range(k)])
+        assert got.shape == (k, n) and got.flags.c_contiguous
+        assert np.abs(got - expect).max() <= 1e-13 * float(np.abs(expect).max())
+
+    @pytest.mark.parametrize("depth", [2, 5, 49])
+    def test_leading_columns_keep_their_bits(self, depth):
+        # worker-count bit identity: a narrower fold gives the wider one's first columns
+        rng = np.random.default_rng(depth)
+        spectra = rng.standard_normal((3, self.M)) + 1j * rng.standard_normal((3, self.M))
+        n = 2 * depth + 7
+        shape = (3, n + depth - 1)
+        last = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        wide = _fold(spectra, last, 5, depth, n)
+        for narrow in (2, 2 * depth - 1, n - 1):
+            got = _fold(spectra, last[:, : narrow + depth - 1].copy(), 5, depth, narrow)
+            assert got.tobytes() == wide[:, :narrow].tobytes(), narrow
 
 
 class TestSlidingFold:
@@ -392,6 +426,29 @@ class TestEstimateSpectrum:
         spec_set = dft_segments(segment_and_demean(series, SegmentConfig(32, 1)))
         for plan in (SmoothingPlan.NAIVE, SmoothingPlan.EFFICIENT):
             assert slice_grid(spec_set, cfg3(32, 3, plan), 7, 7).shape == (0,)
+
+    @pytest.mark.parametrize("plan", list(SmoothingPlan))
+    def test_slice_refuses_spectra_of_another_config(self, plan):
+        # M=32 spectra under an M=64 config whose window fails m3 < M/2 for them
+        spec_set = SegmentSpectrumSet(np.ones((1, 32), dtype=np.complex128))
+        cfg = EstimationConfig(3, SegmentConfig(m=64), 21, plan)
+        runs = domain_runs(3, 32)
+        for start, stop in ((0, runs.size), (4, 4)):
+            values = np.full(stop - start, np.nan, complex)
+            with pytest.raises(ParameterError, match=r"\(1x64\) does not match spectra \(1x32\)"):
+                estimate_slice(spec_set, cfg, runs.cut(start, stop), values)
+            assert np.isnan(values).all(), (plan.name, start)
+
+    @pytest.mark.parametrize("plan", list(SmoothingPlan))
+    def test_slice_refuses_a_run_table_of_another_order(self, plan):
+        spec_set = SegmentSpectrumSet(np.ones((1, 32), dtype=np.complex128))
+        for table, cfg in ((domain_runs(4, 32), cfg3(32, 3, plan)),
+                           (domain_runs(3, 32), cfg4(32, 3, plan))):
+            for start, stop in ((0, table.size), (4, 4)):
+                values = np.full(stop - start, np.nan, complex)
+                with pytest.raises(ParameterError, match=f"lead columns at order {cfg.order}"):
+                    estimate_slice(spec_set, cfg, table.cut(start, stop), values)
+                assert np.isnan(values).all(), (plan.name, cfg.order, start)
 
     def test_config_and_spectra_mismatch_rejected(self):
         series = generate_qpc(0.1, 0.15, 64)
