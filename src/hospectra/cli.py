@@ -114,7 +114,7 @@ def cmd_bench(args) -> int:
     reports = run_benchmarks(
         orders=_csv_list(args.orders, "--orders"),
         sizes=_csv_list(args.sizes, "--sizes"),
-        plans=[tok for tok in args.plans.split(",") if tok.strip()],
+        plans=[tok.strip() for tok in args.plans.split(",") if tok.strip()],
         threads_list=_csv_list(args.threads_list, "--threads-list"),
         repeats=args.repeats,
         time_limit=args.time_limit,

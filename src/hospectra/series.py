@@ -99,7 +99,7 @@ def load_series(path, fmt: str = "csv") -> TimeSeries:
             # utf-8-sig drops the byte-order mark spreadsheet tools write first
             with open(path, "r", encoding="utf-8-sig") as fh:
                 lines = fh.read().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
         values = []
         for lineno, line in enumerate(lines, start=1):

@@ -33,7 +33,8 @@ column pass; along an order-3 band a unit carries the row sums of the
 
 One engine, :func:`smoothed_runs`, serves every order from one :class:`Runs` table
 and writes each unit into ``out`` once it is summed: :func:`_bands` walks the bands
-of runs with one lead column, :func:`_blocks` the blocks of runs with more.
+of runs with one lead column, :func:`_blocks` the blocks of runs with more, sorted by
+stop so that the runs a plane needs are a prefix of its block's.
 Units depend only on (fetch, w, unit origin) and a kernel's cell only on its
 own lines, so splitting the output across workers reproduces a serial sweep
 bit for bit. :func:`smoothed_cells_2d` and :func:`smoothed_cells_3d` are the
@@ -232,27 +233,36 @@ def _bands(fetch, m, w, plan_name, runs, out):
 def _blocks(fetch, m, w, plan_name, runs, out):
     """:func:`smoothed_runs` over runs with two or more lead columns: each block of the
     first two, the plan's unit shape (its face), at each value of the others is EFFICIENT's
-    row pass and column pass over a summed plane per last index its runs cover."""
+    row pass and column pass over a summed plane per last index its runs cover.
+
+    A block's runs are sorted by stop, descending: the runs live at plane ``k`` are a prefix,
+    its length from one ``searchsorted`` per block and its far corner from prefix maxima.
+    Only planes below a run that starts late (in a cut of a domain, its first run) mask it."""
     face = _UNITS[plan_name][0](m, w) + (1,) * (runs.lead.shape[1] - 2)  # a plane per other
-    order = np.lexsort((runs.lead // face).T[::-1])  # stable: a block keeps its runs' order
+    order = np.lexsort((-runs.stops, *(runs.lead // face).T[::-1]))  # by block, then stop
     lead, first, stops, offsets = (a[order] for a in runs)
     for (b0, c0, *planes), u in _groups(lead, face):
-        ii, jj = (lead[u, :2] - (b0, c0)).T
-        st, sp, bb = first[u], stops[u], offsets[u]
-        for k in range(int(st.min()), int(sp.max())):
-            on = (st <= k) & (k < sp)
-            if on.any():  # a slice's first run may start after its block's others stop
-                i, j = ii[on], jj[on]
-                # cut at the active runs' far corner: a cell depends only on its own lines
-                vals = _efficient_rows(fetch, b0, c0, int(i.max()) + 1, int(j.max()) + 1, w,
-                                       *planes, k)
-                if w > 1:  # else the identity
-                    nbytes = WORKSPACE.note(vals)  # the row sums, during the column pass
-                    vals = _column_sums(vals, w)
-                    WORKSPACE.drop(nbytes)
-                nbytes = WORKSPACE.note(vals)
-                out[bb[on] + (k - st[on])] = vals[i, j]
+        ij = lead[u, :2] - (b0, c0)
+        (ii, jj), far = ij.T, np.maximum.accumulate(ij)  # far[n - 1]: n runs' far corner
+        st, sp, pos = first[u], stops[u], offsets[u] - first[u]
+        k0, late = int(st.min()), int(st.max())
+        lives = np.searchsorted(-sp, -np.arange(k0, sp[0])).tolist()  # runs with stop > k
+        for k, n in zip(range(k0, int(sp[0])), lives):
+            on, (i, j) = slice(n), far[n - 1].tolist()
+            if k < late:  # below a late start, as a slice's first run's, mask the prefix
+                on = np.flatnonzero(st[:n] <= k)
+                if not len(on):  # no run started yet that has not stopped
+                    continue
+                i, j = ij[on].max(axis=0).tolist()
+            # cut at the live runs' far corner: a cell depends only on its own lines
+            vals = _efficient_rows(fetch, b0, c0, i + 1, j + 1, w, *planes, k)
+            if w > 1:  # else the identity
+                nbytes = WORKSPACE.note(vals)  # the row sums, during the column pass
+                vals = _column_sums(vals, w)
                 WORKSPACE.drop(nbytes)
+            nbytes = WORKSPACE.note(vals)
+            out[pos[on] + k] = vals[ii[on], jj[on]]
+            WORKSPACE.drop(nbytes)
 
 
 def smoothed_runs(fetch, m, w, plan_name, runs, out):

@@ -175,6 +175,16 @@ class TestCmdEstimate:
         )
         assert code == 1
 
+    def test_csv_input_not_utf8_exits_1_on_one_line(self, tmp_path, capsys):
+        bad, out = tmp_path / "s.csv", tmp_path / "g.csv"
+        bad.write_bytes(b"\xff" + b"1.0\n" * 64)
+        code = main(["estimate", "--input", str(bad), "--seg-len", "64", "--window", "5",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_threads_env_var_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, value):
         monkeypatch.setenv("HOSPECTRA_THREADS", value)
@@ -292,6 +302,20 @@ class TestCmdBench:
         code = main(["bench", "--sizes", "64", "--plans", "", "--out",
                      str(tmp_path / "r.json")])
         assert code == 2
+
+    def test_plan_list_tokens_are_stripped(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["bench", "--sizes", "64", "--plans", "FAST, efficient", "--repeats", "1",
+                     "--windows", "5", "--out", str(out)]) == 0
+        cells = json.loads(out.read_text())
+        assert [(c["plan"], c["status"]) for c in cells] == [("FAST", "ok"), ("EFFICIENT", "ok")]
+
+    def test_unknown_plan_in_list_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["bench", "--sizes", "64", "--plans", "FAST, BOGUS", "--repeats", "1",
+                     "--windows", "5", "--out", str(out)]) == 2
+        assert "error: unknown plan 'BOGUS'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--sizes", "abc"],

@@ -1,4 +1,5 @@
 import io
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,12 @@ class TestLoadSeries:
         path = tmp_path / "x.csv"
         path.write_text("1.0\nnan\n")
         with pytest.raises(DataError, match=":2:"):
+            load_series(path, "csv")
+
+    def test_csv_not_utf8_names_path(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        with pytest.raises(DataError, match=f"cannot read {re.escape(str(path))}: 'utf-8' codec"):
             load_series(path, "csv")
 
     def test_missing_file(self, tmp_path):

@@ -912,6 +912,72 @@ class TestOrder4Sweep:
             assert np.array_equal(got, full[a:b]), (plan.name, a, b)
 
 
+class TestBlockWalkerCuts:
+    """A cut of the domain sweeps to the whole sweep's bits, with the fetches a per-plane
+    mask of live runs defines, also where the cut's first run starts after its block's
+    other runs: there the live runs are no prefix of the block's runs sorted by stop."""
+
+    @staticmethod
+    def mask_calls(runs, face, w):
+        """The fetches of a sweep by the definition: per block of the leading axes, in
+        lexicographic order, and per last index ``k`` ascending that a run of the block
+        covers, the box out to the far corner of the runs live at ``k``."""
+        lead, first, stops, _ = runs
+        keys = lead // face
+        calls = []
+        for key in sorted(set(map(tuple, keys.tolist()))):
+            origin = np.array(key) * face
+            block = (keys == key).all(axis=1)
+            for k in range(int(first[block].min()), int(stops[block].max())):
+                on = block & (first <= k) & (k < stops)
+                if on.any():
+                    rows, cols = (lead[on, :2].max(axis=0) - origin[:2] + w).tolist()
+                    calls.append((*origin[:2].tolist(), rows, cols, *origin[2:].tolist(), k))
+        return calls
+
+    @pytest.mark.parametrize("w", [1, 3, 4])
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT", "STREAMING"])
+    @pytest.mark.parametrize("order", [4, 5])
+    def test_random_cuts_keep_bits_and_fetches(self, order, plan, w):
+        # random cuts [a, b) of the domain, and cuts that start mid-run t, ahead of a run of
+        # t's block that starts at 0
+        m = {4: 32, 5: 16}[order]
+        rng = np.random.default_rng(order * 10 + w)
+        src = rng.standard_normal((m,) * (order - 1)) + 1j * rng.standard_normal((m,) * (order - 1))
+        calls = []
+
+        def fetch(r0, c0, rows, cols, *planes):  # each plane summed over its w indices
+            calls.append((r0, c0, rows, cols, *planes))
+            box = 0
+            for ks in itertools.product(*(range(k, k + w) for k in planes)):
+                box = box + wrapped_box(src[(..., *(np.array(ks) % m))], r0, c0, rows, cols)
+            return box
+
+        def sweep(runs):  # laid out after m guard cells, which no write may reach
+            calls.clear()
+            out = np.full(m + runs.size, np.nan, dtype=src.dtype)
+            tiled.smoothed_runs(fetch, m, w, plan, runs._replace(offsets=runs.offsets + m), out)
+            assert np.isnan(out[:m]).all()
+            return out[m:], list(calls)
+
+        whole = domain_runs(order, m)
+        face = np.array(TestOrder4Sweep.face(plan, m, w) + (1,) * (order - 4))
+        full, full_calls = sweep(whole)
+        assert full_calls == self.mask_calls(whole, face, w)
+        lens, keys = whole.stops - whole.first, whole.lead // face
+        mates = {t: t + 1 + int(later[0]) for t in np.flatnonzero(lens >= 2).tolist()
+                 if len(later := np.flatnonzero((keys[t + 1:] == keys[t]).all(axis=1)))}
+        cuts = [sorted(rng.choice(whole.size + 1, 2, replace=False).tolist()) for _ in range(3)]
+        for t in rng.choice(list(mates), 3).tolist():
+            a = int(whole.offsets[t] + rng.integers(1, lens[t]))
+            cuts.append([a, int(rng.integers(whole.offsets[mates[t]] + 1, whole.size + 1))])
+        for a, b in cuts:
+            cut = whole.cut(a, b)
+            got, got_calls = sweep(cut)
+            assert np.array_equal(got, full[a:b]), (a, b)
+            assert got_calls == self.mask_calls(cut, face, w), (a, b)
+
+
 class TestMemoryTiers:
     def _engine_peak(self, n, w, plan):
         """Working-set peak for one full sweep at size n (periodic)."""
