@@ -25,9 +25,12 @@ m=512, w in {9,49}, K=1, conjugation on: FAST and EFFICIENT at P in {1,2},
 after their NAIVE reference; there a band holds several EFFICIENT column
 units and the P=2 cut falls inside a band. At w=9, EFFICIENT also runs at
 P=3 with both partitions: its bands hold units that every run covers, and
-the point_blocks cuts fall mid-row; STREAMING runs at P in {1,2}, so its
-bands hold several 1 x S units and the P=2 cut falls inside one. Uses the
-public API only.
+the point_blocks cuts fall mid-row. STREAMING runs at both windows at P in
+{1,2}, so its bands hold several 1 x S units and the P=2 cut falls inside
+one. At w=49, wider than S=48, a unit after its band's first carries w-1
+source columns, more than its S output columns, so its row pass is asked
+for S-(w-1) <= 0 output columns and fetches only its S new source columns.
+Uses the public API only.
 """
 
 import hashlib
@@ -66,8 +69,8 @@ def cells():
         if w == windows[0]:
             for part in ("row_blocks", "point_blocks"):
                 yield order, m, w, 1, True, SmoothingPlan.EFFICIENT, WorkerConfig(3, part)
-            for p in (1, 2):
-                yield order, m, w, 1, True, SmoothingPlan.STREAMING, WorkerConfig(p)
+        for p in (1, 2):
+            yield order, m, w, 1, True, SmoothingPlan.STREAMING, WorkerConfig(p)
 
 
 def main():
