@@ -86,6 +86,8 @@ class EstimationConfig:
 
     def __post_init__(self):
         _check_order(self.order)
+        if not isinstance(self.plan, SmoothingPlan):
+            raise ParameterError(f"plan must be a SmoothingPlan, got {self.plan!r}")
         if self.m3 < 1:
             raise ParameterError(f"smoothing window must be >= 1, got {self.m3}")
         if 2 * self.m3 >= self.segment.m:
@@ -323,6 +325,8 @@ def estimate_slice(spec_set: SegmentSpectrumSet, cfg: EstimationConfig, runs: Ru
                              f"spectra ({spec_set.k}x{m})")
     if runs.lead.shape[1] != cfg.order - 2:
         raise ParameterError(f"a run table of {runs.lead.shape[1]} lead columns at order {cfg.order}")
+    if not isinstance(values, np.ndarray) or values.dtype != np.complex128:  # as the scale views it
+        raise ParameterError(f"values must be complex128, got {getattr(values, 'dtype', values)!r}")
     if len(values) != runs.size:
         raise ParameterError(f"{len(values)} values for a slice of {runs.size} points")
     if runs.size == 0:

@@ -15,10 +15,10 @@ ascending order of that index.
 Two kernels do the summing, one axis per call: :func:`running_sums` (the
 WS plan's running-sum recurrence) and :func:`box_sums` (the PREFIX plan's
 cumsum difference). The lean plans apply them to units of the output
-aligned to a fixed grid in output coordinates, each a row pass (sums of
-``w`` source rows per source column) then :func:`box_sums` across, the one
-column pass; along an order-3 band a unit carries the row sums of the
-``w-1`` source columns it shares with the next:
+aligned to a fixed grid in output coordinates: the plan's row kernel down
+``w`` source rows per source column, at most the plan's width of columns per
+fetch, then :func:`box_sums` across, the one column pass; an order-3 band's
+unit carries the row sums of the ``w-1`` source columns it shares with the next:
 
 * FAST      - ``w`` x full-width bands of one unit, :func:`running_sums`
               down a ``2w-1``-row source patch (O(cols*w) memory, each source
@@ -27,7 +27,7 @@ column pass; along an order-3 band a unit carries the row sums of the
               :func:`box_sums` down a ``(B+w-1)^2`` patch (O(max(S, w)^2)
               memory, each source cell fetched at most twice; from order 4 on,
               each summed cell at most 4 times, by the halos of its blocks).
-* STREAMING - ``1 x S`` pieces of a row, EFFICIENT's kernels over a ``w``-row
+* STREAMING - ``1 x S`` pieces of a row, :func:`box_sums` down a ``w``-row
               source patch fetched at most ``S`` columns per call (O(w)
               memory, O(w^2) from order 4 on; each source cell fetched ``w`` times).
 
@@ -43,7 +43,7 @@ benchmark's adapters over it; nothing in the package calls them.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -133,43 +133,41 @@ def running_sums(a, w, axis=0):
     return out
 
 
-def _column_sums(part, w):
-    # box_sums along axis 1 of the row sums, bit for bit, run on the
-    # transposed view: a difference along an inner axis makes NumPy buffer
-    # about three times its result, one along a leading axis nothing
-    return box_sums(part.T, w).T
-
-
-def _block(fetch, r0, c0, rows, cols, w, *plane, kernel):
-    patch = fetch(r0, c0, rows + w - 1, cols + w - 1, *plane)
+def _metered(kernel, a, w):
+    """``kernel(a, w)``, counting ``a`` as working memory while it runs; at ``w = 1``, ``a``."""
     if w == 1:  # the identity
-        return patch
-    nbytes = WORKSPACE.note(patch)
+        return a
+    nbytes = WORKSPACE.note(a)
     try:
-        return kernel(patch, w)
+        return kernel(a, w)
     finally:
         WORKSPACE.drop(nbytes)
 
 
-_efficient_rows = partial(_block, kernel=box_sums)
+def _column_sums(part, w):
+    # box_sums along axis 1 of the row sums, bit for bit, run on the
+    # transposed view: a difference along an inner axis makes NumPy buffer
+    # about three times its result, one along a leading axis nothing
+    return _metered(box_sums, part.T, w).T
 
 
-def _streamed(fetch, r0, c0, rows, cols, w):
-    # EFFICIENT's row pass, at most S source columns per fetch (the O(w) tier)
-    n = cols + w - 1
-    return np.concatenate([_efficient_rows(fetch, r0, a, rows, min(S, c0 + n - a) - w + 1, w)
-                           for a in range(c0, c0 + n, S)], axis=1)
+def _row_sums(fetch, kernel, width, w, r0, c0, rows, cols, *plane):
+    """The ``rows x (cols + w - 1)`` sums by ``kernel`` of ``w`` source rows from ``r0`` on,
+    per source column from ``c0`` on, fetched at most ``width`` source columns per call."""
+    n, rows = cols + w - 1, rows + w - 1
+    if n <= width:  # one fetch: every FAST and EFFICIENT unit, and every block
+        return _metered(kernel, fetch(r0, c0, rows, n, *plane), w)
+    return np.concatenate([_metered(kernel, fetch(r0, a, rows, min(width, c0 + n - a), *plane), w)
+                           for a in range(c0, c0 + n, width)], axis=1)
 
 
-#: plan -> (unit shape from (output columns, w), row pass); every unit's column pass is
-#: :func:`_column_sums`. A row pass ``row_pass(fetch, r0, c0, rows, cols, w)`` gives the
-#: ``rows x (cols + w - 1)`` sums of ``w`` source rows from ``r0`` on, per source column
-#: from ``c0`` on; the column pass sums ``w`` of those per output cell. The unit shape is
-#: also the face of a block.
+#: plan -> (unit shape from (output columns, w), row kernel, fetch width): a unit is its row
+#: kernel's :func:`_row_sums` then :func:`_column_sums`, its shape also a block's face. Only
+#: :func:`box_sums` keeps a lone column's bits, so STREAMING's pieces use it.
 _UNITS = {
-    "FAST": (lambda cols, w: (w, cols), partial(_block, kernel=running_sums)),
-    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, _efficient_rows),
-    "STREAMING": (lambda cols, w: (1, S), _streamed),
+    "FAST": (lambda cols, w: (w, cols), running_sums, np.inf),
+    "EFFICIENT": (lambda cols, w: (max(S, w),) * 2, box_sums, np.inf),
+    "STREAMING": (lambda cols, w: (1, S), box_sums, S),
 }
 
 
@@ -190,9 +188,9 @@ def _bands(fetch, m, w, plan_name, runs, out):
     of its band are carried (a copy, not a view pinning the part). A unit lands by one
     indexed write if its band's runs cover its columns and skip no row, else one slice
     per run row, and is held until the next unit's column pass ends, as metered."""
-    shape, row_pass = _UNITS[plan_name]
+    shape, *spec = _UNITS[plan_name]  # spec: the row kernel and fetch width
     uh, uw = shape(m, w)
-    held = carried = 0  # the bytes of the unit held until the next is summed, and of the carry
+    held = carried = 0  # the bytes of the previous unit and of the carry
     try:
         for (r0,), u in _groups(runs.lead, (uh,)):
             rows, lo, hi, pos = (a.tolist() for a in (runs.lead[u, 0], runs.first[u], runs.stops[u],
@@ -203,16 +201,14 @@ def _bands(fetch, m, w, plan_name, runs, out):
             for c0 in c0s:
                 cols = min(uw, m - c0)
                 skip = 0 if carry is None else w - 1
-                part = row_pass(fetch, r0, c0 + skip, rows[-1] - r0 + 1, cols - skip, w)
+                part = _row_sums(fetch, *spec, w, r0, c0 + skip, rows[-1] - r0 + 1, cols - skip)
                 if skip:
                     part = np.concatenate([carry, part], axis=1)
                 WORKSPACE.drop(carried)  # carry on only if the band has a next unit
                 carry = part[:, cols:].copy() if c0 + uw < c0s.stop else None
                 carried = 0 if carry is None else WORKSPACE.note(carry)
-                if w > 1:  # else the identity
-                    held += WORKSPACE.note(part)  # the part, during the column pass
-                    part = _column_sums(part, w)
-                WORKSPACE.drop(held)  # the part and the previous unit
+                part = _column_sums(part, w)
+                WORKSPACE.drop(held)
                 held, unit = WORKSPACE.note(part), part  # the previous unit is freed here
                 if dense and max(lo) <= c0 and c0 + cols <= min(hi):
                     # intp, in the unit's memory order: else NumPy copies the index or the unit
@@ -255,14 +251,10 @@ def _blocks(fetch, m, w, plan_name, runs, out):
                     continue
                 i, j = ij[on].max(axis=0).tolist()
             # cut at the live runs' far corner: a cell depends only on its own lines
-            vals = _efficient_rows(fetch, b0, c0, i + 1, j + 1, w, *planes, k)
-            if w > 1:  # else the identity
-                nbytes = WORKSPACE.note(vals)  # the row sums, during the column pass
-                vals = _column_sums(vals, w)
-                WORKSPACE.drop(nbytes)
-            nbytes = WORKSPACE.note(vals)
+            vals = _row_sums(fetch, box_sums, np.inf, w, b0, c0, i + 1, j + 1, *planes, k)
+            vals = _column_sums(vals, w)
+            WORKSPACE.drop(WORKSPACE.note(vals))  # its peak: the write notes nothing
             out[pos[on] + k] = vals[ii[on], jj[on]]
-            WORKSPACE.drop(nbytes)
 
 
 def smoothed_runs(fetch, m, w, plan_name, runs, out):
@@ -272,6 +264,8 @@ def smoothed_runs(fetch, m, w, plan_name, runs, out):
     ``fetch`` sums planes."""
     if w < 1:
         raise ParameterError(f"window must be >= 1, got {w}")
+    if plan_name not in _UNITS:
+        raise ParameterError(f"lean plan must be one of {', '.join(_UNITS)}, got {plan_name!r}")
     (_bands if runs.lead.shape[1] == 1 else _blocks)(fetch, m, w, plan_name, runs, out)
 
 

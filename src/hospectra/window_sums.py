@@ -126,6 +126,8 @@ def smooth(a: np.ndarray, w: int, plan: SmoothingPlan) -> np.ndarray:
     copies of ``a``. WS (running sums) and PREFIX (the shared
     cumsum-difference kernel) make one pass per axis, last axis first.
     """
+    if plan not in MATERIALIZED_PLANS:
+        raise ParameterError(f"smooth runs NAIVE, WS or PREFIX, not {plan!r}")
     if w == 1:
         return a.copy()
     if plan is SmoothingPlan.NAIVE:
@@ -156,6 +158,8 @@ def window_sums_2d(a, spec: WindowSpec, plan: SmoothingPlan) -> np.ndarray:
     the memory tiers of the lean plans only pay off through
     :func:`hospectra.tiled.smoothed_runs` or the estimation pipeline.
     """
+    if not isinstance(plan, SmoothingPlan):
+        raise ParameterError(f"plan must be a SmoothingPlan, got {plan!r}")
     a = np.asarray(a)
     if a.ndim != 2:
         raise ParameterError(f"expected a 2-D matrix, got shape {a.shape}")

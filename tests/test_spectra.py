@@ -303,6 +303,18 @@ class TestPrincipalDomain:
                     estimate_slice(spec_set, cfg3(32, 3, plan), runs, values)
                 assert np.isnan(values).all(), (plan.name, size)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    @pytest.mark.parametrize("plan", [SmoothingPlan.EFFICIENT, SmoothingPlan.WS])
+    def test_values_must_be_complex128(self, plan, dtype):
+        # float64 values would drop the imaginary parts with only a ComplexWarning, and
+        # complex64 ones come out NaN through the scale's float64 view of 16-byte cells
+        spec_set = SegmentSpectrumSet(np.ones((1, 64), dtype=np.complex128))
+        runs = domain_runs(3, 64)
+        values = np.full(runs.size, np.nan, dtype)
+        with pytest.raises(ParameterError, match="values must be complex128"):
+            estimate_slice(spec_set, cfg3(64, 5, plan), runs, values)
+        assert np.isnan(values).all(), (plan.name, dtype)
+
     def test_order3_m2_origin_only(self):
         assert [tuple(p) for p in principal_domain(3, 2)] == [(0, 0)]
 
@@ -420,6 +432,12 @@ class TestEstimateSpectrum:
     def test_window_below_one_rejected(self):
         with pytest.raises(ParameterError, match=">= 1, got 0"):
             cfg3(64, 0)
+
+    @pytest.mark.parametrize("plan", ["EFFICIENT", "WS", None])
+    def test_plan_must_be_a_smoothing_plan(self, plan):
+        # refused at once: estimate_spectrum would segment and transform, then fail on plan.name
+        with pytest.raises(ParameterError, match="plan must be a SmoothingPlan"):
+            EstimationConfig(3, SegmentConfig(m=64), 5, plan)
 
     def test_empty_slice_gives_no_values(self):
         series = generate_qpc(0.1, 0.15, 32)

@@ -188,6 +188,15 @@ class TestWindowSums2d:
             WindowSpec(3, "wrap")
         with pytest.raises(ParameterError, match="expected a 2-D matrix"):
             window_sums_2d(np.ones(4), WindowSpec(1), SmoothingPlan.EFFICIENT)
+        with pytest.raises(ParameterError, match="plan must be a SmoothingPlan"):
+            window_sums_2d(np.ones((6, 6)), WindowSpec(3), "EFFICIENT")
+
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_smooth_refuses_a_plan_it_cannot_run(self, w):
+        # the materialized plans only: any other plan ran WS's kernel
+        for plan in (SmoothingPlan.FAST, SmoothingPlan.EFFICIENT, SmoothingPlan.STREAMING, "WS"):
+            with pytest.raises(ParameterError, match="smooth runs NAIVE, WS or PREFIX"):
+                smooth(np.ones((6, 6)), w, plan)
 
     @pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
     def test_empty_matrix_rejected_for_either_boundary(self, shape):
@@ -394,6 +403,15 @@ class TestSmoothedCells2d:
         with pytest.raises(ParameterError, match="window must be >= 1, got 0"):
             smoothed_cells_3d(lambda r, c, k: 0.0, 8, 0, "EFFICIENT", one, one, one, one + 1, one,
                               np.empty(1))
+
+    @pytest.mark.parametrize("plan", ["WS", "NAIVE", "efficient", None])
+    def test_plan_outside_the_lean_three_rejected(self, plan):
+        # at the call, before any fetch, as a ParameterError, not a bare KeyError
+        def fetch(*box):
+            raise AssertionError(f"fetched {box}")
+
+        with pytest.raises(ParameterError, match="lean plan must be one of FAST, EFFICIENT, "):
+            tiled.smoothed_runs(fetch, 4, 3, plan, span_runs([(0, 0, 4)]), np.empty(4))
 
     def test_source_read_counts_respect_plan(self):
         rng = np.random.default_rng(10)
@@ -847,6 +865,57 @@ class TestIndexedWrite:
         ratio = traced / WORKSPACE.peak
         assert 0.8 <= ratio <= 1.25, (w, ratio)
         assert WORKSPACE.current == 0
+
+
+class TestRowPass:
+    """The lean plans' one row pass, seen through ``smoothed_runs`` with a recording fetch."""
+
+    @pytest.mark.parametrize("w", [9, 49, 117])
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_streaming_fetches_stay_narrow(self, order, w):
+        # at order 3 no fetch is wider than S source columns, also at w > S, where a unit
+        # after its band's first is asked for S - (w - 1) <= 0 output columns; from order 4
+        # on a block fetches its 1 x S face and halo in one call, as EFFICIENT's row pass
+        m = 3 * S + 5
+        boxes = []
+
+        def fetch(r0, c0, rows, cols, *planes):
+            boxes.append((rows, cols))
+            return np.zeros((rows, cols))
+
+        runs = domain_runs(order, m)
+        tiled.smoothed_runs(fetch, m, w, "STREAMING", runs, np.empty(runs.size))
+        rows, cols = np.array(boxes).T
+        assert (rows == w).all()
+        if order == 3:
+            assert cols.max() == S, cols.max()
+        else:
+            assert cols.max() <= S + w - 1, cols.max()
+
+    @pytest.mark.parametrize("w", [1, 9, 49, 117])
+    @pytest.mark.parametrize("plan", ["FAST", "EFFICIENT"])
+    def test_one_fetch_per_unit(self, monkeypatch, plan, w):
+        # the row pass fetches FAST's and EFFICIENT's units whole, one call each; the
+        # column pass runs once per unit
+        m = 3 * max(S, w) + 7
+        a = np.random.default_rng(w).standard_normal((m, m))
+        counts, column_sums = Counter(), tiled._column_sums
+
+        def fetch(r0, c0, rows, cols):
+            counts["fetches"] += 1
+            return wrapped_box(a, r0, c0, rows, cols)
+
+        def summed(part, w):
+            counts["units"] += 1
+            return column_sums(part, w)
+
+        monkeypatch.setattr(tiled, "_column_sums", summed)
+        runs = domain_runs(3, m)
+        out = np.empty(runs.size)
+        tiled.smoothed_runs(fetch, m, w, plan, runs, out)
+        assert counts["fetches"] == counts["units"] > 1, counts
+        expect = smooth(np.pad(a, (0, w - 1), mode="wrap"), w, SmoothingPlan.PREFIX)
+        assert_window_equal(out, expect[tuple(principal_domain(3, m).T)], context=f"{plan} w={w}")
 
 
 class TestOrder4Sweep:
